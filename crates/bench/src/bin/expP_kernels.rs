@@ -183,10 +183,7 @@ fn decode_tps(
 ) -> (f64, Vec<f32>) {
     let t0 = Instant::now();
     let mut cache = KvCache::new(m);
-    let mut logits = match quant {
-        Some(q) => cache.feed_all_quant(m, q, prompt).to_vec(),
-        None => cache.feed_all(m, prompt).to_vec(),
-    };
+    let mut logits = cache.feed_all_with(m, quant, prompt).to_vec();
     for _ in 0..new_tokens {
         let tok = logits
             .iter()

@@ -26,6 +26,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use lm4db::fault::fnv64;
 use lm4db::loadgen::{LoadGen, Phase, PromptShape, TenantSpec, Workload};
 use lm4db::obs;
 use lm4db::serve::{Engine, EngineOptions, TenantClass};
@@ -94,15 +95,6 @@ fn tenant_classes() -> Vec<TenantClass> {
                 .slo_wall_ms(s.slo_wall_ms)
         })
         .collect()
-}
-
-fn fnv_fingerprint(all: &str) -> u64 {
-    let mut fp: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in all.bytes() {
-        fp ^= u64::from(b);
-        fp = fp.wrapping_mul(0x1000_0000_01b3);
-    }
-    fp
 }
 
 /// Amortized cost of the sampler's disabled-path guard, in nanoseconds:
@@ -300,8 +292,8 @@ fn main() {
         "cadence-1 sampler ticks"
     );
     assert_eq!(
-        fnv_fingerprint(&off.outcomes),
-        fnv_fingerprint(&sampled.outcomes),
+        fnv64(&off.outcomes),
+        fnv64(&sampled.outcomes),
         "sampling changed the outcome stream"
     );
     let sampler_delta = sampled.secs_per_step / off.secs_per_step - 1.0;

@@ -30,7 +30,7 @@
 //! Everything is on the virtual step clock, so reruns are byte-identical.
 //! `LM4DB_SMOKE=1` shrinks the run for CI.
 
-use lm4db::fault;
+use lm4db::fault::{self, mix};
 use lm4db::router::{RoutePolicy, Router, RouterOptions, RouterStats};
 use lm4db::serve::{EngineOptions, Request};
 use lm4db::transformer::{GptModel, ModelConfig};
@@ -60,14 +60,6 @@ fn cfg() -> ModelConfig {
         d_ff: 128,
         dropout: 0.0,
     }
-}
-
-/// splitmix64 — the bench's only entropy source, so runs are replayable.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// The `n`-th request: a family-stable 12-token header (what the prefix

@@ -189,7 +189,7 @@ impl Synthesizer {
         // Decode through the engine-native incremental mask — the same
         // veto set as the oracle form of `TrieConstraint`, materialized
         // once per beam step instead of probed per vocabulary token.
-        let hyps = Engine::new(&self.gpt).beam_masked(&prompt, 3, max_new, EOS, Some(&constraint));
+        let hyps = Engine::new(&self.gpt).beam(&prompt, 3, max_new, EOS, Some(&constraint));
         let best = hyps.iter().find(|h| h.finished).or_else(|| hyps.first());
         let Some(best) = best else {
             return Synthesis {

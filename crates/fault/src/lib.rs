@@ -144,8 +144,10 @@ fn init_from_env() -> bool {
     STATE.load(Ordering::Relaxed) == 2
 }
 
-/// FNV-1a over the site name: sites get independent fault streams.
-fn fnv64(s: &str) -> u64 {
+/// FNV-1a over a string's bytes. The injector hashes site names with it
+/// (sites get independent fault streams); the golden and chaos suites use
+/// it as their outcome-stream fingerprint.
+pub fn fnv64(s: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in s.bytes() {
         h ^= u64::from(b);
@@ -154,9 +156,14 @@ fn fnv64(s: &str) -> u64 {
     h
 }
 
-/// splitmix64 finalizer — one xorshift-multiply round trip that spreads
-/// the mixed `(seed, site, salt)` bits uniformly.
-fn mix(mut x: u64) -> u64 {
+/// splitmix64 finalizer — one xorshift-multiply round trip with
+/// full-avalanche behaviour on structured inputs (small indices,
+/// consecutive ticks). The stack's one hash mixer: the injector spreads
+/// `(seed, site, salt)` with it, the load generator derives its RNG
+/// streams from it, and the router places ring nodes and fingerprints
+/// prompt prefixes with it.
+#[inline]
+pub fn mix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

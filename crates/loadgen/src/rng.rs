@@ -7,20 +7,11 @@
 //! not depend on which other ticks were sampled before, in what order, or
 //! on how many threads the consumer runs.
 
+use lm4db_fault::mix;
+
 /// A splitmix64 pseudo-random stream.
 #[derive(Debug, Clone)]
 pub struct Rng(u64);
-
-/// One splitmix64 finalizer round — the same mixer the fault injector
-/// uses, chosen for full-avalanche behaviour on structured inputs like
-/// small tenant indices and consecutive tick numbers.
-#[inline]
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 impl Rng {
     /// A stream seeded directly.

@@ -10,7 +10,7 @@
 //! (constrained beam for text-to-SQL, greedy synthesis for codegen,
 //! teacher-forced scoring for LM probability queries).
 
-use lm4db_serve::{Decode, Request};
+use lm4db_serve::Request;
 use lm4db_tokenize::BOS;
 
 use crate::rng::Rng;
@@ -135,18 +135,7 @@ pub(crate) fn build_request(
     const STOP: usize = usize::MAX;
     let budget = 1 + rng.below(max_new.max(1) as u64) as usize;
     match w {
-        Workload::Text2Sql => Request {
-            prompt,
-            decode: Decode::Beam {
-                width: 2,
-                max_new: budget,
-                stop: STOP,
-            },
-            constraint: None,
-            mask: None,
-            deadline: lm4db_serve::Deadline::None,
-            tenant: 0,
-        },
+        Workload::Text2Sql => Request::beam(prompt, 2, budget, STOP),
         Workload::Lm => {
             // Scoring needs a non-empty prefix and continuation; split the
             // prompt one token before the end.

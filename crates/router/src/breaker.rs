@@ -81,11 +81,6 @@ impl Breaker {
         self.state == BreakerState::Closed
     }
 
-    /// Current consecutive-miss streak (diagnostics).
-    pub fn streak(&self) -> u32 {
-        self.streak
-    }
-
     /// Feeds one heartbeat observation at `tick` and returns the
     /// transitions it caused, in order (at most two: `HalfOpened` then the
     /// probe outcome).

@@ -15,9 +15,6 @@
 //!   ring node while the conservation ledger
 //!   (`completed + cancelled + expired + failed + rejected == submitted`)
 //!   holds across any kill schedule.
-//! * [`replication`] — log-shipping replication for read-mostly state
-//!   (leader appends, followers replay; reads fan out, writes to the
-//!   leader), with the NeuralDB fact store as the concrete machine.
 //!
 //! Everything runs on the virtual step clock, so a chaos run with
 //! `LM4DB_FAULTS` killing replicas mid-stream replays byte-identically
@@ -44,12 +41,10 @@
 #![warn(missing_docs)]
 
 pub mod breaker;
-pub mod replication;
 pub mod ring;
 pub mod router;
 
 pub use breaker::{Breaker, BreakerState, Transition};
-pub use replication::{FactOp, FactState, Replicated, StateMachine};
 pub use ring::{prefix_fingerprint, HashRing};
 pub use router::{
     ReplicaStats, RoutePolicy, Router, RouterOptions, RouterStats, REPLICA_FAULT_SITE,

@@ -17,15 +17,7 @@
 //! bearing: the chaos matrix replays routing decisions byte-for-byte
 //! across thread counts and trace levels.
 
-/// splitmix64 finalizer — the same spreader `lm4db-fault` uses for fault
-/// decisions; one round trip is enough to decorrelate adjacent inputs.
-#[inline]
-pub(crate) fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
+use lm4db_fault::mix;
 
 /// The routing key for a prompt: a hash of its first `window` tokens.
 ///

@@ -42,13 +42,13 @@
 
 use std::collections::BTreeMap;
 
-use lm4db_fault::Fault;
+use lm4db_fault::{mix, Fault};
 use lm4db_obs::Histogram;
 use lm4db_serve::{Engine, EngineOptions, Outcome, Request, RequestId, Response, Stats};
 use lm4db_transformer::GptModel;
 
 use crate::breaker::{Breaker, BreakerState, Transition};
-use crate::ring::{mix, prefix_fingerprint, HashRing};
+use crate::ring::{prefix_fingerprint, HashRing};
 
 /// Fault-injection site for replica health: on the heartbeat cadence the
 /// router rolls here once per live replica — `Panic` kills the replica,
@@ -194,10 +194,10 @@ struct Replica<'a> {
     alive: bool,
     routed: u64,
     /// engine request id → router request id, for rewriting responses.
+    /// An id leaves the map when its request is delivered or fails over;
+    /// a response with no entry here belongs to a request that moved on
+    /// (the engine copy a drain cancelled) and is swallowed.
     ids: BTreeMap<RequestId, u64>,
-    /// Engine ids cancelled by a drain: their eventual responses belong
-    /// to a request that failed over elsewhere and are swallowed.
-    orphans: Vec<RequestId>,
 }
 
 /// A router over N in-process engine replicas. See the
@@ -225,7 +225,6 @@ impl<'a> Router<'a> {
                 alive: true,
                 routed: 0,
                 ids: BTreeMap::new(),
-                orphans: Vec::new(),
             })
             .collect();
         let ring = HashRing::new(opts.replicas as u32, opts.vnodes);
@@ -314,22 +313,42 @@ impl<'a> Router<'a> {
 
     /// Retires `id` with the router-side `no live replica` failure.
     fn retire_unroutable(&mut self, id: u64, submit_tick: u64) {
-        self.stats.failed += 1;
         self.stats.no_live_replica += 1;
         lm4db_obs::counter_add("router/no_live_replica", 1);
         lm4db_obs::instant_for("router/unroutable", id);
-        self.stats
-            .latency_steps
-            .record(self.ticks.saturating_sub(submit_tick));
-        self.finished.push(Response {
+        let reason = "no live replica".to_string();
+        self.retire_local(id, submit_tick, Outcome::Failed { reason });
+    }
+
+    /// Retires a request the router answers itself, with no engine output.
+    fn retire_local(&mut self, id: u64, submit_tick: u64, outcome: Outcome) {
+        let resp = Response {
             id,
-            outcome: Outcome::Failed {
-                reason: "no live replica".to_string(),
-            },
+            outcome,
             tokens: Vec::new(),
             hyps: Vec::new(),
             score: 0.0,
-        });
+        };
+        self.retire(submit_tick, resp);
+    }
+
+    /// The single retire path: every terminal response — delivered from a
+    /// replica or answered by the router itself — books its outcome, its
+    /// submit→deliver step latency and the `router/delivered` counter
+    /// here, exactly once, then queues for [`Router::take_responses`].
+    fn retire(&mut self, submit_tick: u64, resp: Response) {
+        match resp.outcome {
+            Outcome::Finished => self.stats.completed += 1,
+            Outcome::Cancelled => self.stats.cancelled += 1,
+            Outcome::DeadlineExpired => self.stats.expired += 1,
+            Outcome::Failed { .. } => self.stats.failed += 1,
+            Outcome::Rejected => self.stats.rejected += 1,
+        }
+        self.stats
+            .latency_steps
+            .record(self.ticks.saturating_sub(submit_tick));
+        lm4db_obs::counter_add("router/delivered", 1);
+        self.finished.push(resp);
     }
 
     /// Requests cancellation of a routed request; it retires with
@@ -361,7 +380,6 @@ impl<'a> Router<'a> {
         // engine-side; deliver them rather than re-running their requests.
         let done = self.replicas[r as usize].engine.take_responses();
         self.deliver(r, done);
-        self.replicas[r as usize].orphans.clear();
         self.replicas[r as usize].ids.clear();
         self.drain(r);
     }
@@ -386,24 +404,13 @@ impl<'a> Router<'a> {
         let old = &mut self.replicas[e.replica as usize];
         old.ids.remove(&e.engine_id);
         if old.alive {
-            // The old engine still holds its copy: cancel it and swallow
-            // the eventual Cancelled response so the request is not
-            // answered twice.
+            // The old engine still holds its copy: cancel it. Its eventual
+            // Cancelled response finds no id mapping and is swallowed, so
+            // the request is not answered twice.
             old.engine.cancel(e.engine_id);
-            old.orphans.push(e.engine_id);
         }
         if e.cancel_requested {
-            self.stats.cancelled += 1;
-            self.stats
-                .latency_steps
-                .record(self.ticks.saturating_sub(e.submit_tick));
-            self.finished.push(Response {
-                id,
-                outcome: Outcome::Cancelled,
-                tokens: Vec::new(),
-                hyps: Vec::new(),
-                score: 0.0,
-            });
+            self.retire_local(id, e.submit_tick, Outcome::Cancelled);
             return;
         }
         e.attempts += 1;
@@ -414,16 +421,7 @@ impl<'a> Router<'a> {
         // one request from cycling the same dead-end choice under the
         // Random policy; affinity re-walks the ring from the fingerprint.
         match self.pick_replica(e.fingerprint, mix(id ^ (u64::from(e.attempts) << 48))) {
-            Some(r) => {
-                let Entry {
-                    req,
-                    fingerprint,
-                    attempts,
-                    submit_tick,
-                    ..
-                } = e;
-                self.place(id, req, fingerprint, r, submit_tick, attempts);
-            }
+            Some(r) => self.place(id, e.req, e.fingerprint, r, e.submit_tick, e.attempts),
             None => self.retire_unroutable(id, e.submit_tick),
         }
     }
@@ -486,56 +484,32 @@ impl<'a> Router<'a> {
             }
         }
         let mut more = false;
-        for rep in self.replicas.iter_mut().filter(|rep| rep.alive) {
+        for r in 0..self.replicas.len() as u32 {
+            let rep = &mut self.replicas[r as usize];
+            if !rep.alive {
+                continue;
+            }
             // Open replicas keep stepping: they are draining cancels, and
             // a closed-again breaker resumes routing to a warm engine.
             more |= rep.engine.step();
+            let responses = rep.engine.take_responses();
+            self.deliver(r, responses);
         }
-        self.collect();
         more
     }
 
-    /// Drains every live replica's finished responses into the router's
-    /// delivery buffer.
-    fn collect(&mut self) {
-        for r in 0..self.replicas.len() as u32 {
-            if !self.replicas[r as usize].alive {
-                continue;
-            }
-            let responses = self.replicas[r as usize].engine.take_responses();
-            self.deliver(r, responses);
-        }
-    }
-
-    /// Rewrites replica responses to router ids, books their outcomes,
-    /// and queues them for [`Router::take_responses`]. Orphaned engine
-    /// ids (cancelled by a drain) are swallowed.
+    /// Rewrites replica responses to router ids and retires them.
+    /// Responses with no id mapping are swallowed: their request failed
+    /// over elsewhere (a drain cancelled this engine's copy) or a kill
+    /// cleared the map before draining.
     fn deliver(&mut self, r: u32, responses: Vec<Response>) {
         for mut resp in responses {
-            let rep = &mut self.replicas[r as usize];
-            if let Some(i) = rep.orphans.iter().position(|&id| id == resp.id) {
-                rep.orphans.swap_remove(i);
-                continue;
-            }
-            let Some(id) = rep.ids.remove(&resp.id) else {
-                // A kill cleared the map before draining; nothing routed
-                // through this replica is unknown otherwise.
+            let Some(id) = self.replicas[r as usize].ids.remove(&resp.id) else {
                 continue;
             };
             let e = self.entries.remove(&id).expect("delivered entry exists");
-            match resp.outcome {
-                Outcome::Finished => self.stats.completed += 1,
-                Outcome::Cancelled => self.stats.cancelled += 1,
-                Outcome::DeadlineExpired => self.stats.expired += 1,
-                Outcome::Failed { .. } => self.stats.failed += 1,
-                Outcome::Rejected => self.stats.rejected += 1,
-            }
-            self.stats
-                .latency_steps
-                .record(self.ticks.saturating_sub(e.submit_tick));
-            lm4db_obs::counter_add("router/delivered", 1);
             resp.id = id;
-            self.finished.push(resp);
+            self.retire(e.submit_tick, resp);
         }
     }
 

@@ -11,16 +11,10 @@
 //!   the property that makes failover cheap: one working set moves, the
 //!   surviving replicas' prefix caches stay warm.
 
+// splitmix64, so test keys are spread like real fingerprints.
+use lm4db_fault::mix;
 use lm4db_router::HashRing;
 use proptest::prelude::*;
-
-/// splitmix64, so test keys are spread like real fingerprints.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 proptest! {
     /// Key distribution stays within 2× of fair share at ≥ 64 vnodes.

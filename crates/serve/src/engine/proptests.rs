@@ -1,0 +1,91 @@
+//! Property tests: batch-size independence and mask safety under
+//! speculation, for arbitrary prompt mixes.
+
+use super::tests::testdraft::ConstDraft;
+use super::*;
+use lm4db_tokenize::{BOS, EOS};
+use lm4db_transformer::{
+    greedy as greedy_single, greedy_cached, ConstraintMask, IncrementalSession, ModelConfig,
+};
+use proptest::prelude::*;
+
+proptest! {
+    /// Batch-size independence as a property: any mix of prompts, any
+    /// max_batch, with or without the prefix cache — the engine always
+    /// reproduces the single-request KV-cached greedy output.
+    #[test]
+    fn engine_always_matches_single_request_greedy(
+        prompts in prop::collection::vec(
+            prop::collection::vec(8usize..60, 1..6), 1..6),
+        max_batch in 1usize..5,
+        cache in any::<bool>(),
+    ) {
+        let m = GptModel::new(ModelConfig::test(), 13);
+        let mut engine = Engine::with_options(&m, EngineOptions {
+            max_batch,
+            prefix_cache_tokens: if cache { 512 } else { 0 },
+            ..EngineOptions::default()
+        });
+        let mut reqs = Vec::new();
+        for p in &prompts {
+            let mut prompt = vec![BOS];
+            prompt.extend_from_slice(p);
+            reqs.push(Request::greedy(prompt, 6, EOS));
+        }
+        let responses = engine.generate_batch(reqs);
+        for (p, r) in prompts.iter().zip(responses.iter()) {
+            let mut prompt = vec![BOS];
+            prompt.extend_from_slice(p);
+            let want = greedy_cached(&m, &prompt, 6, EOS);
+            prop_assert_eq!(&r.tokens, &want);
+        }
+    }
+
+    /// Grammar-constrained speculative decoding as a property: for any
+    /// prompts, draft lookahead (including an adversarial constant
+    /// draft), batch size, and divisibility grammar, the engine never
+    /// emits a mask-vetoed token and reproduces the single-request
+    /// constrained greedy output byte for byte.
+    #[test]
+    fn constrained_speculative_decode_never_violates_mask(
+        prompts in prop::collection::vec(
+            prop::collection::vec(8usize..60, 1..6), 1..5),
+        draft_k in 0usize..5,
+        modulus in 1usize..4,
+        draft_tok in 8usize..60,
+        max_batch in 1usize..4,
+    ) {
+        let m = GptModel::new(ModelConfig::test(), 13);
+        let step = modulus + 1;
+        let allow = move |_p: &[usize], t: usize| t.is_multiple_of(step) || t == EOS;
+        let mask = ConstraintMask(&allow);
+        let draft = ConstDraft {
+            vocab: m.config().vocab_size,
+            tok: draft_tok % m.config().vocab_size,
+        };
+        let mut engine = Engine::with_options(&m, EngineOptions {
+            max_batch,
+            draft_k,
+            ..EngineOptions::default()
+        });
+        engine.set_draft(&draft);
+        let mut reqs = Vec::new();
+        for p in &prompts {
+            let mut prompt = vec![BOS];
+            prompt.extend_from_slice(p);
+            reqs.push(Request::greedy(prompt, 6, EOS).with_mask(&mask));
+        }
+        let responses = engine.generate_batch(reqs);
+        for (p, r) in prompts.iter().zip(responses.iter()) {
+            let mut prompt = vec![BOS];
+            prompt.extend_from_slice(p);
+            let mut session = IncrementalSession::new(&m);
+            let want = greedy_single(&mut session, &prompt, 6, EOS, &allow);
+            prop_assert_eq!(&r.tokens, &want);
+            prop_assert!(
+                r.tokens.iter().all(|&t| t.is_multiple_of(step)),
+                "mask violated: {:?}", r.tokens
+            );
+        }
+    }
+}

@@ -93,7 +93,32 @@ impl KvCache {
         // Flat timer, not a span: feeds happen per token per sequence and
         // should aggregate under one name wherever they run.
         let _timer = lm4db_obs::leaf("infer/feed_token");
-        let m = model;
+        self.feed_token(model, None, token)
+    }
+
+    /// Feeds one token through the int8 quantized path: embeddings, layer
+    /// norms, residuals, and attention mixing stay f32 (from `model`); all
+    /// heavy projections run int8 (from `quant`). Returns the next-token
+    /// logits.
+    ///
+    /// A cache fed through this path holds quantized-path keys/values — do
+    /// not mix f32 and quantized feeds on the same cache.
+    ///
+    /// # Panics
+    /// Panics when the context would exceed the model's `max_seq_len`, when
+    /// `token` is out of vocabulary, or when `quant` was built from a model
+    /// with a different layer count.
+    pub fn feed_quant(&mut self, model: &GptModel, quant: &QuantizedGpt, token: usize) -> &[f32] {
+        // Distinct leaf from the f32 path so traces show which decode path
+        // served a request.
+        let _timer = lm4db_obs::leaf("infer/feed_token_q8");
+        self.feed_token(model, Some(quant), token)
+    }
+
+    /// The one body behind [`KvCache::feed`] and [`KvCache::feed_quant`]:
+    /// bounds checks, embedding lookup, final norm and head are shared;
+    /// the weight format only selects the per-layer block step.
+    fn feed_token(&mut self, m: &GptModel, quant: Option<&QuantizedGpt>, token: usize) -> &[f32] {
         let pos = self.tokens.len();
         assert!(
             pos < m.cfg.max_seq_len,
@@ -101,6 +126,13 @@ impl KvCache {
             m.cfg.max_seq_len
         );
         assert!(token < m.cfg.vocab_size, "token {token} out of vocabulary");
+        if let Some(q) = quant {
+            assert_eq!(
+                q.n_blocks(),
+                m.blocks.len(),
+                "quantized snapshot does not match model depth"
+            );
+        }
         let d = m.cfg.d_model;
         let tok_emb = m.store.get(m.tok_emb);
         let pos_emb = m.store.get(m.pos_emb);
@@ -111,10 +143,16 @@ impl KvCache {
             .zip(pos_emb.data()[pos * d..(pos + 1) * d].iter())
             .map(|(a, b)| a + b)
             .collect();
-        for (block, cache) in m.blocks.iter().zip(self.layers.iter_mut()) {
-            x = block.step(&m.store, &x, cache);
+        for (i, (block, cache)) in m.blocks.iter().zip(self.layers.iter_mut()).enumerate() {
+            x = match quant {
+                Some(q) => q.block(i).step(block, &m.store, &x, cache),
+                None => block.step(&m.store, &x, cache),
+            };
         }
         let x = m.ln_f.apply_slice(&m.store, &x);
+        // The vocabulary head stays f32 on both paths: its logits feed
+        // directly into argmax/beam comparisons, where int8 noise flips
+        // decisions.
         self.last_logits = m.head.apply_slice(&m.store, &x);
         self.tokens.push(token);
         &self.last_logits
@@ -122,14 +160,32 @@ impl KvCache {
 
     /// Feeds several tokens; returns the logits after the last one.
     pub fn feed_all(&mut self, model: &GptModel, tokens: &[usize]) -> &[f32] {
+        self.feed_all_with(model, None, tokens)
+    }
+
+    /// [`KvCache::feed_all`] over either weight format: `Some(quant)`
+    /// decodes through the int8 projections (see [`KvCache::feed_quant`]),
+    /// `None` through the f32 model.
+    pub fn feed_all_with(
+        &mut self,
+        model: &GptModel,
+        quant: Option<&QuantizedGpt>,
+        tokens: &[usize],
+    ) -> &[f32] {
         assert!(!tokens.is_empty(), "feed_all of empty token slice");
         // Flat timer (not a span): feed_all runs both inline and on pool
         // workers, and a flat name aggregates identically either way. Under
         // a serve request scope its flight-recorder events carry the
         // request id, so per-request feed time falls out of the trace.
-        let _timer = lm4db_obs::leaf("kv/feed_all");
+        let _timer = lm4db_obs::leaf(match quant {
+            Some(_) => "kv/feed_all_q8",
+            None => "kv/feed_all",
+        });
         for &t in tokens {
-            self.feed(model, t);
+            match quant {
+                Some(q) => self.feed_quant(model, q, t),
+                None => self.feed(model, t),
+            };
         }
         &self.last_logits
     }
@@ -149,7 +205,28 @@ impl KvCache {
     /// Panics when the chunk would exceed the model's `max_seq_len` or any
     /// token is out of vocabulary.
     pub fn feed_many(&mut self, model: &GptModel, tokens: &[usize]) -> Vec<Vec<f32>> {
+        self.feed_many_with(model, None, tokens)
+    }
+
+    /// [`KvCache::feed_many`] over either weight format. The int8 matvec
+    /// keeps its own per-token layout, so with `Some(quant)` the chunk
+    /// runs token by token — chunk semantics (per-position logits, cache
+    /// state) are identical to the f32 batched path, it just doesn't
+    /// amortize weight traffic yet.
+    pub fn feed_many_with(
+        &mut self,
+        model: &GptModel,
+        quant: Option<&QuantizedGpt>,
+        tokens: &[usize],
+    ) -> Vec<Vec<f32>> {
         assert!(!tokens.is_empty(), "feed_many of empty token slice");
+        if let Some(q) = quant {
+            let _timer = lm4db_obs::leaf("kv/feed_many_q8");
+            return tokens
+                .iter()
+                .map(|&t| self.feed_quant(model, q, t).to_vec())
+                .collect();
+        }
         // Distinct flat timer from the per-token path, so the pinned
         // `infer/feed_token` count keeps meaning "tokens fed one at a
         // time" for the non-speculative engine.
@@ -219,89 +296,6 @@ impl KvCache {
         }
         self.tokens.truncate(len);
         self.last_logits = last_logits;
-    }
-
-    /// Feeds one token through the int8 quantized path: embeddings, layer
-    /// norms, residuals, and attention mixing stay f32 (from `model`); all
-    /// heavy projections run int8 (from `quant`). Returns the next-token
-    /// logits.
-    ///
-    /// A cache fed through this path holds quantized-path keys/values — do
-    /// not mix f32 and quantized feeds on the same cache.
-    ///
-    /// # Panics
-    /// Panics when the context would exceed the model's `max_seq_len`, when
-    /// `token` is out of vocabulary, or when `quant` was built from a model
-    /// with a different layer count.
-    pub fn feed_quant(&mut self, model: &GptModel, quant: &QuantizedGpt, token: usize) -> &[f32] {
-        // Distinct leaf from the f32 path so traces show which decode path
-        // served a request.
-        let _timer = lm4db_obs::leaf("infer/feed_token_q8");
-        let m = model;
-        let pos = self.tokens.len();
-        assert!(
-            pos < m.cfg.max_seq_len,
-            "kv cache exceeded max_seq_len {}",
-            m.cfg.max_seq_len
-        );
-        assert!(token < m.cfg.vocab_size, "token {token} out of vocabulary");
-        assert_eq!(
-            quant.n_blocks(),
-            m.blocks.len(),
-            "quantized snapshot does not match model depth"
-        );
-        let d = m.cfg.d_model;
-        let tok_emb = m.store.get(m.tok_emb);
-        let pos_emb = m.store.get(m.pos_emb);
-        let mut x: Vec<f32> = tok_emb.data()[token * d..(token + 1) * d]
-            .iter()
-            .zip(pos_emb.data()[pos * d..(pos + 1) * d].iter())
-            .map(|(a, b)| a + b)
-            .collect();
-        for (i, cache) in self.layers.iter_mut().enumerate() {
-            x = quant.block(i).step(&m.blocks[i], &m.store, &x, cache);
-        }
-        let x = m.ln_f.apply_slice(&m.store, &x);
-        // The vocabulary head stays f32: its logits feed directly into
-        // argmax/beam comparisons, where int8 noise flips decisions.
-        self.last_logits = m.head.apply_slice(&m.store, &x);
-        self.tokens.push(token);
-        &self.last_logits
-    }
-
-    /// Feeds several tokens through the quantized path; returns the logits
-    /// after the last one.
-    pub fn feed_all_quant(
-        &mut self,
-        model: &GptModel,
-        quant: &QuantizedGpt,
-        tokens: &[usize],
-    ) -> &[f32] {
-        assert!(!tokens.is_empty(), "feed_all_quant of empty token slice");
-        let _timer = lm4db_obs::leaf("kv/feed_all_q8");
-        for &t in tokens {
-            self.feed_quant(model, quant, t);
-        }
-        &self.last_logits
-    }
-
-    /// Quantized-path counterpart of [`KvCache::feed_many`]: returns the
-    /// logits after each token. The int8 matvec keeps its own per-token
-    /// layout, so this runs the chunk token by token — chunk semantics
-    /// (per-position logits, cache state) are identical to the f32 batched
-    /// path, it just doesn't amortize weight traffic yet.
-    pub fn feed_many_quant(
-        &mut self,
-        model: &GptModel,
-        quant: &QuantizedGpt,
-        tokens: &[usize],
-    ) -> Vec<Vec<f32>> {
-        assert!(!tokens.is_empty(), "feed_many_quant of empty token slice");
-        let _timer = lm4db_obs::leaf("kv/feed_many_q8");
-        tokens
-            .iter()
-            .map(|&t| self.feed_quant(model, quant, t).to_vec())
-            .collect()
     }
 
     /// Extracts the per-layer key/value rows of cached position `t` as one
@@ -629,7 +623,7 @@ mod tests {
             .map(|&t| seq.feed_quant(&m, &q, t).to_vec())
             .collect();
         let mut batched = KvCache::new(&m);
-        let got = batched.feed_many_quant(&m, &q, &tokens);
+        let got = batched.feed_many_with(&m, Some(&q), &tokens);
         assert_eq!(got, want);
     }
 

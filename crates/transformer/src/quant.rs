@@ -116,7 +116,7 @@ impl QuantBlock {
 }
 
 /// A frozen int8 snapshot of a [`GptModel`]'s heavy weights, for use with
-/// [`crate::KvCache::feed_quant`] / [`crate::KvCache::feed_all_quant`].
+/// [`crate::KvCache::feed_quant`] / [`crate::KvCache::feed_all_with`].
 #[derive(Debug, Clone)]
 pub struct QuantizedGpt {
     blocks: Vec<QuantBlock>,
@@ -206,7 +206,7 @@ mod tests {
         let mut f32_cache = KvCache::new(&m);
         let f32_logits = f32_cache.feed_all(&m, &prefix).to_vec();
         let mut q_cache = KvCache::new(&m);
-        let q_logits = q_cache.feed_all_quant(&m, &q, &prefix).to_vec();
+        let q_logits = q_cache.feed_all_with(&m, Some(&q), &prefix).to_vec();
         assert_eq!(f32_logits.len(), q_logits.len());
         // Quantization error is bounded; the two paths must agree on the
         // argmax for a well-trained pattern and stay close in logit space.
@@ -239,7 +239,7 @@ mod tests {
         let run = |threads: usize| {
             lm4db_tensor::set_threads(threads);
             let mut cache = KvCache::new(&m);
-            cache.feed_all_quant(&m, &q, &prefix).to_vec()
+            cache.feed_all_with(&m, Some(&q), &prefix).to_vec()
         };
         let one = run(1);
         let four = run(4);

@@ -11,7 +11,7 @@
 #      anchor derivation (lowercase, punctuation stripped, spaces to
 #      hyphens), so links to removed or renamed DESIGN.md sections fail
 #      instead of silently pointing at the top of the file.
-#   2. Backtick-quoted repo paths like `crates/serve/src/engine.rs` or
+#   2. Backtick-quoted repo paths like `crates/serve/src/engine/mod.rs` or
 #      `DESIGN.md` — only extensions .md/.rs/.sh/.toml are checked, so
 #      gitignored artifacts (e.g. results/*.json trace dumps) and shell
 #      snippets don't false-positive.

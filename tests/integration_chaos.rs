@@ -19,18 +19,10 @@ use std::process::Command;
 
 use lm4db::codegen::{enumerate_programs, generate_tasks, BreakerOptions, Synthesizer};
 use lm4db::corpus::{make_domain, DomainKind};
+use lm4db::fault::fnv64;
 use lm4db::serve::{Deadline, Engine, EngineOptions, Request};
 use lm4db::tokenize::{BOS, EOS};
 use lm4db::transformer::{GptModel, ModelConfig};
-
-fn fnv_fingerprint(all: &str) -> u64 {
-    let mut fp: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in all.bytes() {
-        fp ^= u64::from(b);
-        fp = fp.wrapping_mul(0x1000_0000_01b3);
-    }
-    fp
-}
 
 /// Serving half of the child workload: a mixed batch (greedy, beam,
 /// scoring) with step deadlines, cancellations, a bounded queue, and a
@@ -146,7 +138,7 @@ fn chaos_child() {
     lm4db::fault::silence_injected_panics();
     let mut all = serve_workload();
     all.push_str(&codegen_workload());
-    println!("CHAOS_FP={:016x}", fnv_fingerprint(&all));
+    println!("CHAOS_FP={:016x}", fnv64(&all));
     println!("CHAOS_OK");
 }
 

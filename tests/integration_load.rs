@@ -27,18 +27,10 @@
 use std::fmt::Write as _;
 use std::process::Command;
 
+use lm4db::fault::fnv64;
 use lm4db::loadgen::{Burst, LoadGen, Phase, PromptShape, TenantSpec, Workload};
 use lm4db::serve::{Engine, EngineOptions, TenantClass};
 use lm4db::transformer::{GptModel, ModelConfig};
-
-fn fnv_fingerprint(all: &str) -> u64 {
-    let mut fp: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in all.bytes() {
-        fp ^= u64::from(b);
-        fp = fp.wrapping_mul(0x1000_0000_01b3);
-    }
-    fp
-}
 
 /// Three tenants spanning the tier range, base rates summing to 2.0
 /// arrivals/tick — past the tiny model's service rate once the phase
@@ -225,7 +217,7 @@ fn soak_child() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(11);
     let all = soak_workload(seed);
-    println!("SOAK_FP={:016x}", fnv_fingerprint(&all));
+    println!("SOAK_FP={:016x}", fnv64(&all));
     println!("SOAK_OK");
 }
 

@@ -16,6 +16,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::process::Command;
 
+use lm4db::fault::fnv64;
 use lm4db::serve::{Engine, EngineOptions, Request};
 use lm4db::tokenize::{BOS, EOS};
 use lm4db::transformer::{GptModel, KvCache, ModelConfig, QuantizedGpt};
@@ -85,7 +86,7 @@ fn render_greedy(outputs: &[Vec<usize>]) -> String {
 /// Greedy decode through the quantized KV path directly (no engine).
 fn quant_greedy_direct(m: &GptModel, q: &QuantizedGpt, prefix: &[usize]) -> Vec<usize> {
     let mut cache = KvCache::new(m);
-    let mut logits = cache.feed_all_quant(m, q, prefix).to_vec();
+    let mut logits = cache.feed_all_with(m, Some(q), prefix).to_vec();
     let mut out = Vec::new();
     for _ in 0..MAX_NEW {
         let tok = logits
@@ -166,15 +167,6 @@ fn quant_decode_stays_close_to_f32_decode() {
 }
 
 /// FNV-1a over a rendered output, for cross-process comparison.
-fn fnv_fingerprint(all: &str) -> u64 {
-    let mut fp: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in all.bytes() {
-        fp ^= u64::from(b);
-        fp = fp.wrapping_mul(0x1000_0000_01b3);
-    }
-    fp
-}
-
 /// Child of the thread matrix below: checks the quantized engine against
 /// the golden under whatever `LM4DB_THREADS` the parent set and prints a
 /// fingerprint of the rendered output.
@@ -187,7 +179,7 @@ fn quant_golden_child_fingerprint() {
         check_or_bless("quant_greedy.txt", &g);
         all.push_str(&g);
     }
-    println!("QUANT_GOLDEN_FP={:016x}", fnv_fingerprint(&all));
+    println!("QUANT_GOLDEN_FP={:016x}", fnv64(&all));
 }
 
 #[test]

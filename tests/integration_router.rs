@@ -27,19 +27,11 @@
 use std::fmt::Write as _;
 use std::process::Command;
 
+use lm4db::fault::fnv64;
 use lm4db::loadgen::{Burst, LoadGen, Phase, PromptShape, TenantSpec, Workload};
 use lm4db::router::{Router, RouterOptions, RouterStats};
 use lm4db::serve::{EngineOptions, TenantClass};
 use lm4db::transformer::{GptModel, ModelConfig};
-
-fn fnv_fingerprint(all: &str) -> u64 {
-    let mut fp: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in all.bytes() {
-        fp ^= u64::from(b);
-        fp = fp.wrapping_mul(0x1000_0000_01b3);
-    }
-    fp
-}
 
 /// The fault spec a loadgen seed runs under: seed-derived so the two
 /// matrix seeds also explore different kill schedules. The 2% rate is
@@ -231,7 +223,7 @@ fn router_chaos_child() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(21);
     let (all, st) = routed_soak(seed);
-    println!("ROUTER_FP={:016x}", fnv_fingerprint(&all));
+    println!("ROUTER_FP={:016x}", fnv64(&all));
     println!("ROUTER_KILLS={}", st.kills);
     println!("ROUTER_FAILOVERS={}", st.failovers);
     println!("ROUTER_OK");

@@ -17,6 +17,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::process::Command;
 
+use lm4db::fault::fnv64;
 use lm4db::lm::NGramLm;
 use lm4db::serve::{Engine, EngineOptions, Request};
 use lm4db::tokenize::{BOS, EOS};
@@ -299,15 +300,6 @@ fn golden_child_fingerprint() {
 }
 
 /// FNV-1a over a rendered output, for cross-process comparison.
-fn fnv_fingerprint(all: &str) -> u64 {
-    let mut fp: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in all.bytes() {
-        fp ^= u64::from(b);
-        fp = fp.wrapping_mul(0x1000_0000_01b3);
-    }
-    fp
-}
-
 /// Child of the fault matrix below: a fixed mixed workload (greedy, beam,
 /// scoring; bounded queue; retry budget) under whatever `LM4DB_FAULTS`
 /// the parent set, rendered down to every response's outcome — including
@@ -356,7 +348,7 @@ fn golden_child_outcome_fingerprint() {
     )
     .unwrap();
     println!("OUTCOME_STATS=failed:{},retries:{}", st.failed, st.retries);
-    println!("OUTCOME_FP={:016x}", fnv_fingerprint(&s));
+    println!("OUTCOME_FP={:016x}", fnv64(&s));
 }
 
 /// Fault-injection determinism: with `LM4DB_FAULTS` unset the outcome
