@@ -206,8 +206,9 @@ fn main() {
     let total_tokens: usize = tokens_l0.iter().map(Vec::len).sum::<usize>()
         + prompts().iter().map(Vec::len).sum::<usize>();
     let token_secs = secs_l0 / total_tokens as f64;
-    // Gated calls on one fed token: the feed_token leaf, the feed_all leaf
-    // amortized, and the per-layer kernel leaves (4 layers x ~4 kernels).
+    // Gated calls on one fed token, an upper bound: the stack leaf and
+    // row counter amortized over a group's rows, and the per-layer
+    // attention and kernel leaves (4 layers x ~4 kernels).
     let calls_per_token = 20.0;
     let analytic_overhead = calls_per_token * call_ns * 1e-9 / token_secs;
     assert_eq!(tokens_l0, tokens_l1, "level 1 changed engine output");
@@ -228,8 +229,9 @@ fn main() {
     let trace_path = write_results_json("expN_trace.json", &root);
 
     // Per-request rows: queue wait and latency from the lifecycle instants,
-    // feed time and token count from the attributed kv/feed_all and
-    // infer/feed_token intervals.
+    // feed time and feed-step count from the kv/feed_all intervals the
+    // engine books per member request of each stacked forward (co-stacked
+    // requests share the interval, so feed times overlap across rows).
     let breakdown = trace.breakdown();
     let mut rows = Vec::new();
     for id in trace.requests() {
@@ -241,8 +243,8 @@ fn main() {
             continue;
         };
         let phases = &breakdown[&Some(id)];
-        let feed_ns = phases.get("kv/feed_all").map_or(0, |p| p.total_ns);
-        let fed = phases.get("infer/feed_token").map_or(0, |p| p.count);
+        let feed = phases.get("kv/feed_all").copied().unwrap_or_default();
+        let (feed_ns, fed) = (feed.total_ns, feed.count);
         rows.push(vec![
             format!("{id}"),
             format!("{:.3}", (admit - submit) as f64 / 1e6),
@@ -258,7 +260,7 @@ fn main() {
             "request",
             "queue wait (ms)",
             "feed (ms)",
-            "tokens fed",
+            "feed steps",
             "latency (ms)",
         ],
         &rows,

@@ -10,10 +10,11 @@
 //!
 //! **Request attribution.** A thread-local *current request id* tags every
 //! event recorded while a [`request_scope`] guard is alive. The serve
-//! engine opens one around each sequence's forward work and each
-//! selection, so kernel- and decode-level events recorded on worker-pool
-//! threads carry the request that caused them — that is what turns a flat
-//! event stream into per-request timelines.
+//! engine opens one around each request's selection; forward work is
+//! shared — one stacked forward serves several requests — so the engine
+//! times it once and books the interval under each member with
+//! [`complete_for`]. Together that is what turns a flat event stream into
+//! per-request timelines.
 
 use std::cell::Cell;
 use std::sync::OnceLock;
@@ -160,6 +161,18 @@ pub fn instant_for(name: &'static str, req: u64) {
 pub fn instant_for_arg(name: &'static str, req: u64, arg: u64) {
     if crate::events_enabled() {
         crate::flight::record(Event::now_for(EventKind::Instant, name, arg, req));
+    }
+}
+
+/// Records a complete interval of `dur_ns` that ends now, attributed to an
+/// explicit request id — for work shared by several requests (one stacked
+/// forward over a group of sequences), where no single [`request_scope`]
+/// can cover it: the caller times the shared work once and books the
+/// interval under each member. No-op below trace level 2.
+#[inline]
+pub fn complete_for(name: &'static str, req: u64, dur_ns: u64) {
+    if crate::events_enabled() {
+        crate::flight::record(Event::now_for(EventKind::Complete, name, dur_ns, req));
     }
 }
 

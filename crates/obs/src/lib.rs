@@ -106,8 +106,8 @@ pub mod timeseries;
 pub use dashboard::to_html;
 pub use endpoint::{serve_metrics, serve_metrics_from_env, MetricsServer};
 pub use event::{
-    current_request, instant, instant_arg, instant_for, instant_for_arg, request_scope, Event,
-    EventKind, RequestScope,
+    complete_for, current_request, instant, instant_arg, instant_for, instant_for_arg,
+    request_scope, Event, EventKind, RequestScope,
 };
 pub use export::{Snapshot, TimerStat};
 pub use flight::{

@@ -122,7 +122,9 @@ pub(super) fn admit(eng: &mut Engine<'_>) {
         }
         lm4db_obs::instant_for("serve/admit", job.id);
         let target = job.prefill_target();
-        let mut cache = KvCache::new(eng.model);
+        // Sized to the request, not the model: a beam fork inherits the
+        // reservation, so nothing reallocates up to the horizon.
+        let mut cache = KvCache::with_capacity(eng.model, job.horizon());
         // Always leave at least the last prefill token to feed live, so
         // the sequence has logits to select from.
         let limit = target.saturating_sub(1);

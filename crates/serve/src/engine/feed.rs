@@ -1,6 +1,13 @@
-//! Stage 2 — feed: one forward pass over every live sequence's pending
-//! tokens, fault quarantine for the sequences that poisoned, and prefix
-//! sharing for the ones that finished prefill.
+//! Stage 2 — feed: one stacked forward over every live sequence's pending
+//! tokens — decode rows, whole prefill chunks, speculative chunks and beam
+//! siblings alike — cut into row groups that fan out across the pool, fault
+//! quarantine for the sequences that poisoned, and prefix sharing for the
+//! ones that finished prefill.
+
+use std::time::Instant;
+
+use lm4db_tensor::kernels::ROW_TILE;
+use lm4db_transformer::{feed_stack, GptModel, QuantizedGpt, StackEntry};
 
 use super::request::Seq;
 use super::retire::finish;
@@ -12,68 +19,132 @@ pub(super) fn backoff_steps(base: u64, attempt: u32) -> u64 {
     (base.max(1) << attempt.min(10)).min(1024)
 }
 
-/// Feeds every live sequence's pending tokens through the model, with
-/// sequences fanned out across the worker pool. Each sequence mutates
-/// only its own cache, and the per-sequence arithmetic is itself
-/// bit-identical at any thread count, so the result does not depend on
-/// batch composition or parallelism.
+/// One sequence's pending feed: `seq.ids[fed..seq.sched]`.
+struct Work<'s> {
+    id: RequestId,
+    fed: usize,
+    prompt_len: usize,
+    seq: &'s mut Seq,
+}
+
+/// Cuts a step's stack — `rows[i]` pending rows for sequence `i`, in batch
+/// order — into contiguous groups, returning each group's length in
+/// sequences. A group closes as soon as it holds a full kernel row tile:
+/// that is where one weight sweep starts paying for several rows, and more
+/// groups are more work to spread over the pool. A pure function of the
+/// batch — never of the thread count — so which sequences share a group,
+/// and with it every fault outcome, is the same on any pool.
+pub(super) fn group_lens(rows: impl Iterator<Item = usize>) -> Vec<usize> {
+    let mut lens = Vec::new();
+    let (mut len, mut stacked) = (0, 0);
+    for r in rows {
+        len += 1;
+        stacked += r;
+        if stacked >= ROW_TILE {
+            lens.push(len);
+            (len, stacked) = (0, 0);
+        }
+    }
+    if len > 0 {
+        lens.push(len);
+    }
+    lens
+}
+
+/// Rolls one sequence's `serve/feed` chaos point, returning the panic
+/// message when it fires. Runs before any cache is touched, so an injected
+/// fault poisons this sequence alone and its would-be group-mates advance.
+fn gate(id: RequestId, salt: u64) -> Result<(), String> {
+    std::panic::catch_unwind(|| {
+        // The injector's own events (`fault_injected`) belong to the
+        // request.
+        let _req = lm4db_obs::request_scope(id);
+        lm4db_fault::point("serve/feed", salt);
+    })
+    .map_err(|payload| lm4db_tensor::panic_message(payload.as_ref()))
+}
+
+/// One group's stacked forward. Sequences awaiting a speculative verify
+/// keep every position's logits for the walk; the rest only their last.
+fn forward(model: &GptModel, quant: Option<&QuantizedGpt>, group: &mut [Work<'_>]) {
+    let started = lm4db_obs::events_enabled().then(Instant::now);
+    let mut entries: Vec<StackEntry<'_>> = group
+        .iter_mut()
+        .map(|w| StackEntry {
+            cache: &mut w.seq.cache,
+            tokens: &w.seq.ids[w.fed..w.seq.sched],
+            keep_all: w.seq.spec > 0,
+        })
+        .collect();
+    let logits = feed_stack(model, quant, &mut entries);
+    for (w, per_position) in group.iter_mut().zip(logits) {
+        w.seq.step_logits = per_position;
+    }
+    // Each member request books the group's interval as its feed phase of
+    // this step: co-stacked requests share the forward, so they share its
+    // wall time too (a beam's siblings book it once).
+    if let Some(started) = started {
+        let ns = started.elapsed().as_nanos() as u64;
+        let mut last = None;
+        for w in group.iter() {
+            if last.replace(w.id) != Some(w.id) {
+                lm4db_obs::complete_for("kv/feed_all", w.id, ns);
+            }
+        }
+    }
+}
+
+/// Feeds every live sequence's pending tokens through the model as one
+/// stack per step: the rows of all sequences share each weight sweep (see
+/// [`feed_stack`]), in [`group_lens`] groups fanned out across the worker
+/// pool — one dispatch per step. Each sequence's rows are bit-identical to
+/// feeding it alone, so the result does not depend on batch composition or
+/// parallelism.
 ///
-/// Runs through [`lm4db_tensor::try_parallel_tasks_mut`], so a panic
-/// inside one sequence's forward pass poisons only that sequence;
+/// Fault isolation has two granularities. The per-sequence `serve/feed`
+/// chaos point fires in a [`gate`] ahead of the stack and poisons only its
+/// own sequence. A panic inside a group's forward — the fan-out runs
+/// through [`lm4db_tensor::try_parallel_tasks_mut`] — leaves every cache of
+/// that group half-written, so it poisons exactly that group's sequences.
 /// `(request id, panic message)` pairs for the poisoned requests are
 /// returned for [`quarantine`]. Token accounting happens *after* the pass
-/// from each cache's actual growth, so a partially fed, poisoned sequence
-/// is counted exactly.
+/// from each cache's actual growth, so a poisoned sequence counts nothing.
 pub(super) fn run(eng: &mut Engine<'_>) -> Vec<(RequestId, String)> {
-    /// One sequence's pending feed, with the chaos-injection salt
-    /// precomputed so a retry (different `attempt`) and a later feed
-    /// step (different `fed`) re-roll the fault decision.
-    struct Work<'s> {
-        id: RequestId,
-        salt: u64,
-        fed: usize,
-        prompt_len: usize,
-        seq: &'s mut Seq,
-        toks: Vec<usize>,
-    }
     let model = eng.model;
     let quant = eng.quant.as_ref();
+    let mut poisoned = Vec::new();
     let mut works: Vec<Work<'_>> = Vec::new();
     for job in eng.active.iter_mut() {
         let base = job.serial ^ ((job.attempt as u64) << 40);
         for seq in job.run.live.iter_mut() {
             let fed = seq.cache.len();
-            if seq.sched > fed {
-                works.push(Work {
+            if seq.sched <= fed {
+                continue;
+            }
+            // The salt folds in the attempt and the feed position, so a
+            // retry and a later step re-roll the fault decision.
+            match gate(job.id, base ^ ((fed as u64) << 20)) {
+                Ok(()) => works.push(Work {
                     id: job.id,
-                    salt: base ^ ((fed as u64) << 20),
                     fed,
                     prompt_len: job.prompt_len,
-                    toks: seq.ids[fed..seq.sched].to_vec(),
                     seq,
-                });
+                }),
+                Err(message) => poisoned.push((job.id, message)),
             }
         }
     }
-    let mut poisoned = Vec::new();
-    if !works.is_empty() {
-        let failures = lm4db_tensor::try_parallel_tasks_mut(&mut works, |_, w| {
-            // Attribute everything the feed records — down to the
-            // kernel leaves on this pool thread — to the request.
-            let _req = lm4db_obs::request_scope(w.id);
-            lm4db_fault::point("serve/feed", w.salt);
-            if w.seq.spec > 0 {
-                // Speculative chunk: one batched forward over the
-                // fresh token plus its drafts, keeping every
-                // position's logits for the verify walk.
-                w.seq.step_logits = w.seq.cache.feed_many_with(model, quant, &w.toks);
-            } else {
-                w.seq.cache.feed_all_with(model, quant, &w.toks);
-            }
-        });
-        for f in failures {
-            poisoned.push((works[f.index].id, f.message));
-        }
+    let mut groups: Vec<&mut [Work<'_>]> = Vec::new();
+    let mut rest = &mut works[..];
+    for len in group_lens(rest.iter().map(|w| w.seq.sched - w.fed)) {
+        let (group, tail) = rest.split_at_mut(len);
+        groups.push(group);
+        rest = tail;
+    }
+    let failures =
+        lm4db_tensor::try_parallel_tasks_mut(&mut groups, |_, g| forward(model, quant, g));
+    for f in failures {
+        poisoned.extend(groups[f.index].iter().map(|w| (w.id, f.message.clone())));
     }
     let mut prefill = 0u64;
     let mut decoded = 0u64;

@@ -9,10 +9,14 @@
 //! 1. **admit** moves queued requests into the dynamic batch while slots
 //!    are free, restoring any shared prompt prefix from the trie cache,
 //!    and sweeps cancelled and deadline-expired requests out,
-//! 2. **feed** runs every live sequence's pending tokens through the model —
-//!    sequences fan out across the worker pool ([`parallel_rows_mut`]), and
-//!    each sequence touches only its own [`KvCache`], so the computation
-//!    for one request is independent of what else is in the batch,
+//! 2. **feed** runs every live sequence's pending tokens through the model
+//!    as one stacked forward ([`feed_stack`]): decode rows, prefill chunks,
+//!    speculative chunks and beam siblings are rows of one activation, each
+//!    projection of each layer runs once over the stack, and row groups of
+//!    it fan out across the worker pool in one dispatch. Rows share weight
+//!    sweeps, never an accumulator, and each sequence attends over and
+//!    appends to only its own [`KvCache`], so the computation for one
+//!    request is independent of what else is in the batch,
 //! 3. **select** chooses the next token(s) for each request serially, in
 //!    submission order, with the exact float operations of the
 //!    single-request decoders in `lm4db_transformer::generate`, and
@@ -26,12 +30,15 @@
 //! whole between the admission queue, the batch, and quarantine.
 //!
 //! Steps 2–3 are why output is bit-identical to single-request decoding at
-//! any batch size and thread count: no arithmetic ever crosses sequences,
-//! and selection is deterministic and sequential.
+//! any batch size and thread count: every row of the stack is computed
+//! with the one-row product's own accumulation order, whatever it is
+//! stacked with, and selection is deterministic and sequential.
 //!
-//! **Fault isolation** (DESIGN.md §5f). The feed fan-out runs through
-//! [`try_parallel_tasks_mut`], so a panicking kernel poisons only its own
-//! sequence: the owning request is *quarantined* — pulled from the batch
+//! **Fault isolation** (DESIGN.md §5f). An injected `serve/feed` fault
+//! fires in a gate ahead of the stack and poisons only its own sequence;
+//! the group fan-out runs through [`try_parallel_tasks_mut`], so a panic
+//! inside a forward poisons only the sequences of its own row group. A
+//! poisoned request is *quarantined* — pulled from the batch
 //! with its half-written KV state discarded — and retried from scratch
 //! after a step-based exponential backoff, up to
 //! [`EngineOptions::max_retries`] times. A request that fails every
@@ -61,7 +68,7 @@
 //! holds tenant by tenant.
 //!
 //! [`KvCache`]: lm4db_transformer::KvCache
-//! [`parallel_rows_mut`]: lm4db_tensor::parallel_rows_mut
+//! [`feed_stack`]: lm4db_transformer::feed_stack
 //! [`try_parallel_tasks_mut`]: lm4db_tensor::try_parallel_tasks_mut
 
 use std::collections::HashSet;
@@ -257,12 +264,13 @@ impl<'a> Engine<'a> {
     ///
     /// With tracing on (`LM4DB_TRACE=1`), each phase is timed as a span
     /// nested under `serve_step` — `admit` (admission + deadline sweep),
-    /// `feed` (prefill/decode forward passes across the pool), and
+    /// `feed` (the step's stacked forward, row groups across the pool), and
     /// `select` (serial token selection) — and the [`Stats`] counters are
     /// mirrored into the global registry under `serve/*`. At
     /// `LM4DB_TRACE=2` the same spans additionally emit flight-recorder
-    /// events, every event between a request's submit and retire carries
-    /// its id (feed work and selection run under a request scope), and
+    /// events, a request's own events carry its id (selection runs under a
+    /// request scope; each group forward is booked as a `kv/feed_all`
+    /// interval under every request with rows in it), and
     /// `serve/submit`–`serve/admit`–`serve/retire` instants bracket each
     /// request's lifecycle — enough to reconstruct per-request queue-wait
     /// vs. feed vs. select timelines from one trace.

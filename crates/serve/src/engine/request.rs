@@ -217,9 +217,9 @@ pub struct EngineOptions {
     pub slo_initial_service_steps: u64,
     /// Speculative decoding lookahead: after each greedy selection the
     /// draft model (see [`crate::Engine::set_draft`]) proposes up to this
-    /// many tokens, which the next scheduler step verifies in **one**
-    /// batched forward pass ([`KvCache::feed_many`]) instead of one pass
-    /// per token. The longest prefix of drafts agreeing with the
+    /// many tokens, which the next scheduler step verifies as one chunk of
+    /// its stacked forward ([`lm4db_transformer::feed_stack`]) instead of
+    /// one pass per token. The longest prefix of drafts agreeing with the
     /// transformer's own argmax is accepted; the first disagreement is
     /// resampled from the transformer's logits and the KV cache rolls
     /// back to the verified prefix — so output is byte-identical to
@@ -363,6 +363,19 @@ impl<'a> Job<'a> {
             submit_tick,
             admit_tick: 0,
             run: Run::default(),
+        }
+    }
+
+    /// The most positions any of this request's sequences can ever hold —
+    /// what admission reserves its KV cache for: the prompt, plus one
+    /// position per generated token or beam round (scoring generates
+    /// nothing).
+    pub fn horizon(&self) -> usize {
+        match self.req.decode {
+            Decode::Greedy { max_new, .. } | Decode::Beam { max_new, .. } => {
+                self.prompt_len.saturating_add(max_new)
+            }
+            Decode::Score { .. } => self.prompt_len,
         }
     }
 

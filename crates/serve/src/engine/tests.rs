@@ -3,7 +3,7 @@
 //! telemetry.
 
 use self::testdraft::{ConstDraft, IncDraft};
-use super::feed::backoff_steps;
+use super::feed::{backoff_steps, group_lens};
 use super::select::log_softmax_at;
 use super::*;
 use lm4db_tokenize::{BOS, EOS};
@@ -278,6 +278,91 @@ fn mixed_request_kinds_coexist_in_one_batch() {
     assert_eq!(responses[0].tokens, greedy_cached(&m, &[BOS, 10], 6, EOS));
     assert!(!responses[1].hyps.is_empty());
     assert!(responses[2].score < 0.0);
+}
+
+/// Everything a response carries that decoding computed, floats as bits.
+fn response_bits(r: &Response) -> String {
+    let hyps: Vec<_> = r
+        .hyps
+        .iter()
+        .map(|h| (&h.ids, h.log_prob.to_bits(), h.finished))
+        .collect();
+    format!("{:?} {hyps:?} {:08x}", r.tokens, r.score.to_bits())
+}
+
+#[test]
+fn mixed_stack_serves_each_request_as_if_alone() {
+    // Eight requests of every kind under speculation. Four are admitted
+    // first; the other four arrive two steps later, so their prefill
+    // chunks share one step's stack with the verify chunks, the beam's
+    // siblings and the single decode rows of the first four. Each answer
+    // must equal the same request served alone, bit for bit.
+    let m = trained_model();
+    let draft = IncDraft {
+        vocab: m.config().vocab_size,
+    };
+    let options = EngineOptions {
+        max_batch: 8,
+        draft_k: 3,
+        ..EngineOptions::default()
+    };
+    // The greedy requests never stop early: a verify chunk is still
+    // pending when the late arrivals prefill.
+    let requests = || -> Vec<Request<'static>> {
+        vec![
+            Request::greedy(vec![BOS, 10], 8, usize::MAX),
+            Request::beam(vec![BOS, 20], 2, 6, EOS),
+            Request::beam(vec![BOS, 10, 11], 3, 6, EOS),
+            Request::score(&[BOS, 20], &[21, 22, 23, 24]),
+            Request::greedy(vec![BOS, 20, 21, 22], 8, usize::MAX),
+            Request::score(&[BOS, 10, 11], &[12, 13]),
+            Request::beam(vec![BOS, 20, 21], 2, 5, EOS),
+            Request::greedy(vec![BOS, 10, 11, 12, 13], 6, EOS),
+        ]
+    };
+    let alone: Vec<_> = requests()
+        .into_iter()
+        .map(|req| {
+            let mut engine = Engine::with_options(&m, options.clone());
+            engine.set_draft(&draft);
+            response_bits(&engine.generate_batch(vec![req])[0])
+        })
+        .collect();
+
+    let mut engine = Engine::with_options(&m, options.clone());
+    engine.set_draft(&draft);
+    let mut late = requests().split_off(4);
+    for req in requests().into_iter().take(4) {
+        engine.submit(req);
+    }
+    engine.step();
+    engine.step();
+    for req in late.drain(..) {
+        engine.submit(req);
+    }
+    // The step about to run stacks all four row shapes.
+    assert!(
+        engine.active.iter().any(|j| j.run.live[0].spec > 0),
+        "a speculative chunk is pending"
+    );
+    assert!(
+        engine.active.iter().any(|j| j.run.live.len() > 1),
+        "beam siblings are pending"
+    );
+    assert_eq!(engine.queue.len(), 4, "four prefill chunks are pending");
+    let together: Vec<_> = engine.run().iter().map(response_bits).collect();
+    assert_eq!(together, alone);
+}
+
+#[test]
+fn row_groups_close_at_a_full_tile_whatever_the_pool() {
+    let lens = |rows: &[usize]| group_lens(rows.iter().copied());
+    assert_eq!(lens(&[]), Vec::<usize>::new());
+    assert_eq!(lens(&[1, 1, 1]), [3], "a short stack is one group");
+    assert_eq!(lens(&[1; 8]), [4, 4], "batch-8 decode: two full tiles");
+    assert_eq!(lens(&[1; 7]), [4, 3]);
+    assert_eq!(lens(&[1, 9, 1, 1, 4, 1]), [2, 3, 1], "chunks never split");
+    assert_eq!(lens(&[32, 1, 1, 1, 1]), [1, 4]);
 }
 
 #[test]

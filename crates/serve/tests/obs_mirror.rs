@@ -98,10 +98,14 @@ fn registry_counters_match_engine_stats() {
             .unwrap_or_else(|| panic!("missing timer {phase}"));
         assert!(t.count > 0, "timer {phase} recorded nothing");
     }
-    // Every prefilled or decoded token went through the KV-cached
-    // incremental forward, which carries its own flat timer.
-    let feed = snap.timers.get("infer/feed_token").expect("feed timer");
-    assert_eq!(feed.count, stats.prefill_tokens + stats.decoded_tokens);
+    // Every prefilled or decoded token was one row of a stacked KV-cached
+    // forward, which counts its rows and carries its own flat timer.
+    assert_eq!(
+        counter("kv/stack_rows"),
+        stats.prefill_tokens + stats.decoded_tokens
+    );
+    let stacks = snap.timers.get("kv/feed_stack").expect("stack timer");
+    assert!(stacks.count > 0, "stack timer recorded nothing");
 
     // Per-request latency accounting: one queue-wait observation per
     // admitted request, one end-to-end latency per retired request —
@@ -190,10 +194,14 @@ fn speculative_counters_match_engine_stats() {
         counter("serve/draft_accepted_tokens"),
         stats.draft_accepted_tokens
     );
-    // Accepted drafts were fed through the batched verify forward, which
-    // carries its own timer leaf (one observation per verify chunk).
-    let fm = snap.timers.get("kv/feed_many").expect("feed_many timer");
-    assert!(fm.count > 0, "verify chunks must run through feed_many");
+    // Verify chunks ride the same stacked forward as every other row: one
+    // timer observation per group forward, one counted row per fed token.
+    let stacks = snap.timers.get("kv/feed_stack").expect("stack timer");
+    assert!(stacks.count > 0, "verify chunks must run through the stack");
+    assert_eq!(
+        counter("kv/stack_rows"),
+        stats.prefill_tokens + stats.decoded_tokens
+    );
     // Rejected drafts still cost model work: decoded_tokens counts fed
     // tokens, which can only exceed the emitted-token count.
     assert!(stats.decoded_tokens >= stats.draft_accepted_tokens);

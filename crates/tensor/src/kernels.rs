@@ -710,6 +710,11 @@ pub fn vec_matmul_block(x: &[f32], w: &[f32], d_out: usize, first: usize, y_bloc
     }
 }
 
+/// Rows sharing one weight-tile sweep in [`vec_matmul_rows`] (4×2 AVX
+/// accumulators). A caller that splits a stack of rows into groups should
+/// give each group at least this many, so every group fills a tile.
+pub const ROW_TILE: usize = 4;
+
 /// Multi-row vector-matrix product: `rows` input vectors (`xs`, row-major,
 /// `d_in` wide) against one `[d_in, d_out]` weight, into `rows` outputs
 /// (`ys`, row-major, `d_out` wide, pre-filled with the bias row by the
@@ -718,13 +723,13 @@ pub fn vec_matmul_block(x: &[f32], w: &[f32], d_out: usize, first: usize, y_bloc
 /// application equals `rows` single applications byte for byte. The batch
 /// exists for memory locality: the cached-decode matvec is bound on weight
 /// traffic, and here each 16-column weight tile is streamed once per group
-/// of four rows instead of once per row, which is what makes speculative
-/// draft verification cheaper than re-decoding token by token.
+/// of [`ROW_TILE`] rows instead of once per row, which is what makes a
+/// stacked forward — a draft chunk, a prefill chunk, or one decode row from
+/// each of several sequences — cheaper than feeding row by row.
 pub fn vec_matmul_rows(xs: &[f32], d_in: usize, w: &[f32], d_out: usize, ys: &mut [f32]) {
     /// Columns per register tile (matches [`vec_matmul_block`]).
     const CT: usize = 16;
-    /// Rows sharing one weight-tile sweep (4×2 AVX accumulators).
-    const RT: usize = 4;
+    const RT: usize = ROW_TILE;
     assert!(d_in > 0 && d_out > 0, "vec_matmul_rows of empty weight");
     let rows = xs.len() / d_in;
     assert_eq!(xs.len(), rows * d_in, "xs is not a whole number of rows");
@@ -736,11 +741,23 @@ pub fn vec_matmul_rows(xs: &[f32], d_in: usize, w: &[f32], d_out: usize, ys: &mu
         while r0 < rows {
             let rt = RT.min(rows - r0);
             #[cfg(target_arch = "x86_64")]
-            if ct == CT && rt == RT && avx::usable() {
-                // SAFETY: AVX support was just checked, the tile is full,
-                // and the row group is full.
-                unsafe { avx::vec_matmul_tile16_rows4(xs, d_in, r0, w, d_out, c0, ys) };
-                r0 += RT;
+            if ct == CT && avx::usable() {
+                if rt == RT {
+                    // SAFETY: AVX support was just checked, the tile is
+                    // full, and the row group is full.
+                    unsafe { avx::vec_matmul_tile16_rows4(xs, d_in, r0, w, d_out, c0, ys) };
+                } else {
+                    // Remainder rows take the matvec's own one-row tile:
+                    // the same lane math, so still one chain per element.
+                    for r in r0..r0 + rt {
+                        let x = &xs[r * d_in..(r + 1) * d_in];
+                        let y = &mut ys[r * d_out + c0..r * d_out + c0 + CT];
+                        // SAFETY: AVX support was just checked and `y` is
+                        // one full 16-column tile.
+                        unsafe { avx::vec_matmul_tile16(x, w, d_out, c0, y) };
+                    }
+                }
+                r0 += rt;
                 continue;
             }
             let mut acc = [[0.0f32; CT]; RT];
@@ -915,16 +932,15 @@ mod tests {
 
     #[test]
     fn vec_matmul_rows_bitwise_matches_per_row_block() {
-        // The speculative-verify batch must be indistinguishable from
-        // decoding row by row: exact equality, not tolerance. Shapes
-        // straddle the 4-row group and 16-column tile edges.
-        for &(rows, d_in, d_out) in &[
-            (1usize, 13usize, 37usize),
-            (3, 16, 16),
-            (4, 13, 48),
-            (5, 24, 33),
-            (9, 7, 16),
-        ] {
+        // A stacked batch must be indistinguishable from decoding row by
+        // row: exact equality, not tolerance. Every remainder row count
+        // (rows % 4 ∈ {1, 2, 3}, alone and after a full group) meets full
+        // 16-column tiles (the AVX one-row tile) and ragged ones (scalar).
+        let mut shapes = vec![(4usize, 13usize, 48usize), (9, 7, 16)];
+        for rows in [1, 2, 3, 5, 6, 7] {
+            shapes.extend([(rows, 24, 48), (rows, 13, 37)]);
+        }
+        for (rows, d_in, d_out) in shapes {
             let xs = fill(rows * d_in, 21);
             let w = fill(d_in * d_out, 22);
             let bias = fill(d_out, 23);

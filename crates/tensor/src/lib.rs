@@ -36,7 +36,7 @@ pub use graph::{Graph, Var, IGNORE_INDEX};
 pub use init::Rand;
 pub use optim::{clip_grad_norm, Adam, Bound, LrSchedule, ParamId, ParamStore, Sgd};
 pub use pool::{
-    parallel_for, parallel_rows_mut, parallel_rows_mut2, set_threads, threads,
+    panic_message, parallel_for, parallel_rows_mut, parallel_rows_mut2, set_threads, threads,
     try_parallel_tasks_mut, TaskFailure,
 };
 pub use quant::{quantize_activation, QuantizedMatrix};

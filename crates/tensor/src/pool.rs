@@ -11,8 +11,9 @@
 //! The pool is created lazily on first use. Thread count comes from
 //! [`set_threads`] when called before first use, else the `LM4DB_THREADS`
 //! environment variable, else `std::thread::available_parallelism()`.
-//! `parallel_for` calls from inside a worker run inline, so nested
-//! parallelism cannot deadlock.
+//! `parallel_for` calls from inside a chunk run inline — on a worker and
+//! on the dispatching thread alike — so nested parallelism cannot deadlock
+//! and costs no second dispatch.
 //!
 //! **Fault isolation.** Every chunk body runs under `catch_unwind`, so a
 //! panicking kernel can never kill a worker thread or leave a dispatcher
@@ -37,7 +38,8 @@ const MAX_CHUNKS: usize = 64;
 static DESIRED_THREADS: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
-    /// True inside a pool worker; nested parallel_for then runs inline.
+    /// True inside a pool worker, and on a dispatching thread while it runs
+    /// its own job's chunks; nested parallel_for then runs inline.
     static IN_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
@@ -90,7 +92,7 @@ struct Job {
 /// Renders a caught panic payload for reporting. Panics raised with
 /// `panic!("...")` carry `String` or `&str` payloads; anything else is
 /// summarized.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -248,7 +250,13 @@ pub fn parallel_for<F: Fn(Range<usize>) + Sync>(n: usize, min_chunk: usize, f: F
         }
     }
     state.available.notify_all();
-    job.run(); // dispatcher participates
+    // The dispatcher participates, and while it runs chunks it is a worker
+    // like any other: a `parallel_for` issued from inside one of its chunks
+    // runs inline instead of enqueueing a nested job. Chunk bodies never
+    // unwind out of `run` (each is caught), so the flag always resets.
+    IN_WORKER.with(|w| w.set(true));
+    job.run();
+    IN_WORKER.with(|w| w.set(false));
     job.wait();
     if job.panicked.load(Ordering::SeqCst) {
         // Every chunk completed (panicked ones via catch_unwind), so the

@@ -18,39 +18,229 @@ use lm4db_tokenize::PAD;
 
 use crate::generate::NextToken;
 use crate::gpt::GptModel;
-use crate::layers::AttnCache;
-use crate::quant::QuantizedGpt;
+use crate::layers::{attend_prefix, fork, AttnCache};
+use crate::quant::{projections, QuantizedGpt};
 
 /// The complete per-request decode state: per-layer attention key/value
 /// caches, the token prefix they encode, and the logits after the last fed
 /// token. Snapshot with `clone()`; share prefixes via [`KvCache::position_kv`]
 /// / [`KvCache::push_position`].
 ///
-/// All buffers are preallocated to `max_seq_len` capacity at construction,
+/// All buffers are preallocated at construction — to `max_seq_len`
+/// positions by [`KvCache::new`], to the caller's own horizon by
+/// [`KvCache::with_capacity`] — and a clone keeps its parent's reservation,
 /// so feeding a token performs a bounded number of allocations regardless
 /// of how much history the cache holds (verified by a regression test).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct KvCache {
     layers: Vec<AttnCache>,
     tokens: Vec<usize>,
     last_logits: Vec<f32>,
 }
 
+impl Clone for KvCache {
+    /// A fork keeps the reservation of every buffer (see
+    /// [`AttnCache`]'s `Clone`), so it decodes on without reallocating.
+    fn clone(&self) -> Self {
+        KvCache {
+            layers: self.layers.clone(),
+            tokens: fork(&self.tokens),
+            last_logits: self.last_logits.clone(),
+        }
+    }
+}
+
+/// One sequence's share of a stacked forward ([`feed_stack`]).
+pub struct StackEntry<'a> {
+    /// The sequence's decode state; grows by `tokens.len()` positions.
+    pub cache: &'a mut KvCache,
+    /// The pending tokens, fed as one chunk (non-empty).
+    pub tokens: &'a [usize],
+    /// Keep the logits after every position of the chunk — a speculative
+    /// verify walk reads them all — instead of only the last.
+    pub keep_all: bool,
+}
+
+/// Feeds every entry's pending tokens through `model` in **one stacked
+/// forward**: all rows of all entries form one `[R × d]` activation, and
+/// each projection of each layer runs once over the whole stack, so the
+/// weights are streamed once per stack instead of once per token per
+/// sequence. `Some(quant)` runs the heavy projections int8 (embeddings,
+/// layer norms, residuals, attention mixing and the vocabulary head stay
+/// f32 from `model`); a cache must be fed in one format throughout.
+///
+/// Rows share a weight sweep, never an accumulator: every output element of
+/// every projection is its own accumulation chain in the order the one-row
+/// product uses, layer norms and the int8 activation grid are per row, and
+/// attention stays per sequence — each chunk position attends over exactly
+/// its own cache prefix. Every cache therefore ends up bitwise identical to
+/// being fed alone, one token at a time, whatever it was stacked with.
+///
+/// Only the rows whose logits someone reads go through the final norm and
+/// the head: the last row of each entry (stored as its cache's
+/// [`KvCache::last_logits`]), or every row of a `keep_all` entry. Returns,
+/// per entry, the per-position logits of a `keep_all` chunk (empty
+/// otherwise).
+///
+/// Every check runs before any cache is touched; a panic later in the
+/// forward leaves the caches half-written, to be discarded.
+///
+/// # Panics
+/// Panics when an entry has no tokens, would exceed the model's
+/// `max_seq_len`, or holds an out-of-vocabulary token, or when `quant` was
+/// built from a model with a different layer count.
+pub fn feed_stack(
+    model: &GptModel,
+    quant: Option<&QuantizedGpt>,
+    entries: &mut [StackEntry<'_>],
+) -> Vec<Vec<Vec<f32>>> {
+    if entries.is_empty() {
+        return Vec::new();
+    }
+    // Flat timer, not a span: stacks run inline and on pool workers, and a
+    // flat name aggregates identically either way. The name tells which
+    // weight format served the rows.
+    let _timer = lm4db_obs::leaf(match quant {
+        Some(_) => "kv/feed_stack_q8",
+        None => "kv/feed_stack",
+    });
+    let m = model;
+    let (d, vocab) = (m.cfg.d_model, m.cfg.vocab_size);
+    if let Some(q) = quant {
+        assert_eq!(
+            q.n_blocks(),
+            m.blocks.len(),
+            "quantized snapshot does not match model depth"
+        );
+    }
+    let mut rows = 0;
+    for e in entries.iter() {
+        assert!(!e.tokens.is_empty(), "stack entry without tokens");
+        assert!(
+            e.cache.len() + e.tokens.len() <= m.cfg.max_seq_len,
+            "kv cache exceeded max_seq_len {}",
+            m.cfg.max_seq_len
+        );
+        for &token in e.tokens {
+            assert!(token < vocab, "token {token} out of vocabulary");
+        }
+        rows += e.tokens.len();
+    }
+    lm4db_obs::counter_add("kv/stack_rows", rows as u64);
+
+    let tok_emb = m.store.get(m.tok_emb).data();
+    let pos_emb = m.store.get(m.pos_emb).data();
+    let mut xs = Vec::with_capacity(rows * d);
+    for e in entries.iter() {
+        // The position row is indexed directly by the cache length — no
+        // full-sequence recomputation per step.
+        for (p, &token) in (e.cache.len()..).zip(e.tokens) {
+            xs.extend(
+                tok_emb[token * d..(token + 1) * d]
+                    .iter()
+                    .zip(&pos_emb[p * d..(p + 1) * d])
+                    .map(|(a, b)| a + b),
+            );
+        }
+    }
+    for (l, block) in m.blocks.iter().enumerate() {
+        let [wq, wk, wv, wo, up, down] = projections(&m.store, block, quant.map(|q| q.block(l)));
+        let (h, hd) = (block.attn.n_heads, block.attn.head_dim);
+        let normed = block.ln1.apply_rows(&m.store, &xs, rows);
+        let q = wq.apply_rows(&normed, rows);
+        let k = wk.apply_rows(&normed, rows);
+        let v = wv.apply_rows(&normed, rows);
+        // Attention is the one per-sequence stage: each entry appends its
+        // chunk's key/value rows to its own cache, then each position
+        // attends over the prefix the one-token decoder would have had.
+        let mut ctx = vec![0.0f32; rows * d];
+        let mut r0 = 0;
+        for e in entries.iter_mut() {
+            let n = e.tokens.len();
+            let cache = &mut e.cache.layers[l];
+            let base = cache.t;
+            cache.k.extend_from_slice(&k[r0 * d..(r0 + n) * d]);
+            cache.v.extend_from_slice(&v[r0 * d..(r0 + n) * d]);
+            cache.t += n;
+            for (p, r) in (r0..r0 + n).enumerate() {
+                let span = r * d..(r + 1) * d;
+                attend_prefix(&q[span.clone()], cache, base + p + 1, h, hd, &mut ctx[span]);
+            }
+            r0 += n;
+        }
+        let attn = wo.apply_rows(&ctx, rows);
+        for (x, a) in xs.iter_mut().zip(&attn) {
+            *x += a;
+        }
+        let normed = block.ln2.apply_rows(&m.store, &xs, rows);
+        let mut hidden = up.apply_rows(&normed, rows);
+        for v in hidden.iter_mut() {
+            *v = lm4db_tensor::tensor::gelu(*v);
+        }
+        let ffn = down.apply_rows(&hidden, rows);
+        for (x, f) in xs.iter_mut().zip(&ffn) {
+            *x += f;
+        }
+    }
+
+    let kept_of = |e: &StackEntry<'_>| if e.keep_all { e.tokens.len() } else { 1 };
+    let mut read = Vec::with_capacity(entries.len() * d);
+    let mut r0 = 0;
+    for e in entries.iter() {
+        let n = e.tokens.len();
+        read.extend_from_slice(&xs[(r0 + n - kept_of(e)) * d..(r0 + n) * d]);
+        r0 += n;
+    }
+    let kept = read.len() / d;
+    let normed = m.ln_f.apply_rows(&m.store, &read, kept);
+    // The vocabulary head stays f32 in both formats: its logits feed
+    // directly into argmax/beam comparisons, where int8 noise flips
+    // decisions.
+    let logits = m.head.apply_rows(&m.store, &normed, kept);
+    let mut out = Vec::with_capacity(entries.len());
+    let mut next = 0;
+    for e in entries.iter_mut() {
+        let n = kept_of(e);
+        let mine = &logits[next * vocab..(next + n) * vocab];
+        next += n;
+        e.cache.tokens.extend_from_slice(e.tokens);
+        e.cache.last_logits.clear();
+        e.cache
+            .last_logits
+            .extend_from_slice(&mine[(n - 1) * vocab..]);
+        out.push(if e.keep_all {
+            mine.chunks_exact(vocab).map(<[f32]>::to_vec).collect()
+        } else {
+            Vec::new()
+        });
+    }
+    out
+}
+
 impl KvCache {
     /// An empty cache sized for `model`: every per-layer key/value store is
     /// reserved up front for `max_seq_len` positions.
     pub fn new(model: &GptModel) -> Self {
+        KvCache::with_capacity(model, model.cfg.max_seq_len)
+    }
+
+    /// An empty cache reserved for `positions` positions (capped at the
+    /// model's `max_seq_len`) — for a caller that knows its horizon, such
+    /// as a request that can reach at most `prompt + max_new` tokens.
+    /// Feeding past the reservation still works; it reallocates.
+    pub fn with_capacity(model: &GptModel, positions: usize) -> Self {
         let cfg = model.config();
+        let positions = positions.min(cfg.max_seq_len);
         let layers = (0..cfg.n_layers)
             .map(|_| {
                 let mut c = AttnCache::new();
-                c.reserve(cfg.max_seq_len, cfg.d_model);
+                c.reserve(positions, cfg.d_model);
                 c
             })
             .collect();
         KvCache {
             layers,
-            tokens: Vec::with_capacity(cfg.max_seq_len),
+            tokens: Vec::with_capacity(positions),
             last_logits: Vec::with_capacity(cfg.vocab_size),
         }
     }
@@ -90,10 +280,7 @@ impl KvCache {
     /// Panics when the context would exceed the model's `max_seq_len`, or
     /// when `token` is out of vocabulary.
     pub fn feed(&mut self, model: &GptModel, token: usize) -> &[f32] {
-        // Flat timer, not a span: feeds happen per token per sequence and
-        // should aggregate under one name wherever they run.
-        let _timer = lm4db_obs::leaf("infer/feed_token");
-        self.feed_token(model, None, token)
+        self.feed_all_with(model, None, &[token])
     }
 
     /// Feeds one token through the int8 quantized path: embeddings, layer
@@ -109,53 +296,7 @@ impl KvCache {
     /// `token` is out of vocabulary, or when `quant` was built from a model
     /// with a different layer count.
     pub fn feed_quant(&mut self, model: &GptModel, quant: &QuantizedGpt, token: usize) -> &[f32] {
-        // Distinct leaf from the f32 path so traces show which decode path
-        // served a request.
-        let _timer = lm4db_obs::leaf("infer/feed_token_q8");
-        self.feed_token(model, Some(quant), token)
-    }
-
-    /// The one body behind [`KvCache::feed`] and [`KvCache::feed_quant`]:
-    /// bounds checks, embedding lookup, final norm and head are shared;
-    /// the weight format only selects the per-layer block step.
-    fn feed_token(&mut self, m: &GptModel, quant: Option<&QuantizedGpt>, token: usize) -> &[f32] {
-        let pos = self.tokens.len();
-        assert!(
-            pos < m.cfg.max_seq_len,
-            "kv cache exceeded max_seq_len {}",
-            m.cfg.max_seq_len
-        );
-        assert!(token < m.cfg.vocab_size, "token {token} out of vocabulary");
-        if let Some(q) = quant {
-            assert_eq!(
-                q.n_blocks(),
-                m.blocks.len(),
-                "quantized snapshot does not match model depth"
-            );
-        }
-        let d = m.cfg.d_model;
-        let tok_emb = m.store.get(m.tok_emb);
-        let pos_emb = m.store.get(m.pos_emb);
-        // The position row is indexed directly by the cache length — no
-        // full-sequence recomputation per step.
-        let mut x: Vec<f32> = tok_emb.data()[token * d..(token + 1) * d]
-            .iter()
-            .zip(pos_emb.data()[pos * d..(pos + 1) * d].iter())
-            .map(|(a, b)| a + b)
-            .collect();
-        for (i, (block, cache)) in m.blocks.iter().zip(self.layers.iter_mut()).enumerate() {
-            x = match quant {
-                Some(q) => q.block(i).step(block, &m.store, &x, cache),
-                None => block.step(&m.store, &x, cache),
-            };
-        }
-        let x = m.ln_f.apply_slice(&m.store, &x);
-        // The vocabulary head stays f32 on both paths: its logits feed
-        // directly into argmax/beam comparisons, where int8 noise flips
-        // decisions.
-        self.last_logits = m.head.apply_slice(&m.store, &x);
-        self.tokens.push(token);
-        &self.last_logits
+        self.feed_all_with(model, Some(quant), &[token])
     }
 
     /// Feeds several tokens; returns the logits after the last one.
@@ -165,41 +306,26 @@ impl KvCache {
 
     /// [`KvCache::feed_all`] over either weight format: `Some(quant)`
     /// decodes through the int8 projections (see [`KvCache::feed_quant`]),
-    /// `None` through the f32 model.
+    /// `None` through the f32 model. The tokens run as one chunk — a
+    /// one-entry [`feed_stack`] — so a prompt streams every weight panel
+    /// once, not once per token; bitwise identical to feeding them one at a
+    /// time.
     pub fn feed_all_with(
         &mut self,
         model: &GptModel,
         quant: Option<&QuantizedGpt>,
         tokens: &[usize],
     ) -> &[f32] {
-        assert!(!tokens.is_empty(), "feed_all of empty token slice");
-        // Flat timer (not a span): feed_all runs both inline and on pool
-        // workers, and a flat name aggregates identically either way. Under
-        // a serve request scope its flight-recorder events carry the
-        // request id, so per-request feed time falls out of the trace.
-        let _timer = lm4db_obs::leaf(match quant {
-            Some(_) => "kv/feed_all_q8",
-            None => "kv/feed_all",
-        });
-        for &t in tokens {
-            match quant {
-                Some(q) => self.feed_quant(model, q, t),
-                None => self.feed(model, t),
-            };
-        }
+        self.feed_alone(model, quant, tokens, false);
         &self.last_logits
     }
 
-    /// Feeds `tokens` as ONE batched chunk, returning the next-token
-    /// logits after EACH token (one row per token, last row == what
-    /// [`KvCache::last_logits`] then holds). Bitwise identical to feeding
-    /// the same tokens one at a time — the batched kernels keep the exact
-    /// per-element accumulation order, and each chunk position attends
-    /// over only its own prefix — but every weight panel is streamed once
-    /// per chunk instead of once per token. This is the speculative-decode
-    /// verification forward: the engine feeds `[corrected, draft₁..draftₖ]`
-    /// here and uses the per-position logits to accept the longest
-    /// agreeing draft prefix.
+    /// Feeds `tokens` as one chunk like [`KvCache::feed_all`], returning
+    /// the next-token logits after EACH token (one row per token, last row
+    /// == what [`KvCache::last_logits`] then holds). This is the
+    /// speculative-decode verification forward: the engine feeds
+    /// `[corrected, draft₁..draftₖ]` and uses the per-position logits to
+    /// accept the longest agreeing draft prefix.
     ///
     /// # Panics
     /// Panics when the chunk would exceed the model's `max_seq_len` or any
@@ -208,63 +334,32 @@ impl KvCache {
         self.feed_many_with(model, None, tokens)
     }
 
-    /// [`KvCache::feed_many`] over either weight format. The int8 matvec
-    /// keeps its own per-token layout, so with `Some(quant)` the chunk
-    /// runs token by token — chunk semantics (per-position logits, cache
-    /// state) are identical to the f32 batched path, it just doesn't
-    /// amortize weight traffic yet.
+    /// [`KvCache::feed_many`] over either weight format.
     pub fn feed_many_with(
         &mut self,
         model: &GptModel,
         quant: Option<&QuantizedGpt>,
         tokens: &[usize],
     ) -> Vec<Vec<f32>> {
-        assert!(!tokens.is_empty(), "feed_many of empty token slice");
-        if let Some(q) = quant {
-            let _timer = lm4db_obs::leaf("kv/feed_many_q8");
-            return tokens
-                .iter()
-                .map(|&t| self.feed_quant(model, q, t).to_vec())
-                .collect();
-        }
-        // Distinct flat timer from the per-token path, so the pinned
-        // `infer/feed_token` count keeps meaning "tokens fed one at a
-        // time" for the non-speculative engine.
-        let _timer = lm4db_obs::leaf("kv/feed_many");
-        let m = model;
-        let n = tokens.len();
-        let pos = self.tokens.len();
-        assert!(
-            pos + n <= m.cfg.max_seq_len,
-            "kv cache exceeded max_seq_len {}",
-            m.cfg.max_seq_len
-        );
-        let d = m.cfg.d_model;
-        let tok_emb = m.store.get(m.tok_emb);
-        let pos_emb = m.store.get(m.pos_emb);
-        let mut xs = Vec::with_capacity(n * d);
-        for (i, &token) in tokens.iter().enumerate() {
-            assert!(token < m.cfg.vocab_size, "token {token} out of vocabulary");
-            let p = pos + i;
-            xs.extend(
-                tok_emb.data()[token * d..(token + 1) * d]
-                    .iter()
-                    .zip(pos_emb.data()[p * d..(p + 1) * d].iter())
-                    .map(|(a, b)| a + b),
-            );
-        }
-        for (block, cache) in m.blocks.iter().zip(self.layers.iter_mut()) {
-            xs = block.step_many(&m.store, &xs, n, cache);
-        }
-        let normed = m.ln_f.apply_rows(&m.store, &xs, n);
-        let logits = m.head.apply_rows(&m.store, &normed, n);
-        self.tokens.extend_from_slice(tokens);
-        let rows: Vec<Vec<f32>> = logits
-            .chunks_exact(m.cfg.vocab_size)
-            .map(|r| r.to_vec())
-            .collect();
-        self.last_logits = rows.last().expect("non-empty chunk").clone();
-        rows
+        self.feed_alone(model, quant, tokens, true)
+    }
+
+    /// This cache as a one-entry [`feed_stack`].
+    fn feed_alone(
+        &mut self,
+        model: &GptModel,
+        quant: Option<&QuantizedGpt>,
+        tokens: &[usize],
+        keep_all: bool,
+    ) -> Vec<Vec<f32>> {
+        let entry = StackEntry {
+            cache: self,
+            tokens,
+            keep_all,
+        };
+        feed_stack(model, quant, &mut [entry])
+            .pop()
+            .expect("one entry in, one out")
     }
 
     /// Rolls the cache back to its first `len` tokens, dropping a rejected

@@ -37,32 +37,16 @@ impl Linear {
         g.add_bcast(y, bound.var(self.b))
     }
 
-    /// Inference-only application to one vector (no tape, no gradients) —
-    /// the fast path used by the KV-cache incremental decoder.
-    pub fn apply_slice(&self, store: &ParamStore, x: &[f32]) -> Vec<f32> {
-        let w = store.get(self.w);
-        let b = store.get(self.b);
-        let (d_in, d_out) = (w.shape()[0], w.shape()[1]);
-        assert_eq!(x.len(), d_in, "apply_slice input width mismatch");
-        let mut y = b.data().to_vec();
-        let wd = w.data();
-        // Column-parallel: each column accumulates input rows in ascending
-        // order, so the result is bit-identical at any thread count.
-        let min_cols = (8_192 / d_in.max(1)).max(1);
-        lm4db_tensor::parallel_rows_mut(&mut y, d_out, min_cols, |first, block| {
-            lm4db_tensor::kernels::vec_matmul_block(x, wd, d_out, first, block);
-        });
-        y
-    }
-
     /// Inference-only application to `rows` consecutive vectors (row-major
-    /// in `xs`), returning the outputs row-major. Bitwise identical to
-    /// `rows` calls of [`Linear::apply_slice`] — the multi-row kernel keeps
-    /// the per-element accumulation order — but streams each weight tile
-    /// once per row group instead of once per row, which is where batched
-    /// speculative verification earns its speedup (the decode matvec is
-    /// memory-bound on weights). Runs in the calling thread: decode-time
-    /// parallelism comes from the engine fanning sequences across the pool.
+    /// in `xs`), returning the outputs row-major — no tape, no gradients:
+    /// the projection of the KV-cache stacked forward. Each output element
+    /// is one bias-initialized, input-ascending accumulation chain, the
+    /// same at any row count, so a row's result does not depend on what it
+    /// is stacked with; the multi-row kernel streams each weight tile once
+    /// per row group instead of once per row (the decode matvec is
+    /// memory-bound on weights), which is where stacking earns its speedup.
+    /// Runs in the calling thread: decode-time parallelism comes from the
+    /// engine fanning row groups of a step's stack across the pool.
     pub fn apply_rows(&self, store: &ParamStore, xs: &[f32], rows: usize) -> Vec<f32> {
         let w = store.get(self.w);
         let b = store.get(self.b);
@@ -98,29 +82,23 @@ impl LayerNorm {
         g.layer_norm(x, bound.var(self.gain), bound.var(self.bias), 1e-5)
     }
 
-    /// Inference-only normalization of one vector.
-    pub fn apply_slice(&self, store: &ParamStore, x: &[f32]) -> Vec<f32> {
-        let gain = store.get(self.gain);
-        let bias = store.get(self.bias);
-        let d = x.len();
-        let mean = x.iter().sum::<f32>() / d as f32;
-        let var = x.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
-        let istd = 1.0 / (var + 1e-5).sqrt();
-        x.iter()
-            .zip(gain.data().iter().zip(bias.data().iter()))
-            .map(|(&v, (&g, &b))| (v - mean) * istd * g + b)
-            .collect()
-    }
-
-    /// Inference-only normalization of `rows` consecutive `d`-wide vectors.
-    /// Normalization is per row, so this is trivially bitwise identical to
-    /// `rows` calls of [`LayerNorm::apply_slice`].
+    /// Inference-only normalization of `rows` consecutive `d`-wide vectors,
+    /// each over its own elements alone.
     pub fn apply_rows(&self, store: &ParamStore, xs: &[f32], rows: usize) -> Vec<f32> {
         assert_eq!(xs.len() % rows.max(1), 0, "apply_rows ragged input");
         let d = xs.len() / rows.max(1);
+        let gain = store.get(self.gain).data();
+        let bias = store.get(self.bias).data();
         let mut out = Vec::with_capacity(xs.len());
         for x in xs.chunks_exact(d) {
-            out.extend_from_slice(&self.apply_slice(store, x));
+            let mean = x.iter().sum::<f32>() / d as f32;
+            let var = x.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
+            let istd = 1.0 / (var + 1e-5).sqrt();
+            out.extend(
+                x.iter()
+                    .zip(gain.iter().zip(bias.iter()))
+                    .map(|(&v, (&g, &b))| (v - mean) * istd * g + b),
+            );
         }
         out
     }
@@ -189,11 +167,31 @@ impl MultiHeadAttention {
 
 /// Per-layer key/value cache for incremental decoding: keys and values of
 /// all past positions, stored as consecutive `[n_heads * head_dim]` slices.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct AttnCache {
     pub(crate) k: Vec<f32>,
     pub(crate) v: Vec<f32>,
     pub(crate) t: usize,
+}
+
+/// Copies `buf` together with its reservation: `Vec::clone` would give
+/// the copy `capacity == len`, and a decode state forked that way
+/// reallocates every buffer on its first push.
+pub(crate) fn fork<T: Copy>(buf: &Vec<T>) -> Vec<T> {
+    let mut copy = Vec::with_capacity(buf.capacity());
+    copy.extend_from_slice(buf);
+    copy
+}
+
+impl Clone for AttnCache {
+    /// A fork carries its parent's reservation, not just its rows.
+    fn clone(&self) -> Self {
+        AttnCache {
+            k: fork(&self.k),
+            v: fork(&self.v),
+            t: self.t,
+        }
+    }
 }
 
 impl AttnCache {
@@ -256,81 +254,28 @@ impl AttnCache {
     }
 }
 
-impl MultiHeadAttention {
-    /// Incremental self-attention: consumes ONE new position `x` (`[d]`),
-    /// appends its key/value to `cache`, and attends over all cached
-    /// positions. Causality is implicit — only the past is in the cache.
-    pub fn step(&self, store: &ParamStore, x: &[f32], cache: &mut AttnCache) -> Vec<f32> {
-        let q = self.wq.apply_slice(store, x);
-        let k = self.wk.apply_slice(store, x);
-        let v = self.wv.apply_slice(store, x);
-        cache.k.extend_from_slice(&k);
-        cache.v.extend_from_slice(&v);
-        cache.t += 1;
-        let ctx = attend_cached(&q, cache, self.n_heads, self.head_dim);
-        self.wo.apply_slice(store, &ctx)
-    }
-
-    /// Incremental self-attention over `rows` NEW positions at once (`xs`
-    /// row-major): projects every row, appends all key/value rows, then
-    /// attends each chunk position over exactly the cache prefix the
-    /// sequential decoder would have had at that step — causality inside
-    /// the chunk, bitwise identical to `rows` calls of
-    /// [`MultiHeadAttention::step`]. This is the speculative-verification
-    /// forward: one weight sweep verifies a whole draft chunk.
-    pub fn step_many(
-        &self,
-        store: &ParamStore,
-        xs: &[f32],
-        rows: usize,
-        cache: &mut AttnCache,
-    ) -> Vec<f32> {
-        let (h, hd) = (self.n_heads, self.head_dim);
-        let d = h * hd;
-        let q = self.wq.apply_rows(store, xs, rows);
-        let k = self.wk.apply_rows(store, xs, rows);
-        let v = self.wv.apply_rows(store, xs, rows);
-        let base = cache.t;
-        cache.k.extend_from_slice(&k);
-        cache.v.extend_from_slice(&v);
-        cache.t += rows;
-        let mut ctx = vec![0.0f32; rows * d];
-        for (p, ctx_p) in ctx.chunks_exact_mut(d).enumerate() {
-            let attended = attend_prefix(&q[p * d..(p + 1) * d], cache, base + p + 1, h, hd);
-            ctx_p.copy_from_slice(&attended);
-        }
-        self.wo.apply_rows(store, &ctx, rows)
-    }
-}
-
-/// Attends one projected query over every cached position, returning the
-/// mixed context vector (pre-output-projection). Shared by the f32 and
-/// quantized decode paths so both hit the same fused softmax·V kernel.
-pub(crate) fn attend_cached(q: &[f32], cache: &AttnCache, h: usize, hd: usize) -> Vec<f32> {
-    attend_prefix(q, cache, cache.t, h, hd)
-}
-
-/// Prefix-limited form of [`attend_cached`]: attends over only the first
-/// `t_lim` cached positions. Batched speculative verification appends a
-/// whole chunk of key/value rows before attending, so each chunk position
-/// passes the cache length the sequential decoder would have seen — the
-/// per-head kernel call is then identical to the one-position path.
+/// Attends one projected query over the first `t_lim` cached positions,
+/// accumulating the mixed context vector (pre-output-projection) into the
+/// zeroed `ctx`. A stacked forward appends a sequence's whole chunk of
+/// key/value rows before attending, so each chunk position passes the cache
+/// length the one-token decoder would have seen — causality inside the
+/// chunk, and a per-head kernel call identical to the one-position path.
 pub(crate) fn attend_prefix(
     q: &[f32],
     cache: &AttnCache,
     t_lim: usize,
     h: usize,
     hd: usize,
-) -> Vec<f32> {
+    ctx: &mut [f32],
+) {
     let d = h * hd;
     let scale = 1.0 / (hd as f32).sqrt();
-    let mut ctx = vec![0.0f32; d];
     // Heads are independent and each owns a disjoint `hd`-wide slice of
     // `ctx`, so they fan out across the pool. Tiny caches run inline
     // (min_heads = h forces a single chunk).
     let min_heads = if t_lim * hd >= 4_096 { 1 } else { h };
     let (ck, cv) = (&cache.k[..t_lim * d], &cache.v[..t_lim * d]);
-    lm4db_tensor::parallel_rows_mut(&mut ctx, h, min_heads, |first_head, block| {
+    lm4db_tensor::parallel_rows_mut(ctx, h, min_heads, |first_head, block| {
         let mut scores = vec![0.0f32; t_lim];
         for (hh, ctx_h) in block.chunks_mut(hd).enumerate() {
             let off = (first_head + hh) * hd;
@@ -338,7 +283,6 @@ pub(crate) fn attend_prefix(
             lm4db_tensor::kernels::attn_head(qh, ck, cv, d, off, scale, &mut scores, ctx_h);
         }
     });
-    ctx
 }
 
 /// Two-layer feed-forward network with GELU.
@@ -362,26 +306,6 @@ impl FeedForward {
         let h = self.up.forward(g, bound, x);
         let h = g.gelu(h);
         self.down.forward(g, bound, h)
-    }
-
-    /// Inference-only application to one vector.
-    pub fn apply_slice(&self, store: &ParamStore, x: &[f32]) -> Vec<f32> {
-        let mut h = self.up.apply_slice(store, x);
-        for v in h.iter_mut() {
-            *v = lm4db_tensor::tensor::gelu(*v);
-        }
-        self.down.apply_slice(store, &h)
-    }
-
-    /// Inference-only application to `rows` consecutive vectors, bitwise
-    /// identical to `rows` calls of [`FeedForward::apply_slice`] (GELU is
-    /// elementwise; the projections batch via [`Linear::apply_rows`]).
-    pub fn apply_rows(&self, store: &ParamStore, xs: &[f32], rows: usize) -> Vec<f32> {
-        let mut h = self.up.apply_rows(store, xs, rows);
-        for v in h.iter_mut() {
-            *v = lm4db_tensor::tensor::gelu(*v);
-        }
-        self.down.apply_rows(store, &h, rows)
     }
 }
 
@@ -428,35 +352,6 @@ impl Block {
             }
         }
         g.add(x, ffn_out)
-    }
-
-    /// Incremental (inference-only) application to one new position.
-    pub fn step(&self, store: &ParamStore, x: &[f32], cache: &mut AttnCache) -> Vec<f32> {
-        let normed = self.ln1.apply_slice(store, x);
-        let attn = self.attn.step(store, &normed, cache);
-        let x1: Vec<f32> = x.iter().zip(attn.iter()).map(|(a, b)| a + b).collect();
-        let normed = self.ln2.apply_slice(store, &x1);
-        let ffn = self.ffn.apply_slice(store, &normed);
-        x1.iter().zip(ffn.iter()).map(|(a, b)| a + b).collect()
-    }
-
-    /// Incremental application to `rows` new positions at once, bitwise
-    /// identical to `rows` calls of [`Block::step`]: layer norms and
-    /// residual adds are per element, the projections batch row-wise, and
-    /// attention is prefix-limited per chunk position.
-    pub fn step_many(
-        &self,
-        store: &ParamStore,
-        xs: &[f32],
-        rows: usize,
-        cache: &mut AttnCache,
-    ) -> Vec<f32> {
-        let normed = self.ln1.apply_rows(store, xs, rows);
-        let attn = self.attn.step_many(store, &normed, rows, cache);
-        let x1: Vec<f32> = xs.iter().zip(attn.iter()).map(|(a, b)| a + b).collect();
-        let normed = self.ln2.apply_rows(store, &x1, rows);
-        let ffn = self.ffn.apply_rows(store, &normed, rows);
-        x1.iter().zip(ffn.iter()).map(|(a, b)| a + b).collect()
     }
 }
 

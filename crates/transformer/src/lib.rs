@@ -32,7 +32,7 @@ pub use generate::{
     ConstraintMask, DraftModel, Hypothesis, NextToken, SampleOptions, TokenMask, Unconstrained,
 };
 pub use gpt::GptModel;
-pub use incremental::{greedy_cached, IncrementalSession, KvCache};
+pub use incremental::{feed_stack, greedy_cached, IncrementalSession, KvCache, StackEntry};
 pub use quant::{QuantLinear, QuantizedGpt};
 pub use rnn::{RnnConfig, RnnLm};
 pub use train::{

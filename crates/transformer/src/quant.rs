@@ -18,7 +18,7 @@
 use lm4db_tensor::{quantize_activation, ParamStore, QuantizedMatrix};
 
 use crate::gpt::GptModel;
-use crate::layers::{attend_cached, AttnCache, Block, Linear};
+use crate::layers::{Block, Linear};
 
 /// An int8 linear layer: quantized weight plus the original f32 bias.
 #[derive(Debug, Clone)]
@@ -38,11 +38,22 @@ impl QuantLinear {
         }
     }
 
-    /// Applies the layer to one activation vector: dynamic int8
-    /// quantization of `x`, exact i32 matvec, dequant-on-store.
-    pub fn apply(&self, x: &[f32]) -> Vec<f32> {
-        let (qx, sx, zx) = quantize_activation(x);
-        self.w.matvec(&qx, sx, zx, &self.b)
+    /// Applies the layer to `rows` consecutive activation vectors, each
+    /// on its own: dynamic int8 quantization of the row, exact i32 matvec,
+    /// dequant-on-store. The activation grid is per row, so a row's result
+    /// does not depend on what it is stacked with.
+    pub fn apply_rows(&self, xs: &[f32], rows: usize) -> Vec<f32> {
+        assert_eq!(
+            xs.len(),
+            rows * self.w.cols(),
+            "apply_rows input shape mismatch"
+        );
+        let mut ys = Vec::with_capacity(rows * self.w.rows());
+        for x in xs.chunks_exact(self.w.cols()) {
+            let (qx, sx, zx) = quantize_activation(x);
+            ys.extend_from_slice(&self.w.matvec(&qx, sx, zx, &self.b));
+        }
+        ys
     }
 
     /// Heap bytes of the quantized weight (int8 payload + scales + bias).
@@ -74,37 +85,6 @@ impl QuantBlock {
         }
     }
 
-    /// Incremental application to one new position, mirroring
-    /// [`Block::step`] with the six heavy projections routed through int8.
-    /// Layer norms, residuals, GELU, and the fused softmax·V attention stay
-    /// f32 via `model_block`.
-    pub(crate) fn step(
-        &self,
-        model_block: &Block,
-        store: &ParamStore,
-        x: &[f32],
-        cache: &mut AttnCache,
-    ) -> Vec<f32> {
-        let (h, hd) = (model_block.attn.n_heads, model_block.attn.head_dim);
-        let normed = model_block.ln1.apply_slice(store, x);
-        let q = self.wq.apply(&normed);
-        let k = self.wk.apply(&normed);
-        let v = self.wv.apply(&normed);
-        cache.k.extend_from_slice(&k);
-        cache.v.extend_from_slice(&v);
-        cache.t += 1;
-        let ctx = attend_cached(&q, cache, h, hd);
-        let attn = self.wo.apply(&ctx);
-        let x1: Vec<f32> = x.iter().zip(attn.iter()).map(|(a, b)| a + b).collect();
-        let normed = model_block.ln2.apply_slice(store, &x1);
-        let mut hidden = self.up.apply(&normed);
-        for v in hidden.iter_mut() {
-            *v = lm4db_tensor::tensor::gelu(*v);
-        }
-        let ffn = self.down.apply(&hidden);
-        x1.iter().zip(ffn.iter()).map(|(a, b)| a + b).collect()
-    }
-
     fn memory_bytes(&self) -> usize {
         self.wq.memory_bytes()
             + self.wk.memory_bytes()
@@ -112,6 +92,43 @@ impl QuantBlock {
             + self.wo.memory_bytes()
             + self.up.memory_bytes()
             + self.down.memory_bytes()
+    }
+}
+
+/// One heavy projection in the weight format a forward runs in, so the
+/// stacked forward has one body for both formats.
+pub(crate) enum Proj<'a> {
+    /// The model's own f32 weights.
+    F32(&'a ParamStore, &'a Linear),
+    /// The int8 snapshot.
+    Q8(&'a QuantLinear),
+}
+
+impl Proj<'_> {
+    /// Applies the projection to `rows` stacked vectors, row by row
+    /// identical to a one-row application in either format.
+    pub(crate) fn apply_rows(&self, xs: &[f32], rows: usize) -> Vec<f32> {
+        match self {
+            Proj::F32(store, lin) => lin.apply_rows(store, xs, rows),
+            Proj::Q8(q) => q.apply_rows(xs, rows),
+        }
+    }
+}
+
+/// The six heavy projections of `block` — `[wq, wk, wv, wo, up, down]` —
+/// int8 from `quant` when given, else f32 out of `store`. Layer norms,
+/// residuals, GELU and the fused softmax·V attention stay f32 either way.
+pub(crate) fn projections<'a>(
+    store: &'a ParamStore,
+    block: &'a Block,
+    quant: Option<&'a QuantBlock>,
+) -> [Proj<'a>; 6] {
+    match quant {
+        Some(q) => [&q.wq, &q.wk, &q.wv, &q.wo, &q.up, &q.down].map(Proj::Q8),
+        None => {
+            let (a, f) = (&block.attn, &block.ffn);
+            [&a.wq, &a.wk, &a.wv, &a.wo, &f.up, &f.down].map(|lin| Proj::F32(store, lin))
+        }
     }
 }
 

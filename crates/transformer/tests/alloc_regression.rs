@@ -5,7 +5,9 @@
 //! decode step's allocation count must not depend on how far into the
 //! sequence it happens. Before the preallocation fix, `Vec` doubling made
 //! early steps reallocate the cache repeatedly; this test pins the fixed
-//! behavior with a counting global allocator.
+//! behavior with a counting global allocator — for a fresh cache, for a
+//! cache reserved to a request's own horizon, and for a fork, which must
+//! inherit its parent's reservation rather than start at `capacity == len`.
 //!
 //! This file intentionally holds a single test: the allocator counter is
 //! process-global, and a lone test in its own integration binary is the
@@ -63,12 +65,36 @@ fn decode_step_allocations_do_not_grow_with_position() {
     // boundaries and a count that trends upward with position.
     let first = per_step[0];
     assert!(first > 0, "expected the forward pass to allocate scratch");
-    for (i, &n) in per_step.iter().enumerate() {
-        assert_eq!(
-            n, first,
-            "allocation count changed with position: step {} did {} allocs, step 0 did {} \
-             (full trace: {:?})",
-            i, n, first, per_step
-        );
+    let assert_flat = |what: &str, per_step: &[u64]| {
+        for (i, &n) in per_step.iter().enumerate() {
+            assert_eq!(
+                n, first,
+                "{what}: step {i} did {n} allocs, a fresh cache's steps do {first} \
+                 (full trace: {per_step:?})"
+            );
+        }
+    };
+    assert_flat("fresh cache", &per_step);
+
+    // The same holds for a fork — taken early, so all but three positions
+    // are fed into the clone's own buffers — and for a cache reserved to
+    // exactly the positions it will be fed.
+    let steps_of = |mut cache: KvCache| -> Vec<u64> {
+        (cache.len()..14)
+            .map(|t| {
+                let before = ALLOCS.load(Ordering::Relaxed);
+                cache.feed(&model, 8 + t);
+                ALLOCS.load(Ordering::Relaxed) - before
+            })
+            .collect()
+    };
+    let mut parent = KvCache::new(&model);
+    for t in 0..3 {
+        parent.feed(&model, 8 + t);
     }
+    assert_flat("forked cache", &steps_of(parent.clone()));
+    assert_flat(
+        "horizon-sized cache",
+        &steps_of(KvCache::with_capacity(&model, 14)),
+    );
 }

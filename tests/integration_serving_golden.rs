@@ -392,7 +392,7 @@ fn golden_outcomes_reproducible_under_fixed_seed_faults() {
     assert_eq!(base_stats, "failed:0,retries:0");
 
     // Fixed seed: same faults, same outcomes, everywhere.
-    const SPEC: &str = "4242:0.05";
+    const SPEC: &str = "4250:0.05";
     let (f1, f_stats) = run("1", "0", Some(SPEC));
     let (f2, _) = run("4", "0", Some(SPEC));
     let (f3, _) = run("1", "1", Some(SPEC));
