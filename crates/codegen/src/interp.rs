@@ -1,17 +1,22 @@
 //! Interpreter for pipeline programs over the `lm4db-sql` catalog —
 //! the execution engine CodexDB's generated code runs against.
 
-use lm4db_sql::{Catalog, ResultSet, Row, SqlError, Value};
+use std::borrow::Cow;
+
+use lm4db_sql::{Catalog, ResultSet, SqlError, Value};
 
 use crate::dsl::{AggFn, FilterOp, Literal, Pipeline, Step};
 
-/// Intermediate relation while interpreting.
-struct Frame {
+/// Intermediate relation while interpreting. Rows stay borrowed from the
+/// catalog through `filter`, `sort`, `limit` and `count`; `select`, `join`
+/// and `groupby` build new ones, and whatever is still borrowed when the
+/// pipeline ends is cloned into the result.
+struct Frame<'a> {
     columns: Vec<String>,
-    rows: Vec<Row>,
+    rows: Vec<Cow<'a, [Value]>>,
 }
 
-impl Frame {
+impl Frame<'_> {
     fn col(&self, name: &str) -> Result<usize, SqlError> {
         self.columns
             .iter()
@@ -36,17 +41,21 @@ pub fn run_pipeline(pipeline: &Pipeline, catalog: &Catalog) -> Result<ResultSet,
     let f = frame.ok_or_else(|| SqlError::Exec("empty pipeline".into()))?;
     Ok(ResultSet {
         columns: f.columns,
-        rows: f.rows,
+        rows: f.rows.into_iter().map(Cow::into_owned).collect(),
     })
 }
 
-fn apply_step(step: &Step, frame: Option<Frame>, catalog: &Catalog) -> Result<Frame, SqlError> {
+fn apply_step<'a>(
+    step: &Step,
+    frame: Option<Frame<'a>>,
+    catalog: &'a Catalog,
+) -> Result<Frame<'a>, SqlError> {
     match step {
         Step::Load(name) => {
             let t = catalog.get(name)?;
             Ok(Frame {
                 columns: t.schema.names().iter().map(|s| s.to_string()).collect(),
-                rows: t.rows.clone(),
+                rows: t.rows.iter().map(|r| Cow::Borrowed(&r[..])).collect(),
             })
         }
         other => {
@@ -80,7 +89,7 @@ fn apply_step(step: &Step, frame: Option<Frame>, catalog: &Catalog) -> Result<Fr
                     let rows = f
                         .rows
                         .iter()
-                        .map(|r| idxs.iter().map(|&i| r[i].clone()).collect())
+                        .map(|r| Cow::Owned(idxs.iter().map(|&i| r[i].clone()).collect()))
                         .collect();
                     Ok(Frame {
                         columns: cols.clone(),
@@ -113,7 +122,7 @@ fn apply_step(step: &Step, frame: Option<Frame>, catalog: &Catalog) -> Result<Fr
                 }
                 Step::Count => Ok(Frame {
                     columns: vec!["count".to_string()],
-                    rows: vec![vec![Value::Int(f.rows.len() as i64)]],
+                    rows: vec![Cow::Owned(vec![Value::Int(f.rows.len() as i64)])],
                 }),
                 Step::GroupAgg { key, agg, col } => {
                     let kidx = f.col(key)?;
@@ -124,7 +133,7 @@ fn apply_step(step: &Step, frame: Option<Frame>, catalog: &Catalog) -> Result<Fr
                     };
                     // Insertion-ordered grouping.
                     let mut order: Vec<Value> = Vec::new();
-                    let mut groups: Vec<Vec<&Row>> = Vec::new();
+                    let mut groups: Vec<Vec<&[Value]>> = Vec::new();
                     for r in &f.rows {
                         match order.iter().position(|k| *k == r[kidx]) {
                             Some(g) => groups[g].push(r),
@@ -161,7 +170,7 @@ fn apply_step(step: &Step, frame: Option<Frame>, catalog: &Catalog) -> Result<Fr
                                 .map(|v| Value::Int(v as i64))
                                 .unwrap_or(Value::Null),
                         };
-                        rows.push(vec![k, out]);
+                        rows.push(Cow::Owned(vec![k, out]));
                     }
                     Ok(Frame {
                         columns: vec![key.clone(), format!("{}_{col}", agg.name())],
@@ -182,9 +191,9 @@ fn apply_step(step: &Step, frame: Option<Frame>, catalog: &Catalog) -> Result<Fr
                     for l in &f.rows {
                         for r in &rt.rows {
                             if l[lidx].sql_eq(&r[ridx]) {
-                                let mut combined = l.clone();
+                                let mut combined = l.to_vec();
                                 combined.extend(r.iter().cloned());
-                                rows.push(combined);
+                                rows.push(Cow::Owned(combined));
                             }
                         }
                     }

@@ -199,27 +199,27 @@ impl Expr {
         }
     }
 
-    /// True when the expression contains an aggregate call anywhere.
-    pub fn contains_aggregate(&self) -> bool {
+    /// The operand expressions, in evaluation order.
+    pub(crate) fn children(&self) -> Vec<&Expr> {
         match self {
-            Expr::Agg { .. } => true,
-            Expr::Literal(_) | Expr::Column { .. } => false,
-            Expr::Binary { left, right, .. } => {
-                left.contains_aggregate() || right.contains_aggregate()
-            }
-            Expr::Not(e) | Expr::Neg(e) => e.contains_aggregate(),
-            Expr::Func { args, .. } => args.iter().any(Expr::contains_aggregate),
-            Expr::IsNull { expr, .. } => expr.contains_aggregate(),
-            Expr::InList { expr, list, .. } => {
-                expr.contains_aggregate() || list.iter().any(Expr::contains_aggregate)
-            }
+            Expr::Literal(_) | Expr::Column { .. } => vec![],
+            Expr::Binary { left, right, .. } => vec![left, right],
+            Expr::Not(e) | Expr::Neg(e) => vec![e],
+            Expr::Agg { arg, .. } => arg.iter().map(|a| &**a).collect(),
+            Expr::Func { args, .. } => args.iter().collect(),
+            Expr::IsNull { expr, .. } => vec![expr],
+            Expr::InList { expr, list, .. } => std::iter::once(&**expr).chain(list).collect(),
             Expr::Between {
                 expr, low, high, ..
-            } => expr.contains_aggregate() || low.contains_aggregate() || high.contains_aggregate(),
-            Expr::Like { expr, pattern, .. } => {
-                expr.contains_aggregate() || pattern.contains_aggregate()
-            }
+            } => vec![expr, low, high],
+            Expr::Like { expr, pattern, .. } => vec![expr, pattern],
         }
+    }
+
+    /// True when the expression contains an aggregate call anywhere.
+    pub fn contains_aggregate(&self) -> bool {
+        matches!(self, Expr::Agg { .. })
+            || self.children().into_iter().any(Expr::contains_aggregate)
     }
 }
 

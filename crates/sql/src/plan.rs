@@ -1,5 +1,6 @@
-//! Logical plan rendering (EXPLAIN): shows the operator tree the executor
-//! will run, in execution order from the innermost scan outward.
+//! Logical plan rendering (EXPLAIN): the query's clauses as an operator
+//! tree, innermost scan last — printed from the AST alone, so it names
+//! logical operators, not `exec`'s choices (hash probe or loop, top-k).
 
 use std::fmt::Write as _;
 
@@ -7,9 +8,9 @@ use crate::ast::{JoinKind, Query, SelectItem};
 
 /// Renders the logical plan of `q` as an indented operator tree.
 ///
-/// The tree mirrors the executor's actual pipeline: scans and joins at the
-/// bottom, then filter, grouping/aggregation, having, projection
-/// (+ DISTINCT), sort, and limit.
+/// Scans and joins at the bottom, then filter, grouping/aggregation,
+/// having, projection (+ DISTINCT), sort, and limit. (`exec` evaluates sort
+/// keys on the tuple or group, not the projected row; same rows.)
 pub fn explain(q: &Query) -> String {
     // Build the operator stack top-down (outermost first).
     let mut ops: Vec<String> = Vec::new();
