@@ -388,7 +388,7 @@ fn main() {
     ));
 
     // The per-phase series recorded above, rendered as (step:value) pairs
-    // and carried into the results JSON for the trajectory aggregator.
+    // and carried into the results JSON.
     emit("");
     emit("per-phase series (step = load-level index):");
     let mut series_json: Vec<Value> = Vec::new();

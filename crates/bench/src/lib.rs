@@ -1,15 +1,47 @@
 //! Shared reporting helpers for the experiment binaries.
 //!
-//! Each `exp*` binary regenerates one exhibit (Figure 1, Table 1, or one of
-//! the tutorial-companion experiments A-I, see `DESIGN.md` §4) and prints a
-//! markdown table whose rows are recorded in `EXPERIMENTS.md`.
+//! Each binary regenerates one exhibit (Figure 1, Table 1, or one of the
+//! experiments indexed in `DESIGN.md` §4) and prints a markdown table whose
+//! rows are recorded in `EXPERIMENTS.md`. None of them reads the wall
+//! clock: speed is measured by `benchmark/` (see `BENCHMARK.json`).
 
 #![warn(missing_docs)]
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
+use lm4db::tokenize::BOS;
+use lm4db::transformer::ModelConfig;
 use serde_json::Value;
+
+/// The serving-size model Exp N and Exp O decode with (d=128, 4 heads,
+/// 4 layers — the shape `benchmark/`'s serving workloads use too).
+pub fn serving_config() -> ModelConfig {
+    ModelConfig {
+        vocab_size: 512,
+        max_seq_len: 96,
+        d_model: 128,
+        n_heads: 4,
+        n_layers: 4,
+        d_ff: 512,
+        dropout: 0.0,
+    }
+}
+
+/// Eight prompts sharing a 24-token instruction-style header with short
+/// unique tails — the prompt shape the tutorial's applications have in
+/// common.
+pub fn shared_header_prompts() -> Vec<Vec<usize>> {
+    let mut header = vec![BOS];
+    header.extend((0..23).map(|i| 10 + (i * 7) % 500));
+    (0..8)
+        .map(|r| {
+            let mut p = header.clone();
+            p.extend([10 + (r * 31) % 500, 10 + (r * 17) % 500]);
+            p
+        })
+        .collect()
+}
 
 /// Absolute path of `results/<name>` at the repository root, resolved from
 /// this crate's manifest so the experiment binaries land their artifacts in
@@ -22,8 +54,7 @@ pub fn results_path(name: &str) -> PathBuf {
 
 /// Writes a machine-readable JSON result next to the experiment's text
 /// table (`results/<name>`, pretty-printed, trailing newline) and returns
-/// the path. These files are the accumulating perf trajectory: each run
-/// overwrites its own experiment's file with current numbers.
+/// the path.
 pub fn write_results_json(name: &str, value: &Value) -> PathBuf {
     let path = results_path(name);
     if let Some(dir) = path.parent() {

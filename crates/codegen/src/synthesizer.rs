@@ -14,6 +14,7 @@
 //! after [`BreakerOptions::cooldown`] diverted calls a half-open probe
 //! retries the normal loop, closing the breaker on success.
 
+use lm4db_fault::Breaker;
 use lm4db_serve::Engine;
 use lm4db_sql::Catalog;
 use lm4db_tensor::Rand;
@@ -59,15 +60,12 @@ impl Default for BreakerOptions {
     }
 }
 
-/// Breaker state: closed (normal), open (diverting), half-open (probing).
-#[derive(Debug, Default)]
-struct Breaker {
-    /// Validation failures since the last success.
-    consecutive: u32,
-    open: bool,
-    /// Calls diverted to the fallback since opening (or since the last
-    /// failed probe).
-    fallback_calls: u32,
+impl BreakerOptions {
+    /// The breaker these options describe on the call-serial tick: opened
+    /// by call `n`, it diverts calls `n+1 ..= n+cooldown`, then probes.
+    fn breaker(self) -> Breaker {
+        Breaker::new(self.threshold, u64::from(self.cooldown) + 1)
+    }
 }
 
 /// GPT-based program synthesizer for one domain.
@@ -77,7 +75,8 @@ pub struct Synthesizer {
     trie: SqlTrie,
     rng: Rand,
     breaker: Breaker,
-    breaker_opts: BreakerOptions,
+    /// The breaker's tick: `synthesize_resilient` calls so far.
+    breaker_tick: u64,
     /// Monotonic attempt counter salting the `codegen/validate` fault
     /// site, so a chaos run's injections are deterministic per attempt.
     attempt_serial: u64,
@@ -104,15 +103,15 @@ impl Synthesizer {
             bpe,
             trie,
             rng: Rand::seeded(seed ^ 0x5eed),
-            breaker: Breaker::default(),
-            breaker_opts: BreakerOptions::default(),
+            breaker: BreakerOptions::default().breaker(),
+            breaker_tick: 0,
             attempt_serial: 0,
         }
     }
 
     /// Overrides the circuit-breaker tuning (builder-style).
     pub fn with_breaker(mut self, opts: BreakerOptions) -> Self {
-        self.breaker_opts = opts;
+        self.breaker = opts.breaker();
         self
     }
 
@@ -120,7 +119,7 @@ impl Synthesizer {
     /// [`Synthesizer::synthesize_resilient`] divert to the constrained
     /// fallback).
     pub fn breaker_open(&self) -> bool {
-        self.breaker.open
+        !self.breaker.routable()
     }
 
     /// Serializes a task into the fine-tuning text format.
@@ -331,43 +330,41 @@ impl Synthesizer {
         catalog: &Catalog,
         max_retries: usize,
     ) -> Synthesis {
-        if self.breaker.open {
-            self.breaker.fallback_calls += 1;
-            if self.breaker.fallback_calls > self.breaker_opts.cooldown {
-                // Half-open probe: one normal call decides.
-                lm4db_obs::counter_add("codegen/breaker_probes", 1);
-                self.breaker.fallback_calls = 0;
-                let s = self.synthesize_with_retries(instruction, catalog, max_retries);
-                if s.pipeline.is_some() {
-                    self.breaker = Breaker::default();
-                    lm4db_obs::counter_add("codegen/breaker_close", 1);
-                    lm4db_obs::instant("codegen/breaker_close");
-                    return s;
-                }
-                // Probe failed: stay open, serve this call from the
-                // fallback below.
-            }
-            let mut s = self.synthesize_constrained(instruction, catalog);
-            s.fallback = true;
-            lm4db_obs::counter_add("codegen/fallbacks", 1);
-            return s;
+        self.breaker_tick += 1;
+        let probing = self.breaker.probe_due(self.breaker_tick);
+        if probing {
+            lm4db_obs::counter_add("codegen/breaker_probes", 1);
+        } else if self.breaker_open() {
+            return self.divert(instruction, catalog);
         }
         let s = self.synthesize_with_retries(instruction, catalog, max_retries);
         if s.pipeline.is_some() {
-            self.breaker.consecutive = 0;
+            if !self.breaker.heartbeat(self.breaker_tick, true).is_empty() {
+                lm4db_obs::counter_add("codegen/breaker_close", 1);
+                lm4db_obs::instant("codegen/breaker_close");
+            }
             return s;
         }
-        self.breaker.consecutive += s.attempts as u32;
-        if self.breaker.consecutive >= self.breaker_opts.threshold.max(1) {
-            self.breaker.open = true;
-            self.breaker.fallback_calls = 0;
+        // One miss per failed attempt, so the streak counts attempts across
+        // calls; once open, the rest of this tick's misses are ignored.
+        for _ in 0..s.attempts {
+            self.breaker.heartbeat(self.breaker_tick, false);
+        }
+        if !self.breaker_open() {
+            return s;
+        }
+        if !probing {
             lm4db_obs::counter_add("codegen/breaker_open", 1);
             lm4db_obs::instant("codegen/breaker_open");
-            let mut f = self.synthesize_constrained(instruction, catalog);
-            f.fallback = true;
-            lm4db_obs::counter_add("codegen/fallbacks", 1);
-            return f;
         }
+        self.divert(instruction, catalog)
+    }
+
+    /// Serves one call from the constrained path while the breaker is open.
+    fn divert(&mut self, instruction: &str, catalog: &Catalog) -> Synthesis {
+        let mut s = self.synthesize_constrained(instruction, catalog);
+        s.fallback = true;
+        lm4db_obs::counter_add("codegen/fallbacks", 1);
         s
     }
 }

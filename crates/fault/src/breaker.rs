@@ -1,25 +1,21 @@
-//! Per-replica circuit breaker on the virtual step clock.
+//! Circuit breaker on a caller-supplied tick.
 //!
 //! The classic three-state machine — Closed → Open → HalfOpen — driven
-//! not by wall time but by scheduler ticks, so a chaos run's breaker
-//! trajectory is a pure function of the heartbeat outcomes and replays
-//! byte-identically at any thread count:
+//! not by wall time but by a count the caller passes in (the router's
+//! scheduler step per replica, the synthesizer's call serial), so a chaos
+//! run's breaker trajectory is a pure function of the observations and
+//! replays byte-identically at any thread count:
 //!
-//! * **Closed**: traffic flows. Consecutive heartbeat misses accumulate a
-//!   failure streak; reaching `threshold` trips the breaker Open. Any
-//!   success resets the streak.
-//! * **Open**: no new traffic is routed to the replica. After `cooldown`
-//!   ticks the breaker moves to HalfOpen and the next heartbeat acts as
-//!   the probe.
+//! * **Closed**: traffic flows. Consecutive misses accumulate a failure
+//!   streak; reaching `threshold` trips the breaker Open. Any success
+//!   resets the streak.
+//! * **Open**: no new traffic, and observations are ignored until
+//!   `cooldown` ticks have passed ([`Breaker::probe_due`]); the next one
+//!   moves the breaker to HalfOpen and is the probe.
 //! * **HalfOpen**: a successful probe closes the breaker; a miss reopens
 //!   it for another full cooldown.
-//!
-//! The router drains a replica's in-flight requests when its breaker
-//! opens (they fail over to the next ring node) and resumes routing when
-//! it closes; every transition is booked as a counter and a
-//! flight-recorder instant (see [`crate::router`]).
 
-/// Breaker position: whether new traffic may be routed to the replica.
+/// Breaker position: whether new traffic may flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakerState {
     /// Healthy: traffic flows.
@@ -45,8 +41,7 @@ pub enum Transition {
     Reopened,
 }
 
-/// One replica's breaker. See the [module docs](self) for the state
-/// machine.
+/// The breaker. See the [module docs](self) for the state machine.
 #[derive(Debug, Clone)]
 pub struct Breaker {
     threshold: u32,
@@ -74,20 +69,25 @@ impl Breaker {
         self.state
     }
 
-    /// Whether new requests may be routed to the replica. Only a Closed
-    /// breaker routes; HalfOpen waits for its heartbeat probe rather than
-    /// gambling live traffic on a recovering replica.
+    /// Whether new traffic may flow. Only a Closed breaker routes;
+    /// HalfOpen waits for its probe rather than gambling live traffic on a
+    /// recovering target.
     pub fn routable(&self) -> bool {
         self.state == BreakerState::Closed
     }
 
-    /// Feeds one heartbeat observation at `tick` and returns the
-    /// transitions it caused, in order (at most two: `HalfOpened` then the
-    /// probe outcome).
+    /// Whether an observation at `tick` would be the half-open probe: the
+    /// breaker is Open and its cooldown has elapsed.
+    pub fn probe_due(&self, tick: u64) -> bool {
+        self.state == BreakerState::Open && tick.saturating_sub(self.opened_at) >= self.cooldown
+    }
+
+    /// Feeds one observation at `tick` and returns the transitions it
+    /// caused, in order (at most two: `HalfOpened` then the probe
+    /// outcome).
     pub fn heartbeat(&mut self, tick: u64, ok: bool) -> Vec<Transition> {
         let mut out = Vec::new();
-        if self.state == BreakerState::Open && tick.saturating_sub(self.opened_at) >= self.cooldown
-        {
+        if self.probe_due(tick) {
             self.state = BreakerState::HalfOpen;
             out.push(Transition::HalfOpened);
         }

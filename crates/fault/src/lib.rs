@@ -8,14 +8,15 @@
 //! seed and the call site, whether that point panics, stalls, or proceeds.
 //! Recovery paths — pool task poisoning, request quarantine and retry,
 //! admission shedding, the codegen circuit breaker — are then exercised by
-//! reproducible chaos tests instead of hand-written mocks.
+//! reproducible chaos tests instead of hand-written mocks. The tick-driven
+//! [`Breaker`] the router and the synthesizer recover with lives here too.
 //!
 //! **Arming.** `LM4DB_FAULTS=<seed>:<rate>` arms the injector from the
 //! environment (e.g. `LM4DB_FAULTS=42:0.05` for a 5% fault rate at seed
 //! 42), or [`configure`] arms it programmatically. Unset, every
 //! instrumentation point costs one relaxed atomic load plus a branch —
-//! the same tri-state-atomic pattern as `LM4DB_TRACE`, with the same
-//! ≤ 1% overhead contract (pinned by `expO_fault_tolerance`).
+//! the same tri-state-atomic pattern as `LM4DB_TRACE`; every `benchmark/`
+//! workload runs in that state, so its cost is inside `ops_per_s` there.
 //!
 //! **Determinism.** A decision is a pure function of `(seed, site, salt)`
 //! — no global RNG stream, no clock — so it does not depend on thread
@@ -38,6 +39,9 @@
 //! ```
 
 #![warn(missing_docs)]
+
+pub mod breaker;
+pub use breaker::{Breaker, BreakerState, Transition};
 
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::Once;

@@ -9,7 +9,10 @@
 //! nothing to the decode hot path. The accept loop polls a nonblocking
 //! listener (50 ms naps when idle) and exits when the [`MetricsServer`]
 //! handle drops, which joins the thread — no leaked listeners between
-//! tests.
+//! tests. Connections are served inline, one at a time, so each gets one
+//! overall deadline to deliver its request head (`408` and close after
+//! that): a client trickling bytes cannot hold the only scrape thread,
+//! or the drop that joins it.
 //!
 //! Arm it from the environment (`LM4DB_METRICS_ADDR=127.0.0.1:9898`) via
 //! [`serve_metrics_from_env`], or bind explicitly — port 0 picks an
@@ -26,7 +29,10 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// How long a client has to deliver its whole request head.
+const HEAD_DEADLINE: Duration = Duration::from_secs(1);
 
 /// Handle to a running scrape endpoint; dropping it stops the server and
 /// joins its thread.
@@ -117,15 +123,28 @@ fn accept_loop(listener: TcpListener, stop: &AtomicBool) {
 /// Reads the request head (first line is enough — bodies are ignored)
 /// and routes it.
 fn handle_conn(mut stream: TcpStream) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_millis(500)))?;
     stream.set_write_timeout(Some(Duration::from_millis(500)))?;
+    let deadline = Instant::now() + HEAD_DEADLINE;
     let mut buf = [0u8; 2048];
     let mut head = Vec::new();
+    let mut timed_out = false;
     loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            timed_out = true;
+            break;
+        }
+        stream.set_read_timeout(Some(left))?;
         let n = match stream.read(&mut buf) {
             Ok(0) => break,
             Ok(n) => n,
-            Err(_) => break,
+            Err(e) => {
+                timed_out = matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                );
+                break;
+            }
         };
         head.extend_from_slice(&buf[..n]);
         if head.windows(4).any(|w| w == b"\r\n\r\n") || head.len() > 16 * 1024 {
@@ -142,7 +161,13 @@ fn handle_conn(mut stream: TcpStream) -> std::io::Result<()> {
     let path = parts.next().unwrap_or("");
     let path = path.split('?').next().unwrap_or(path);
 
-    let (status, ctype, body) = if method != "GET" {
+    let (status, ctype, body) = if timed_out {
+        (
+            "408 Request Timeout",
+            "text/plain; charset=utf-8",
+            "request head not received in time\n".to_string(),
+        )
+    } else if method != "GET" {
         (
             "405 Method Not Allowed",
             "text/plain; charset=utf-8",
@@ -217,6 +242,38 @@ mod tests {
         assert!(status.contains("404"), "{status}");
 
         drop(server); // joins the thread; a second bind of the port is now possible
+    }
+
+    #[test]
+    fn trickling_client_is_cut_off_and_the_next_scrape_is_served() {
+        let server = serve_metrics("127.0.0.1:0").expect("bind ephemeral");
+        let mut slow = TcpStream::connect(server.addr()).expect("connect");
+        slow.set_read_timeout(Some(Duration::from_millis(100)))
+            .unwrap();
+        // One byte per 100 ms and never a blank line: every server read
+        // succeeds well inside any per-read timeout, so only a deadline on
+        // the whole head ends this. The client's read doubles as its nap.
+        let head = b"GET /metrics HTTP/1.1\r\nX-Slow: ";
+        let mut reply = Vec::new();
+        let mut buf = [0u8; 256];
+        for byte in head.iter().chain(std::iter::repeat(&b'a')).take(50) {
+            if slow.write_all(&[*byte]).is_err() {
+                break;
+            }
+            match slow.read(&mut buf) {
+                Ok(n) => {
+                    reply.extend_from_slice(&buf[..n]);
+                    break;
+                }
+                Err(_) => continue,
+            }
+        }
+        let reply = String::from_utf8_lossy(&reply);
+        assert!(reply.starts_with("HTTP/1.1 408"), "reply: {reply:?}");
+
+        let (status, body) = http_get(server.addr(), "/metrics").expect("GET /metrics");
+        assert!(status.contains("200"), "{status}");
+        crate::prom::validate_exposition(&body).expect("scrape must be valid exposition");
     }
 
     #[test]

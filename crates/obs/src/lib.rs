@@ -24,10 +24,11 @@
 //! **Overhead contract.** Every instrumentation point is gated on
 //! [`enabled`] (or [`events_enabled`]), a single relaxed atomic load plus
 //! a predictable branch, so instrumented hot loops run at full speed at
-//! level 0 (`expM_observability` pins this at ≤ 1% on the threaded-matmul
-//! hot loop; `expN_request_tracing` bounds full event recording at ≤ 10%
-//! on the serve workload). Tracing is purely observational: it never
-//! changes results — the serving golden suite passes byte-exact at every
+//! level 0 — the level every `benchmark/` workload is timed at. What
+//! level 1 costs is the benchmark's `obs.trace_overhead_share` (traced
+//! against untraced segments of one run, see `benchmark/README.md`).
+//! Tracing is purely observational: it never changes
+//! results — the serving golden suite passes byte-exact at every
 //! `LM4DB_TRACE` level.
 //!
 //! **Thread model.** Each thread records metrics into its own shard (an

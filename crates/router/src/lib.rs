@@ -7,8 +7,8 @@
 //!   prompt-prefix fingerprints so the token-trie prefix cache gets
 //!   per-replica locality (fair-share and minimal-disruption invariants
 //!   property-tested).
-//! * [`breaker`] — per-replica circuit breakers on the virtual step
-//!   clock: closed → open → half-open with cooldown probes.
+//! * [`Breaker`] (`lm4db-fault`'s, re-exported) — one per replica on the
+//!   virtual step clock: closed → open → half-open with cooldown probes.
 //! * [`router`] — the [`Router`] itself: routing, heartbeat-driven
 //!   health rolls at the `router/replica` fault site, and failover that
 //!   re-submits a dead replica's in-flight requests to the next live
@@ -40,11 +40,10 @@
 
 #![warn(missing_docs)]
 
-pub mod breaker;
 pub mod ring;
 pub mod router;
 
-pub use breaker::{Breaker, BreakerState, Transition};
+pub use lm4db_fault::{Breaker, BreakerState, Transition};
 pub use ring::{prefix_fingerprint, HashRing};
 pub use router::{
     ReplicaStats, RoutePolicy, Router, RouterOptions, RouterStats, REPLICA_FAULT_SITE,

@@ -18,7 +18,7 @@
 //! the heartbeat cadence, consults the fault injector at the
 //! `router/replica` site ([`lm4db_fault::probe`]): a `Panic` decision
 //! kills the replica outright; a `Delay` is a heartbeat miss feeding its
-//! circuit breaker ([`crate::breaker`]). A kill (or a breaker opening)
+//! circuit breaker ([`lm4db_fault::breaker`]). A kill (or a breaker opening)
 //! drains the replica: already-finished responses are delivered, and
 //! every in-flight or queued request fails over to the next live ring
 //! node as a **fresh** engine submission — new engine serial, hence
@@ -42,12 +42,11 @@
 
 use std::collections::BTreeMap;
 
-use lm4db_fault::{mix, Fault};
+use lm4db_fault::{mix, Breaker, BreakerState, Fault, Transition};
 use lm4db_obs::Histogram;
 use lm4db_serve::{Engine, EngineOptions, Outcome, Request, RequestId, Response, Stats};
 use lm4db_transformer::GptModel;
 
-use crate::breaker::{Breaker, BreakerState, Transition};
 use crate::ring::{prefix_fingerprint, HashRing};
 
 /// Fault-injection site for replica health: on the heartbeat cadence the

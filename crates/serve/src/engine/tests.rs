@@ -613,6 +613,85 @@ fn speculative_greedy_is_byte_identical_to_non_speculative() {
     }
 }
 
+/// Speculation pays in scheduler steps, not only in wall clock: eight
+/// requests sharing a 24-token header, an order-8 n-gram draft trained on
+/// the non-speculative engine's own outputs, 32 new tokens each. With
+/// `draft_k = 4` every step may retire up to five tokens per request
+/// (nine at 8), so the same byte-identical outputs must take at most half
+/// the steps — if the verify walk stops accepting, the step count climbs
+/// back to the baseline's.
+#[test]
+fn speculation_halves_steps_at_byte_identical_output() {
+    const NEW_TOKENS: usize = 32;
+    const STOP: usize = usize::MAX; // never emitted: every request runs its full budget
+    let cfg = ModelConfig {
+        vocab_size: 512,
+        max_seq_len: 96,
+        d_model: 32,
+        n_heads: 2,
+        n_layers: 2,
+        d_ff: 64,
+        dropout: 0.0,
+    };
+    let m = GptModel::new(cfg, 11);
+    let mut header = vec![BOS];
+    header.extend((0..23).map(|i| 10 + (i * 7) % 500));
+    let ps: Vec<Vec<usize>> = (0..8)
+        .map(|r| {
+            let mut p = header.clone();
+            p.extend([10 + (r * 31) % 500, 10 + (r * 17) % 500]);
+            p
+        })
+        .collect();
+    let run = |draft: Option<&lm4db_lm::NGramLm>, draft_k: usize| {
+        let mut engine = Engine::with_options(
+            &m,
+            EngineOptions {
+                max_batch: 8,
+                draft_k,
+                ..EngineOptions::default()
+            },
+        );
+        if let Some(d) = draft {
+            engine.set_draft(d);
+        }
+        let reqs = ps
+            .iter()
+            .map(|p| Request::greedy(p.clone(), NEW_TOKENS, STOP))
+            .collect();
+        let out: Vec<Vec<usize>> = engine
+            .generate_batch(reqs)
+            .into_iter()
+            .map(|r| r.tokens)
+            .collect();
+        (out, engine.stats())
+    };
+
+    let (want, base) = run(None, 0);
+    assert!(want.iter().all(|o| o.len() == NEW_TOKENS));
+    let mut draft = lm4db_lm::NGramLm::new(8, m.config().vocab_size);
+    for (p, o) in ps.iter().zip(&want) {
+        draft.train(&[p.as_slice(), o.as_slice()].concat());
+    }
+    for draft_k in [4, 8] {
+        let (got, spec) = run(Some(&draft), draft_k);
+        assert_eq!(got, want, "draft_k={draft_k} changed the output");
+        assert!(
+            2 * spec.steps <= base.steps,
+            "draft_k={draft_k} took {} steps, baseline {}",
+            spec.steps,
+            base.steps
+        );
+        assert!(
+            spec.draft_accept_rate() >= 0.5,
+            "draft_k={draft_k} accept rate {} ({} of {} drafted)",
+            spec.draft_accept_rate(),
+            spec.draft_accepted_tokens,
+            spec.drafted_tokens
+        );
+    }
+}
+
 #[test]
 fn draft_k_without_draft_model_is_inert() {
     let m = trained_model();

@@ -824,13 +824,16 @@ mod tests {
     #[test]
     fn nn_block_matches_naive_at_edge_shapes() {
         // Shapes straddling every tile edge: rows % MR, cols % NR, and a
-        // chunk split mid-batch.
+        // chunk split mid-batch; then a transformer-block shape, whole-tile
+        // and ragged, deep enough that k spans several packed panels.
         for &(ab, m, k, n, bcast) in &[
             (1usize, 1usize, 1usize, 1usize, false),
             (1, 5, 7, 9, false),
             (2, 6, 13, 17, false),
             (3, 4, 8, 8, true),
             (2, 9, 33, 19, true),
+            (1, 64, 256, 256, false),
+            (1, 61, 200, 130, false),
         ] {
             let a = fill(ab * m * k, 1);
             let b = fill(if bcast { k * n } else { ab * k * n }, 2);
@@ -851,24 +854,29 @@ mod tests {
 
     #[test]
     fn bt_block_matches_naive_dot() {
-        let (ab, m, k, n) = (2usize, 5usize, 11usize, 7usize);
-        let a = fill(ab * m * k, 3);
-        let bt = fill(ab * n * k, 4);
-        let mut want = vec![0.0f32; ab * m * n];
-        for batch in 0..ab {
-            for i in 0..m {
-                for j in 0..n {
-                    let mut acc = 0.0f32;
-                    for p in 0..k {
-                        acc += a[batch * m * k + i * k + p] * bt[batch * n * k + j * k + p];
+        for &(ab, m, k, n) in &[
+            (2usize, 5usize, 11usize, 7usize),
+            (1, 64, 256, 256),
+            (1, 61, 200, 130),
+        ] {
+            let a = fill(ab * m * k, 3);
+            let bt = fill(ab * n * k, 4);
+            let mut want = vec![0.0f32; ab * m * n];
+            for batch in 0..ab {
+                for i in 0..m {
+                    for j in 0..n {
+                        let mut acc = 0.0f32;
+                        for p in 0..k {
+                            acc += a[batch * m * k + i * k + p] * bt[batch * n * k + j * k + p];
+                        }
+                        want[batch * m * n + i * n + j] = acc;
                     }
-                    want[batch * m * n + i * n + j] = acc;
                 }
             }
+            let mut got = vec![0.0f32; ab * m * n];
+            gemm_bt_block(0, &mut got, &a, &bt, m, k, n, false);
+            assert_eq!(got, want, "shape ab={ab} m={m} k={k} n={n}");
         }
-        let mut got = vec![0.0f32; ab * m * n];
-        gemm_bt_block(0, &mut got, &a, &bt, m, k, n, false);
-        assert_eq!(got, want);
     }
 
     #[test]

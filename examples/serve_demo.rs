@@ -5,13 +5,18 @@
 //! request, and a cancelled request — through the batched inference engine,
 //! and prints the serving counters.
 //!
-//! Run with `cargo run --release --example serve_demo`.
+//! Run with `cargo run --release --example serve_demo`. It is also the
+//! traffic source for the observability workflows in the README:
+//! `LM4DB_TRACE=1` appends the trace snapshot, and `LM4DB_METRICS_ADDR`
+//! serves `/metrics` and `/dashboard` until Enter is pressed.
 
 use lm4db::serve::{Deadline, Engine, EngineOptions, Request};
 use lm4db::tokenize::{Bpe, Tokenizer, BOS, EOS};
 use lm4db::transformer::{pack_corpus, pretrain_gpt, GptModel, ModelConfig, TrainOptions};
 
 fn main() {
+    let metrics = lm4db::obs::serve_metrics_from_env();
+
     // A small corpus and model, as everywhere in this repo.
     let lines = lm4db::corpus::corpus(150, 11);
     let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
@@ -108,4 +113,12 @@ fn main() {
     );
     println!("mean batch occupancy {:.2}", stats.mean_batch_occupancy());
     println!("peak batch           {}", stats.peak_batch);
+
+    if lm4db::obs::enabled() {
+        println!("\n{}", lm4db::obs::snapshot().to_text());
+    }
+    if let Some(server) = &metrics {
+        println!("scrape http://{}/metrics — Enter to exit", server.addr());
+        let _ = std::io::stdin().read_line(&mut String::new());
+    }
 }
