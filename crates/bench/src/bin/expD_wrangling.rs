@@ -7,14 +7,8 @@
 //! harder; the learned matcher degrades more slowly. Learned imputation
 //! beats majority class; dictionary error detection is a strong baseline
 //! for typo-style errors.
-//!
-//! Each of the four tasks is timed through [`lm4db::obs::timed`], so the
-//! per-phase wall-clock table at the end comes from the same measurements
-//! the trace registry records — run with `LM4DB_TRACE=1` for the full
-//! snapshot (training-phase and kernel timers included).
 
 use lm4db::corpus::Severity;
-use lm4db::obs;
 use lm4db::transformer::ModelConfig;
 use lm4db::wrangle::{
     column_pairs, error_dataset, imputation_dataset, jaccard, levenshtein_sim, majority_baseline,
@@ -53,61 +47,58 @@ fn matcher_cfg() -> ModelConfig {
 
 fn main() {
     // --- entity matching across severities ---
-    let (rows, took_matching) = obs::timed("bench/expD_matching", || {
-        let mut rows = Vec::new();
-        for (sev_name, sev) in [
-            ("light", Severity::light()),
-            ("medium", Severity::medium()),
-            ("heavy", Severity::heavy()),
-        ] {
-            let pairs = matching_pairs(250, sev, 7);
-            let (train, test) = split_pairs(pairs, 0.8);
-            let labeled: Vec<(String, String, bool)> = train
+    let mut rows = Vec::new();
+    for (sev_name, sev) in [
+        ("light", Severity::light()),
+        ("medium", Severity::medium()),
+        ("heavy", Severity::heavy()),
+    ] {
+        let pairs = matching_pairs(250, sev, 7);
+        let (train, test) = split_pairs(pairs, 0.8);
+        let labeled: Vec<(String, String, bool)> = train
+            .iter()
+            .map(|p| (p.left.clone(), p.right.clone(), p.label))
+            .collect();
+
+        let jac = ThresholdMatcher::fit(jaccard, &labeled);
+        let lev = ThresholdMatcher::fit(levenshtein_sim, &labeled);
+        let tfidf = TfIdf::fit(
+            train
                 .iter()
-                .map(|p| (p.left.clone(), p.right.clone(), p.label))
-                .collect();
+                .flat_map(|p| [p.left.as_str(), p.right.as_str()]),
+        );
+        let tfm = ThresholdMatcher::fit(move |a: &str, b: &str| tfidf.cosine(a, b), &labeled);
+        let mut lm = LmMatcher::train(matcher_cfg(), &train, 30, 1e-3, 3);
+        let mut lm_aligned = LmMatcher::train_with_serializer(
+            matcher_cfg(),
+            &train,
+            30,
+            1e-3,
+            3,
+            serialize_pair_aligned,
+        );
 
-            let jac = ThresholdMatcher::fit(jaccard, &labeled);
-            let lev = ThresholdMatcher::fit(levenshtein_sim, &labeled);
-            let tfidf = TfIdf::fit(
-                train
-                    .iter()
-                    .flat_map(|p| [p.left.as_str(), p.right.as_str()]),
-            );
-            let tfm = ThresholdMatcher::fit(move |a: &str, b: &str| tfidf.cosine(a, b), &labeled);
-            let mut lm = LmMatcher::train(matcher_cfg(), &train, 30, 1e-3, 3);
-            let mut lm_aligned = LmMatcher::train_with_serializer(
-                matcher_cfg(),
-                &train,
-                30,
-                1e-3,
-                3,
-                serialize_pair_aligned,
-            );
-
-            let eval_thresh = |m: &dyn Fn(&str, &str) -> bool| {
-                let mut c = Confusion::default();
-                for p in &test {
-                    c.record(m(&p.left, &p.right), p.label);
-                }
-                c
-            };
-            let cj = eval_thresh(&|a, b| jac.matches(a, b));
-            let cl = eval_thresh(&|a, b| lev.matches(a, b));
-            let ct = eval_thresh(&|a, b| tfm.matches(a, b));
-            let cm = lm.evaluate(&test);
-            let ca = lm_aligned.evaluate(&test);
-            rows.push(vec![
-                sev_name.to_string(),
-                pct(cj.f1() as f64),
-                pct(cl.f1() as f64),
-                pct(ct.f1() as f64),
-                pct(cm.f1() as f64),
-                pct(ca.f1() as f64),
-            ]);
-        }
-        rows
-    });
+        let eval_thresh = |m: &dyn Fn(&str, &str) -> bool| {
+            let mut c = Confusion::default();
+            for p in &test {
+                c.record(m(&p.left, &p.right), p.label);
+            }
+            c
+        };
+        let cj = eval_thresh(&|a, b| jac.matches(a, b));
+        let cl = eval_thresh(&|a, b| lev.matches(a, b));
+        let ct = eval_thresh(&|a, b| tfm.matches(a, b));
+        let cm = lm.evaluate(&test);
+        let ca = lm_aligned.evaluate(&test);
+        rows.push(vec![
+            sev_name.to_string(),
+            pct(cj.f1() as f64),
+            pct(cl.f1() as f64),
+            pct(ct.f1() as f64),
+            pct(cm.f1() as f64),
+            pct(ca.f1() as f64),
+        ]);
+    }
     print_table(
         "Exp D — entity matching F1 vs. corruption severity",
         &[
@@ -122,14 +113,12 @@ fn main() {
     );
 
     // --- imputation ---
-    let ((base, lm_acc), took_imputation) = obs::timed("bench/expD_imputation", || {
-        let (examples, values) = imputation_dataset(150, 11);
-        let cut = 110;
-        let (itrain, itest) = (examples[..cut].to_vec(), examples[cut..].to_vec());
-        let base = majority_baseline(&itrain, &itest);
-        let mut imputer = LmImputer::train(cfg(), &itrain, &values, 20, 5);
-        (base, imputer.accuracy(&itest))
-    });
+    let (examples, values) = imputation_dataset(150, 11);
+    let cut = 110;
+    let (itrain, itest) = (examples[..cut].to_vec(), examples[cut..].to_vec());
+    let base = majority_baseline(&itrain, &itest);
+    let mut imputer = LmImputer::train(cfg(), &itrain, &values, 20, 5);
+    let lm_acc = imputer.accuracy(&itest);
     print_table(
         "Exp D — missing-value imputation accuracy (category from record text)",
         &["method", "accuracy"],
@@ -140,19 +129,17 @@ fn main() {
     );
 
     // --- error detection ---
-    let ((dc, lc), took_errors) = obs::timed("bench/expD_error_detection", || {
-        let errors = error_dataset(160, Severity::medium(), 9);
-        let (etrain, etest) = (errors[..120].to_vec(), errors[120..].to_vec());
-        let clean: Vec<&str> = etrain
-            .iter()
-            .filter(|e| !e.label)
-            .map(|e| e.text.as_str())
-            .collect();
-        let dict = DictionaryDetector::from_clean(clean.iter().copied());
-        let dc = dict.evaluate(&etest);
-        let mut lmdet = LmErrorDetector::train(cfg(), &etrain, 20, 13);
-        (dc, lmdet.evaluate(&etest))
-    });
+    let errors = error_dataset(160, Severity::medium(), 9);
+    let (etrain, etest) = (errors[..120].to_vec(), errors[120..].to_vec());
+    let clean: Vec<&str> = etrain
+        .iter()
+        .filter(|e| !e.label)
+        .map(|e| e.text.as_str())
+        .collect();
+    let dict = DictionaryDetector::from_clean(clean.iter().copied());
+    let dc = dict.evaluate(&etest);
+    let mut lmdet = LmErrorDetector::train(cfg(), &etrain, 20, 13);
+    let lc = lmdet.evaluate(&etest);
     print_table(
         "Exp D — error detection",
         &["method", "precision", "recall", "F1"],
@@ -173,29 +160,26 @@ fn main() {
     );
 
     // --- NLP-enhanced profiling: correlation prediction from column names ---
-    let ((acc, lm_recall, str_recall), took_profiling) = obs::timed("bench/expD_profiling", || {
-        let ptrain = column_pairs(240, 2);
-        let ptest = column_pairs(60, 99);
-        let mut pred = CorrelationPredictor::train(
-            ModelConfig {
-                max_seq_len: 16,
-                d_model: 32,
-                n_heads: 4,
-                n_layers: 2,
-                d_ff: 128,
-                dropout: 0.0,
-                vocab_size: 0,
-            },
-            &ptrain,
-            25,
-            3,
-        );
-        let acc = pred.accuracy(&ptest);
-        let budget = ptest.iter().filter(|p| p.correlated).count();
-        let lm_recall = recall_at_budget(&ptest, |a, b| pred.correlation_probability(a, b), budget);
-        let str_recall = recall_at_budget(&ptest, name_similarity_baseline, budget);
-        (acc, lm_recall, str_recall)
-    });
+    let ptrain = column_pairs(240, 2);
+    let ptest = column_pairs(60, 99);
+    let mut pred = CorrelationPredictor::train(
+        ModelConfig {
+            max_seq_len: 16,
+            d_model: 32,
+            n_heads: 4,
+            n_layers: 2,
+            d_ff: 128,
+            dropout: 0.0,
+            vocab_size: 0,
+        },
+        &ptrain,
+        25,
+        3,
+    );
+    let acc = pred.accuracy(&ptest);
+    let budget = ptest.iter().filter(|p| p.correlated).count();
+    let lm_recall = recall_at_budget(&ptest, |a, b| pred.correlation_probability(a, b), budget);
+    let str_recall = recall_at_budget(&ptest, name_similarity_baseline, budget);
     print_table(
         "Exp D — profiling: correlated-column discovery from names",
         &["method", "pair accuracy", "recall@budget"],
@@ -212,20 +196,4 @@ fn main() {
             ],
         ],
     );
-
-    let secs = |d: std::time::Duration| format!("{:.1}s", d.as_secs_f64());
-    print_table(
-        "Exp D — wall-clock per task (obs-timed)",
-        &["task", "time"],
-        &[
-            vec!["entity matching (3 severities)".into(), secs(took_matching)],
-            vec!["imputation".into(), secs(took_imputation)],
-            vec!["error detection".into(), secs(took_errors)],
-            vec!["profiling".into(), secs(took_profiling)],
-        ],
-    );
-    if obs::enabled() {
-        println!("\n### Trace snapshot (LM4DB_TRACE=1)\n");
-        println!("```\n{}```", obs::snapshot().to_text());
-    }
 }

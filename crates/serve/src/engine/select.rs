@@ -89,7 +89,7 @@ fn select(
             }
             let seq = &mut run.live[0];
             let spec = std::mem::take(&mut seq.spec);
-            let chunk_logits = std::mem::take(&mut seq.step_logits);
+            let mut chunk_logits = std::mem::take(&mut seq.step_logits);
             // `ids[..vlen]` is the verified prefix; `ids[vstart..]` are
             // the unverified drafts. `chunk_logits[vlen - vstart]` is the
             // model's output after `ids[vlen - 1]` — simultaneously the
@@ -99,17 +99,24 @@ fn select(
             let mut vlen = vstart;
             loop {
                 let li = vlen - vstart;
-                let raw: Vec<f32> = match chunk_logits.get(li) {
-                    Some(row) => row.clone(),
-                    None => seq.cache.last_logits().to_vec(),
+                // Borrowed where it lies; copied only for a mask to write.
+                let raw: &[f32] = match chunk_logits.get(li) {
+                    Some(row) => row,
+                    None => seq.cache.last_logits(),
                 };
-                let mut logits = raw.clone();
-                if apply_mask(&mut logits, &seq.ids[..vlen], mask) == 0 {
-                    // Dead end: `generate::greedy` stops and returns the
-                    // output so far.
-                    return true;
-                }
-                let tok = argmax(&logits);
+                let mut masked = Vec::new();
+                let logits = if mask.is_some() {
+                    masked.extend_from_slice(raw);
+                    if apply_mask(&mut masked, &seq.ids[..vlen], mask) == 0 {
+                        // Dead end: `generate::greedy` stops and returns
+                        // the output so far.
+                        return true;
+                    }
+                    &masked
+                } else {
+                    raw
+                };
+                let tok = argmax(logits);
                 if tok == stop || vlen >= max_seq_len {
                     return true;
                 }
@@ -130,7 +137,11 @@ fn select(
                 // exactly what non-speculative greedy chooses here.
                 seq.ids.truncate(vlen);
                 if seq.cache.len() > vlen {
-                    seq.cache.rollback(model, vlen, raw);
+                    // A cache ahead of the cursor was fed the drafts as a
+                    // `keep_all` chunk, so this position's row exists; the
+                    // walk ends here, so the row can move.
+                    let row = std::mem::take(&mut chunk_logits[li]);
+                    seq.cache.rollback(model, vlen, row);
                 }
                 seq.ids.push(tok);
                 run.out.push(tok);

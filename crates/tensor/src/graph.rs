@@ -12,8 +12,7 @@
 //! 3. read gradients back with [`Graph::grad`] and hand them to an optimizer.
 
 use crate::shape::{is_trailing_of, numel};
-// (gelu/gelu_grad re-exported through tensor for activation backward passes)
-use crate::tensor::{gelu, gelu_grad, Tensor};
+use crate::tensor::Tensor;
 
 /// Target index that is skipped by [`Graph::cross_entropy`].
 pub const IGNORE_INDEX: usize = usize::MAX;
@@ -272,11 +271,15 @@ impl Graph {
         })
     }
 
-    /// GELU activation.
+    /// GELU activation: the lane-wise kernel, forward and backward.
     pub fn gelu(&mut self, a: Var) -> Var {
         let x = self.value(a).clone();
-        let value = x.map(gelu);
-        self.unary(a, value, move |g| g.zip(&x, |gi, xi| gi * gelu_grad(xi)))
+        let value = x.map_blocks(|_, block| crate::kernels::gelu_in_place(block));
+        self.unary(a, value, move |g| {
+            g.map_blocks(|first, dy| {
+                crate::kernels::gelu_grad_scale(dy, &x.data()[first..first + dy.len()]);
+            })
+        })
     }
 
     /// ReLU activation.

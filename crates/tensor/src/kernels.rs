@@ -30,6 +30,12 @@
 //! the scalar kernel's `acc[j] += a * b[j]` chain with IEEE-identical
 //! rounding, so the AVX and scalar paths produce the same bits and the
 //! golden outputs do not depend on which machine ran them.
+//!
+//! The activation kernel ([`gelu`], [`gelu_in_place`], [`gelu_grad_scale`])
+//! follows the same rule by other means: its exponential is written out in
+//! lane-wise IEEE operations — no libm, whose `tanhf` was a third of the
+//! stacked forward and differs between hosts — and its AVX variant is the
+//! scalar loop compiled a second time under the wider target feature.
 
 // GEMM kernels take BLAS-style flat argument lists (operands, leading
 // dimensions, tile origin) by design; bundling them into structs would
@@ -83,7 +89,9 @@ fn pack_transposed(bt: &[f32], k: usize, n: usize, panels: &mut [f32]) {
 /// used (`broadcast`, `loadu`, `mul_ps`, `add_ps`) is a per-lane IEEE
 /// operation, so these produce bit-identical results to the scalar
 /// fallbacks below — they just retire 8 lanes per instruction instead of
-/// relying on what the autovectorizer manages at the SSE2 baseline.
+/// relying on what the autovectorizer manages at the SSE2 baseline. Keep
+/// closures and `array::map` out of these functions: they are compiled
+/// without the target feature and do not inline into it.
 #[cfg(target_arch = "x86_64")]
 mod avx {
     use super::{MR, NR};
@@ -94,6 +102,29 @@ mod avx {
     #[inline]
     pub fn usable() -> bool {
         is_x86_feature_detected!("avx")
+    }
+
+    /// Eight-lane build of [`super::gelu_in_place`]'s loop: the scalar body,
+    /// inlined here and vectorized by the compiler under this function's
+    /// target feature (`fma` is not enabled, and Rust never contracts). AVX
+    /// alone splits the two integer operations of the exponent arithmetic
+    /// into halves; enabling AVX2 as well measured 0.84 against 0.99 ns per
+    /// element, not worth a second feature check.
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports AVX ([`usable`]).
+    #[target_feature(enable = "avx")]
+    pub unsafe fn gelu_in_place(xs: &mut [f32]) {
+        super::gelu_lanes(xs);
+    }
+
+    /// Eight-lane build of [`super::gelu_grad_scale`]'s loop.
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports AVX ([`usable`]).
+    #[target_feature(enable = "avx")]
+    pub unsafe fn gelu_grad_scale(dy: &mut [f32], x: &[f32]) {
+        super::gelu_grad_lanes(dy, x);
     }
 
     /// AVX body of [`super::mk_nn_full`]: one 8-lane accumulator per tile
@@ -188,72 +219,78 @@ mod avx {
         }
     }
 
-    /// AVX body of the full-tile case of [`super::vec_matmul_block`]:
-    /// two 8-lane column accumulators held across the whole `i` sweep.
+    /// One register tile of the vector-matrix family: `R` input rows
+    /// against `8 * V` weight columns, `R * V` 8-lane accumulators held
+    /// across the whole `i` sweep. `w` and `ys` start at the tile's first
+    /// column (`ys` at its first row too); both have rows `d_out` apart.
+    /// Each weight vector is loaded once per `i` and shared by the `R` rows;
+    /// each lane does the scalar chain — bias-initialized, broadcast, mul,
+    /// add, `i` ascending, no FMA — so the tile shape never shows in the
+    /// result.
     ///
     /// # Safety
-    /// Caller must ensure the CPU supports AVX ([`usable`]) and
-    /// `y_block.len() == 16`.
+    /// Caller must ensure the CPU supports AVX ([`usable`]).
     #[target_feature(enable = "avx")]
-    pub unsafe fn vec_matmul_tile16(
-        x: &[f32],
-        w: &[f32],
-        d_out: usize,
-        col0: usize,
-        y_block: &mut [f32],
-    ) {
-        let mut acc0 = _mm256_loadu_ps(y_block.as_ptr());
-        let mut acc1 = _mm256_loadu_ps(y_block[8..].as_ptr());
-        for (i, xi) in x.iter().enumerate() {
-            let xv = _mm256_broadcast_ss(xi);
-            let wrow = &w[i * d_out + col0..i * d_out + col0 + 16];
-            acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(xv, _mm256_loadu_ps(wrow.as_ptr())));
-            acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(xv, _mm256_loadu_ps(wrow[8..].as_ptr())));
-        }
-        _mm256_storeu_ps(y_block.as_mut_ptr(), acc0);
-        _mm256_storeu_ps(y_block[8..].as_mut_ptr(), acc1);
-    }
-
-    /// AVX body of the full-tile, four-row case of
-    /// [`super::vec_matmul_rows`]: one 16-column weight tile is loaded per
-    /// `i` and reused by four input rows, with per-row lane math identical
-    /// to [`vec_matmul_tile16`] (broadcast, mul, add — no FMA).
-    ///
-    /// # Safety
-    /// Caller must ensure the CPU supports AVX ([`usable`]), that rows
-    /// `row0..row0 + 4` of `xs`/`ys` are in bounds, and that columns
-    /// `col0..col0 + 16` of `w`/`ys` are in bounds.
-    #[target_feature(enable = "avx")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn vec_matmul_tile16_rows4(
+    unsafe fn vec_matmul_tile<const R: usize, const V: usize>(
         xs: &[f32],
         d_in: usize,
-        row0: usize,
         w: &[f32],
         d_out: usize,
-        col0: usize,
         ys: &mut [f32],
     ) {
-        let mut acc = [[_mm256_setzero_ps(); 2]; 4];
-        for (r, accr) in acc.iter_mut().enumerate() {
-            let y = &ys[(row0 + r) * d_out + col0..];
-            accr[0] = _mm256_loadu_ps(y.as_ptr());
-            accr[1] = _mm256_loadu_ps(y[8..].as_ptr());
-        }
-        for i in 0..d_in {
-            let wrow = &w[i * d_out + col0..i * d_out + col0 + 16];
-            let w0 = _mm256_loadu_ps(wrow.as_ptr());
-            let w1 = _mm256_loadu_ps(wrow[8..].as_ptr());
-            for (r, accr) in acc.iter_mut().enumerate() {
-                let xv = _mm256_broadcast_ss(&xs[(row0 + r) * d_in + i]);
-                accr[0] = _mm256_add_ps(accr[0], _mm256_mul_ps(xv, w0));
-                accr[1] = _mm256_add_ps(accr[1], _mm256_mul_ps(xv, w1));
+        let mut acc = [[_mm256_setzero_ps(); V]; R];
+        for r in 0..R {
+            let y = &ys[r * d_out..r * d_out + 8 * V];
+            for v in 0..V {
+                acc[r][v] = _mm256_loadu_ps(y[8 * v..].as_ptr());
             }
         }
-        for (r, accr) in acc.iter().enumerate() {
-            let y = &mut ys[(row0 + r) * d_out + col0..];
-            _mm256_storeu_ps(y.as_mut_ptr(), accr[0]);
-            _mm256_storeu_ps(y[8..].as_mut_ptr(), accr[1]);
+        for i in 0..d_in {
+            let wrow = &w[i * d_out..i * d_out + 8 * V];
+            let mut wv = [_mm256_setzero_ps(); V];
+            for v in 0..V {
+                wv[v] = _mm256_loadu_ps(wrow[8 * v..].as_ptr());
+            }
+            for r in 0..R {
+                let xv = _mm256_broadcast_ss(&xs[r * d_in + i]);
+                for v in 0..V {
+                    acc[r][v] = _mm256_add_ps(acc[r][v], _mm256_mul_ps(xv, wv[v]));
+                }
+            }
+        }
+        for r in 0..R {
+            let y = &mut ys[r * d_out..r * d_out + 8 * V];
+            for v in 0..V {
+                _mm256_storeu_ps(y[8 * v..].as_mut_ptr(), acc[r][v]);
+            }
+        }
+    }
+
+    /// `R` rows (`xs`, `d_in` wide; `ys`, `d_out` apart) against the first
+    /// `cols` columns of `w`, a multiple of 16: `R`×`V` tiles while they
+    /// fit, 16-column tiles for the rest. Callers pick `V` so that `R * V`
+    /// is 6 to 8: that many independent chains hide the add latency, which
+    /// two — one row in a 16-column tile — do not.
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports AVX ([`usable`]).
+    #[target_feature(enable = "avx")]
+    pub unsafe fn vec_matmul_group<const R: usize, const V: usize>(
+        xs: &[f32],
+        d_in: usize,
+        w: &[f32],
+        d_out: usize,
+        ys: &mut [f32],
+        cols: usize,
+    ) {
+        let mut c = 0;
+        while c + 8 * V <= cols {
+            vec_matmul_tile::<R, V>(xs, d_in, &w[c..], d_out, &mut ys[c..]);
+            c += 8 * V;
+        }
+        while c + 16 <= cols {
+            vec_matmul_tile::<R, 2>(xs, d_in, &w[c..], d_out, &mut ys[c..]);
+            c += 16;
         }
     }
 }
@@ -595,6 +632,109 @@ pub fn log_softmax_in_place(row: &mut [f32]) {
     }
 }
 
+/// `√(2/π)` and the cubic coefficient of the tanh-form GELU (BERT/GPT).
+const GELU_C: f32 = 0.797_884_6;
+const GELU_A: f32 = 0.044_715;
+
+/// `e^(−2u)` for `u = √(2/π)·(x + 0.044715x³)` — the one transcendental of
+/// GELU and its derivative. Built only from `+ − ×`, compare-and-select and
+/// exponent bits: no libm call, no FMA, no branch, so every lane of a
+/// vector build performs exactly these operations and rounds exactly like
+/// the scalar build.
+///
+/// The argument `a = −2u` is clamped to `[−87, 89]`, split as `a = n·ln2 +
+/// r` (`n` rounded to nearest by adding and subtracting `1.5·2²³`, `ln2`
+/// in a short high part whose products with `n` are exact plus a low
+/// part), `e^r` is a degree-6 polynomial on `|r| ≤ ln2/2` (relative error
+/// 1.1e-8 before rounding) and `2ⁿ` is `n + 127` written into the exponent
+/// field — read straight off the low bits of the rounded sum. The lower
+/// clamp keeps `n ≥ −126` (no subnormal); the upper one lets `n` reach 128,
+/// whose bit pattern is `+∞`: the result saturates to `+∞` from `a ≈ 88.4`
+/// up, which is what makes `x / (1 + e)` exactly `−0` for every `x ≤ −10.1`
+/// however large. NaN passes through the clamp and comes out NaN.
+#[inline(always)]
+fn gelu_exp(x: f32) -> f32 {
+    const ROUND: f32 = 12_582_912.0; // 1.5 · 2²³
+    const LN2_HI: f32 = 355.0 / 512.0; // nine bits, so n·LN2_HI is exact
+    const LN2_LO: f32 = -2.121_944_4e-4;
+    let u = GELU_C * (x + GELU_A * x * x * x);
+    let a = (-2.0 * u).clamp(-87.0, 89.0);
+    let t = a * std::f32::consts::LOG2_E + ROUND;
+    let n = t - ROUND;
+    let r = a - n * LN2_HI - n * LN2_LO;
+    let q = 1.392_620_4e-3;
+    let q = q * r + 8.363_195e-3;
+    let q = q * r + 4.166_655_6e-2;
+    let q = q * r + 1.666_657_6e-1;
+    let q = q * r + 0.5;
+    let p = 1.0 + r + r * r * q;
+    p * f32::from_bits((t.to_bits() << 23).wrapping_add(0x3F80_0000))
+}
+
+/// GELU activation, tanh approximation (as used by BERT/GPT), evaluated as
+/// `x·σ(2u) = x / (1 + e^(−2u))` with `u = √(2/π)·(x + 0.044715x³)` —
+/// algebraically `½x(1 + tanh u)`, but one exponential and one divide with
+/// no cancellation, and no libm (the exponential is `gelu_exp` above).
+/// Within 1e-6 of the f64 tanh formula on `[−12, 12]`; finite for every
+/// finite input.
+#[inline(always)]
+pub fn gelu(x: f32) -> f32 {
+    x / (1.0 + gelu_exp(x))
+}
+
+/// Derivative of [`gelu`]: `s + x·s(1−s)·2√(2/π)(1 + 3·0.044715x²)` with
+/// `s = σ(2u)` from the same `gelu_exp`. `x²` is capped so the last
+/// factor stays finite where `s(1−s)` is already exactly zero.
+#[inline(always)]
+pub fn gelu_grad(x: f32) -> f32 {
+    let s = 1.0 / (1.0 + gelu_exp(x));
+    let x2 = (x * x).min(1e30);
+    s + x * s * (1.0 - s) * (2.0 * GELU_C * (1.0 + 3.0 * GELU_A * x2))
+}
+
+/// The loop both builds of [`gelu_in_place`] compile: the same body, at
+/// the caller's vector width.
+#[inline(always)]
+fn gelu_lanes(xs: &mut [f32]) {
+    for x in xs.iter_mut() {
+        *x = gelu(*x);
+    }
+}
+
+/// The loop both builds of [`gelu_grad_scale`] compile.
+#[inline(always)]
+fn gelu_grad_lanes(dy: &mut [f32], x: &[f32]) {
+    for (d, &xi) in dy.iter_mut().zip(x) {
+        *d *= gelu_grad(xi);
+    }
+}
+
+/// [`gelu`] of every element, in place. On x86-64 with AVX the loop is
+/// compiled a second time eight lanes wide; both builds run the one body
+/// above, so they agree bit for bit (a unit test holds them to it).
+pub fn gelu_in_place(xs: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if avx::usable() {
+        // SAFETY: AVX support was just checked.
+        unsafe { avx::gelu_in_place(xs) };
+        return;
+    }
+    gelu_lanes(xs);
+}
+
+/// GELU's backward pass in place: `dy[i] *= gelu'(x[i])` ([`gelu_grad`]),
+/// dispatched like [`gelu_in_place`].
+pub fn gelu_grad_scale(dy: &mut [f32], x: &[f32]) {
+    assert_eq!(dy.len(), x.len(), "gelu_grad_scale length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if avx::usable() {
+        // SAFETY: AVX support was just checked.
+        unsafe { avx::gelu_grad_scale(dy, x) };
+        return;
+    }
+    gelu_grad_lanes(dy, x);
+}
+
 /// Scaled dot-product scores of one query head against every cached key:
 /// `scores[t] = (Σ_p q[p] * keys[t*d + off + p]) * scale`. Four cached
 /// positions run in flight — each score still sums `p` ascending with its
@@ -679,15 +819,16 @@ pub fn vec_matmul_block(x: &[f32], w: &[f32], d_out: usize, first: usize, y_bloc
     const CT: usize = 16;
     let cols = y_block.len();
     let mut c0 = 0;
+    #[cfg(target_arch = "x86_64")]
+    if avx::usable() {
+        // Whole tiles, four at a time while they last; ragged columns are
+        // left to the scalar loop.
+        c0 = cols / CT * CT;
+        // SAFETY: AVX support was just checked.
+        unsafe { avx::vec_matmul_group::<1, 8>(x, x.len(), &w[first..], d_out, y_block, c0) };
+    }
     while c0 < cols {
         let ct = CT.min(cols - c0);
-        #[cfg(target_arch = "x86_64")]
-        if ct == CT && avx::usable() {
-            // SAFETY: AVX support was just checked and the tile is full.
-            unsafe { avx::vec_matmul_tile16(x, w, d_out, first + c0, &mut y_block[c0..c0 + CT]) };
-            c0 += CT;
-            continue;
-        }
         let mut acc = [0.0f32; CT];
         acc[..ct].copy_from_slice(&y_block[c0..c0 + ct]);
         if ct == CT {
@@ -735,31 +876,29 @@ pub fn vec_matmul_rows(xs: &[f32], d_in: usize, w: &[f32], d_out: usize, ys: &mu
     assert_eq!(xs.len(), rows * d_in, "xs is not a whole number of rows");
     assert_eq!(ys.len(), rows * d_out, "ys shape mismatch");
     let mut c0 = 0;
+    #[cfg(target_arch = "x86_64")]
+    if avx::usable() {
+        // Whole 16-column tiles, one row group at a time; a short last
+        // group gets a wider tile, so it has as many chains in flight as a
+        // full one and costs its share of one, not more.
+        c0 = d_out / CT * CT;
+        for (x, y) in xs.chunks(RT * d_in).zip(ys.chunks_mut(RT * d_out)) {
+            // SAFETY: AVX support was just checked.
+            unsafe {
+                match x.len() / d_in {
+                    4 => avx::vec_matmul_group::<4, 2>(x, d_in, w, d_out, y, c0),
+                    3 => avx::vec_matmul_group::<3, 2>(x, d_in, w, d_out, y, c0),
+                    2 => avx::vec_matmul_group::<2, 4>(x, d_in, w, d_out, y, c0),
+                    _ => avx::vec_matmul_group::<1, 8>(x, d_in, w, d_out, y, c0),
+                }
+            }
+        }
+    }
     while c0 < d_out {
         let ct = CT.min(d_out - c0);
         let mut r0 = 0;
         while r0 < rows {
             let rt = RT.min(rows - r0);
-            #[cfg(target_arch = "x86_64")]
-            if ct == CT && avx::usable() {
-                if rt == RT {
-                    // SAFETY: AVX support was just checked, the tile is
-                    // full, and the row group is full.
-                    unsafe { avx::vec_matmul_tile16_rows4(xs, d_in, r0, w, d_out, c0, ys) };
-                } else {
-                    // Remainder rows take the matvec's own one-row tile:
-                    // the same lane math, so still one chain per element.
-                    for r in r0..r0 + rt {
-                        let x = &xs[r * d_in..(r + 1) * d_in];
-                        let y = &mut ys[r * d_out + c0..r * d_out + c0 + CT];
-                        // SAFETY: AVX support was just checked and `y` is
-                        // one full 16-column tile.
-                        unsafe { avx::vec_matmul_tile16(x, w, d_out, c0, y) };
-                    }
-                }
-                r0 += rt;
-                continue;
-            }
             let mut acc = [[0.0f32; CT]; RT];
             for (r, accr) in acc[..rt].iter_mut().enumerate() {
                 accr[..ct].copy_from_slice(&ys[(r0 + r) * d_out + c0..][..ct]);
@@ -919,23 +1058,25 @@ mod tests {
 
     #[test]
     fn vec_matmul_block_matches_scalar_axpy() {
-        let (d_in, d_out) = (13usize, 37usize);
-        let x = fill(d_in, 7);
-        let w = fill(d_in * d_out, 8);
-        let bias = fill(d_out, 9);
-        let mut want = bias.clone();
-        for (i, &xi) in x.iter().enumerate() {
-            for j in 0..d_out {
-                want[j] += xi * w[i * d_out + j];
+        // Two chunks with an awkward split: ragged tiles only, then chunks
+        // of 70 and 80 columns — a four-tile sweep plus ragged columns, and
+        // a four-tile sweep plus one single tile.
+        for (d_in, d_out, split) in [(13usize, 37usize, 21usize), (9, 150, 70)] {
+            let x = fill(d_in, 7);
+            let w = fill(d_in * d_out, 8);
+            let bias = fill(d_out, 9);
+            let mut want = bias.clone();
+            for (i, &xi) in x.iter().enumerate() {
+                for j in 0..d_out {
+                    want[j] += xi * w[i * d_out + j];
+                }
             }
+            let mut got = bias.clone();
+            let (lo, hi) = got.split_at_mut(split);
+            vec_matmul_block(&x, &w, d_out, 0, lo);
+            vec_matmul_block(&x, &w, d_out, split, hi);
+            assert_eq!(got, want, "d_in={d_in} d_out={d_out}");
         }
-        // Two chunks with an awkward split.
-        let mut got = bias.clone();
-        let split = 21;
-        let (lo, hi) = got.split_at_mut(split);
-        vec_matmul_block(&x, &w, d_out, 0, lo);
-        vec_matmul_block(&x, &w, d_out, split, hi);
-        assert_eq!(got, want);
     }
 
     #[test]
@@ -943,10 +1084,12 @@ mod tests {
         // A stacked batch must be indistinguishable from decoding row by
         // row: exact equality, not tolerance. Every remainder row count
         // (rows % 4 ∈ {1, 2, 3}, alone and after a full group) meets full
-        // 16-column tiles (the AVX one-row tile) and ragged ones (scalar).
+        // 16-column tiles (a short group in the four-row tile, a lone row
+        // in the one-row tile), 80 columns (the lone row's four-tile sweep,
+        // then a single tile) and ragged ones (scalar).
         let mut shapes = vec![(4usize, 13usize, 48usize), (9, 7, 16)];
         for rows in [1, 2, 3, 5, 6, 7] {
-            shapes.extend([(rows, 24, 48), (rows, 13, 37)]);
+            shapes.extend([(rows, 24, 48), (rows, 24, 80), (rows, 13, 37)]);
         }
         for (rows, d_in, d_out) in shapes {
             let xs = fill(rows * d_in, 21);
@@ -965,6 +1108,93 @@ mod tests {
             vec_matmul_rows(&xs, d_in, &w, d_out, &mut got);
             assert_eq!(got, want, "rows={rows} d_in={d_in} d_out={d_out}");
         }
+    }
+
+    /// GELU, tanh form, in f64 — the formula the kernel approximates.
+    fn gelu_f64(x: f64) -> f64 {
+        let u = (2.0 / std::f64::consts::PI).sqrt() * (x + 0.044715 * x * x * x);
+        0.5 * x * (1.0 + u.tanh())
+    }
+
+    /// A dense grid over [−12, 12] and every input class that could take
+    /// its own path if the body ever grew a branch: signed zeros,
+    /// infinities, NaN, the largest finite values, subnormals, and the
+    /// inputs whose exponent argument `−2u` lands on either clamp (±87, 89),
+    /// on the first `+∞` (88.4) and on `n = ±126 / 127`.
+    fn gelu_inputs() -> Vec<f32> {
+        let mut xs: Vec<f32> = (0..=24 * 512).map(|i| i as f32 / 512.0 - 12.0).collect();
+        xs.extend([0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN]);
+        xs.extend([f32::MAX, f32::MIN, f32::MIN_POSITIVE, -f32::MIN_POSITIVE]);
+        xs.extend([1e-45, -1e-45, 1e-40, 1e19, -1e19, 2e19, -2e19, 1e30, -1e30]);
+        for edge in [-10.2f32, -10.1, -10.05, -10.0, 9.9, 10.0, 10.04, 10.1] {
+            xs.extend((-8..=8).map(|k| edge + k as f32 * 1e-3));
+        }
+        xs
+    }
+
+    #[test]
+    fn gelu_slices_match_the_one_lane_body_bitwise() {
+        // On an AVX host the slice kernels are the eight-lane build and
+        // `gelu` / `gelu_grad` the scalar one; every slice length 0..=33
+        // puts every input at every lane and in the vector loop's tail.
+        let inputs = gelu_inputs();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        for len in 0..=33usize {
+            for start in (0..inputs.len() - len).step_by(29) {
+                let xs = &inputs[start..start + len];
+                let mut got = xs.to_vec();
+                gelu_in_place(&mut got);
+                let want: Vec<f32> = xs.iter().map(|&x| gelu(x)).collect();
+                assert_eq!(bits(&got), bits(&want), "gelu len={len} start={start}");
+                let dy = fill(len, start as u32);
+                let mut got = dy.clone();
+                gelu_grad_scale(&mut got, xs);
+                let want: Vec<f32> = dy.iter().zip(xs).map(|(d, &x)| d * gelu_grad(x)).collect();
+                assert_eq!(bits(&got), bits(&want), "grad len={len} start={start}");
+            }
+        }
+    }
+
+    #[test]
+    fn gelu_is_within_1e6_of_the_f64_tanh_formula() {
+        let (mut worst, mut worst_grad) = (0.0f64, 0.0f64);
+        for i in 0..=24 * 4096 {
+            let x = i as f32 / 4096.0 - 12.0;
+            let xd = f64::from(x);
+            worst = worst.max((f64::from(gelu(x)) - gelu_f64(xd)).abs());
+            let h = 1e-5;
+            let fd = (gelu_f64(xd + h) - gelu_f64(xd - h)) / (2.0 * h);
+            worst_grad = worst_grad.max((f64::from(gelu_grad(x)) - fd).abs());
+        }
+        assert!(worst <= 1e-6, "gelu max abs error {worst:e}");
+        assert!(worst_grad <= 1e-5, "gelu_grad max abs error {worst_grad:e}");
+    }
+
+    #[test]
+    fn gelu_is_finite_on_finite_inputs_and_pinned_at_the_ends() {
+        // Every 2¹⁵-th bit pattern — all exponents, both signs — and the
+        // largest finite values.
+        let finite = (0..=u32::MAX >> 15)
+            .map(|i| f32::from_bits(i << 15))
+            .chain([f32::MAX, f32::MIN])
+            .filter(|x| x.is_finite());
+        for x in finite {
+            assert!(gelu(x).is_finite(), "gelu({x:e}) = {}", gelu(x));
+            assert!(gelu_grad(x).is_finite(), "gelu'({x:e}) = {}", gelu_grad(x));
+        }
+        assert!(gelu(f32::NAN).is_nan() && gelu_grad(f32::NAN).is_nan());
+        // The ends as they are: the identity on the right; on the left
+        // `e^(−2u)` saturates to +∞, so a finite x gives −0 and −∞ gives
+        // ∞/∞ — NaN, like the tanh form's `−∞ · 0`.
+        assert_eq!(gelu(f32::INFINITY), f32::INFINITY);
+        assert!(gelu(f32::NEG_INFINITY).is_nan());
+        assert_eq!(gelu(f32::MIN).to_bits(), (-0.0f32).to_bits());
+        assert_eq!(gelu(f32::MAX), f32::MAX);
+        assert!(gelu_grad(f32::INFINITY).is_nan() && gelu_grad(f32::NEG_INFINITY).is_nan());
+        assert_eq!((gelu_grad(f32::MAX), gelu_grad(f32::MIN)), (1.0, 0.0));
+        assert_eq!(gelu(0.0).to_bits(), 0.0f32.to_bits());
+        assert_eq!(gelu(-0.0).to_bits(), (-0.0f32).to_bits());
+        assert_eq!(gelu_grad(0.0), 0.5);
     }
 
     #[test]

@@ -152,13 +152,20 @@ impl Tensor {
     /// each element is a pure function of one input, so chunking cannot
     /// change the result.
     pub fn map(&self, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
-        let src = &self.data;
-        let mut out = vec![0.0f32; src.len()];
-        crate::pool::parallel_rows_mut(&mut out, src.len(), ELEMWISE_MIN_CHUNK, |first, block| {
-            for (o, &x) in block.iter_mut().zip(src[first..].iter()) {
-                *o = f(x);
+        self.map_blocks(|_, block| {
+            for x in block.iter_mut() {
+                *x = f(*x);
             }
-        });
+        })
+    }
+
+    /// [`Tensor::map`] for a kernel that takes a slice: a copy of the
+    /// buffer is handed to `f` in parallel chunks, each with the index of
+    /// its first element.
+    pub(crate) fn map_blocks(&self, f: impl Fn(usize, &mut [f32]) + Sync) -> Tensor {
+        let mut out = self.data.to_vec();
+        let len = out.len();
+        crate::pool::parallel_rows_mut(&mut out, len, ELEMWISE_MIN_CHUNK, f);
         Tensor {
             shape: self.shape.clone(),
             data: Arc::new(out),
@@ -538,21 +545,10 @@ impl AsRef<[f32]> for Tensor {
     }
 }
 
-/// GELU activation (tanh approximation, as used by BERT/GPT).
-pub fn gelu(x: f32) -> f32 {
-    const SQRT_2_OVER_PI: f32 = 0.797_884_6;
-    0.5 * x * (1.0 + (SQRT_2_OVER_PI * (x + 0.044_715 * x * x * x)).tanh())
-}
-
-/// Derivative of [`gelu`] with respect to its input.
-pub fn gelu_grad(x: f32) -> f32 {
-    const SQRT_2_OVER_PI: f32 = 0.797_884_6;
-    let x3 = x * x * x;
-    let inner = SQRT_2_OVER_PI * (x + 0.044_715 * x3);
-    let t = inner.tanh();
-    let sech2 = 1.0 - t * t;
-    0.5 * (1.0 + t) + 0.5 * x * sech2 * SQRT_2_OVER_PI * (1.0 + 3.0 * 0.044_715 * x * x)
-}
+// The one-lane form of the activation kernel; slices go through
+// `kernels::gelu_in_place` / `kernels::gelu_grad_scale`, which run the same
+// body lane-wise.
+pub use crate::kernels::{gelu, gelu_grad};
 
 #[cfg(test)]
 mod tests {

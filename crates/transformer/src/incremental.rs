@@ -143,17 +143,22 @@ pub fn feed_stack(
             );
         }
     }
+    // One set of activation buffers for the whole call: every stage below
+    // overwrites its output buffer, so no layer allocates.
+    let (mut normed, mut q, mut k, mut v) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    let (mut ctx, mut hidden, mut proj) = (Vec::new(), Vec::new(), Vec::new());
     for (l, block) in m.blocks.iter().enumerate() {
         let [wq, wk, wv, wo, up, down] = projections(&m.store, block, quant.map(|q| q.block(l)));
         let (h, hd) = (block.attn.n_heads, block.attn.head_dim);
-        let normed = block.ln1.apply_rows(&m.store, &xs, rows);
-        let q = wq.apply_rows(&normed, rows);
-        let k = wk.apply_rows(&normed, rows);
-        let v = wv.apply_rows(&normed, rows);
+        block.ln1.apply_rows_into(&m.store, &xs, rows, &mut normed);
+        wq.apply_rows_into(&normed, rows, &mut q);
+        wk.apply_rows_into(&normed, rows, &mut k);
+        wv.apply_rows_into(&normed, rows, &mut v);
         // Attention is the one per-sequence stage: each entry appends its
         // chunk's key/value rows to its own cache, then each position
         // attends over the prefix the one-token decoder would have had.
-        let mut ctx = vec![0.0f32; rows * d];
+        ctx.clear();
+        ctx.resize(rows * d, 0.0);
         let mut r0 = 0;
         for e in entries.iter_mut() {
             let n = e.tokens.len();
@@ -168,17 +173,17 @@ pub fn feed_stack(
             }
             r0 += n;
         }
-        let attn = wo.apply_rows(&ctx, rows);
-        for (x, a) in xs.iter_mut().zip(&attn) {
+        wo.apply_rows_into(&ctx, rows, &mut proj);
+        for (x, a) in xs.iter_mut().zip(&proj) {
             *x += a;
         }
-        let normed = block.ln2.apply_rows(&m.store, &xs, rows);
-        let mut hidden = up.apply_rows(&normed, rows);
-        for v in hidden.iter_mut() {
-            *v = lm4db_tensor::tensor::gelu(*v);
-        }
-        let ffn = down.apply_rows(&hidden, rows);
-        for (x, f) in xs.iter_mut().zip(&ffn) {
+        block.ln2.apply_rows_into(&m.store, &xs, rows, &mut normed);
+        // GELU in place on the up-projection's output, while it is still
+        // in L1.
+        up.apply_rows_into(&normed, rows, &mut hidden);
+        lm4db_tensor::kernels::gelu_in_place(&mut hidden);
+        down.apply_rows_into(&hidden, rows, &mut proj);
+        for (x, f) in xs.iter_mut().zip(&proj) {
             *x += f;
         }
     }
@@ -192,11 +197,12 @@ pub fn feed_stack(
         r0 += n;
     }
     let kept = read.len() / d;
-    let normed = m.ln_f.apply_rows(&m.store, &read, kept);
+    m.ln_f.apply_rows_into(&m.store, &read, kept, &mut normed);
     // The vocabulary head stays f32 in both formats: its logits feed
     // directly into argmax/beam comparisons, where int8 noise flips
     // decisions.
-    let logits = m.head.apply_rows(&m.store, &normed, kept);
+    let mut logits = Vec::new();
+    m.head.apply_rows_into(&m.store, &normed, kept, &mut logits);
     let mut out = Vec::with_capacity(entries.len());
     let mut next = 0;
     for e in entries.iter_mut() {

@@ -38,7 +38,8 @@ impl Linear {
     }
 
     /// Inference-only application to `rows` consecutive vectors (row-major
-    /// in `xs`), returning the outputs row-major — no tape, no gradients:
+    /// in `xs`), writing the outputs row-major over whatever `ys` held — no
+    /// tape, no gradients, and no allocation once `ys` has the capacity:
     /// the projection of the KV-cache stacked forward. Each output element
     /// is one bias-initialized, input-ascending accumulation chain, the
     /// same at any row count, so a row's result does not depend on what it
@@ -47,17 +48,17 @@ impl Linear {
     /// memory-bound on weights), which is where stacking earns its speedup.
     /// Runs in the calling thread: decode-time parallelism comes from the
     /// engine fanning row groups of a step's stack across the pool.
-    pub fn apply_rows(&self, store: &ParamStore, xs: &[f32], rows: usize) -> Vec<f32> {
+    pub fn apply_rows_into(&self, store: &ParamStore, xs: &[f32], rows: usize, ys: &mut Vec<f32>) {
         let w = store.get(self.w);
         let b = store.get(self.b);
         let (d_in, d_out) = (w.shape()[0], w.shape()[1]);
         assert_eq!(xs.len(), rows * d_in, "apply_rows input shape mismatch");
-        let mut ys = Vec::with_capacity(rows * d_out);
+        ys.clear();
+        ys.reserve(rows * d_out);
         for _ in 0..rows {
             ys.extend_from_slice(b.data());
         }
-        lm4db_tensor::kernels::vec_matmul_rows(xs, d_in, w.data(), d_out, &mut ys);
-        ys
+        lm4db_tensor::kernels::vec_matmul_rows(xs, d_in, w.data(), d_out, ys);
     }
 }
 
@@ -83,13 +84,14 @@ impl LayerNorm {
     }
 
     /// Inference-only normalization of `rows` consecutive `d`-wide vectors,
-    /// each over its own elements alone.
-    pub fn apply_rows(&self, store: &ParamStore, xs: &[f32], rows: usize) -> Vec<f32> {
+    /// each over its own elements alone, written over whatever `out` held.
+    pub fn apply_rows_into(&self, store: &ParamStore, xs: &[f32], rows: usize, out: &mut Vec<f32>) {
         assert_eq!(xs.len() % rows.max(1), 0, "apply_rows ragged input");
         let d = xs.len() / rows.max(1);
         let gain = store.get(self.gain).data();
         let bias = store.get(self.bias).data();
-        let mut out = Vec::with_capacity(xs.len());
+        out.clear();
+        out.reserve(xs.len());
         for x in xs.chunks_exact(d) {
             let mean = x.iter().sum::<f32>() / d as f32;
             let var = x.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
@@ -100,7 +102,6 @@ impl LayerNorm {
                     .map(|(&v, (&g, &b))| (v - mean) * istd * g + b),
             );
         }
-        out
     }
 }
 

@@ -39,21 +39,22 @@ impl QuantLinear {
     }
 
     /// Applies the layer to `rows` consecutive activation vectors, each
-    /// on its own: dynamic int8 quantization of the row, exact i32 matvec,
-    /// dequant-on-store. The activation grid is per row, so a row's result
-    /// does not depend on what it is stacked with.
-    pub fn apply_rows(&self, xs: &[f32], rows: usize) -> Vec<f32> {
+    /// on its own, writing the outputs over whatever `ys` held: dynamic
+    /// int8 quantization of the row, exact i32 matvec, dequant-on-store.
+    /// The activation grid is per row, so a row's result does not depend
+    /// on what it is stacked with.
+    pub fn apply_rows_into(&self, xs: &[f32], rows: usize, ys: &mut Vec<f32>) {
         assert_eq!(
             xs.len(),
             rows * self.w.cols(),
             "apply_rows input shape mismatch"
         );
-        let mut ys = Vec::with_capacity(rows * self.w.rows());
+        ys.clear();
+        ys.reserve(rows * self.w.rows());
         for x in xs.chunks_exact(self.w.cols()) {
             let (qx, sx, zx) = quantize_activation(x);
             ys.extend_from_slice(&self.w.matvec(&qx, sx, zx, &self.b));
         }
-        ys
     }
 
     /// Heap bytes of the quantized weight (int8 payload + scales + bias).
@@ -105,12 +106,12 @@ pub(crate) enum Proj<'a> {
 }
 
 impl Proj<'_> {
-    /// Applies the projection to `rows` stacked vectors, row by row
-    /// identical to a one-row application in either format.
-    pub(crate) fn apply_rows(&self, xs: &[f32], rows: usize) -> Vec<f32> {
+    /// Applies the projection to `rows` stacked vectors into `ys`, row by
+    /// row identical to a one-row application in either format.
+    pub(crate) fn apply_rows_into(&self, xs: &[f32], rows: usize, ys: &mut Vec<f32>) {
         match self {
-            Proj::F32(store, lin) => lin.apply_rows(store, xs, rows),
-            Proj::Q8(q) => q.apply_rows(xs, rows),
+            Proj::F32(store, lin) => lin.apply_rows_into(store, xs, rows, ys),
+            Proj::Q8(q) => q.apply_rows_into(xs, rows, ys),
         }
     }
 }

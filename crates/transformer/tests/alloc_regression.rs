@@ -1,4 +1,5 @@
-//! Regression test: KV-cached decoding does O(1) allocations per step.
+//! Regression test: KV-cached decoding does O(1) allocations per step, and
+//! few of them.
 //!
 //! [`KvCache::new`] pre-reserves every buffer that grows with sequence
 //! length (per-layer K/V rows, the token list, the logits scratch), so a
@@ -65,6 +66,15 @@ fn decode_step_allocations_do_not_grow_with_position() {
     // boundaries and a count that trends upward with position.
     let first = per_step[0];
     assert!(first > 0, "expected the forward pass to allocate scratch");
+    // And O(1) is a small one: one set of activation buffers per forward
+    // (seven, shared by every layer), the embedded rows, the rows read out,
+    // their logits, the per-entry result list, and one attention score row
+    // per layer (two here). A buffer allocated inside the layer loop again
+    // shows up as `n_layers` more.
+    assert!(
+        first <= 13,
+        "a one-token feed did {first} allocations, expected at most 13"
+    );
     let assert_flat = |what: &str, per_step: &[u64]| {
         for (i, &n) in per_step.iter().enumerate() {
             assert_eq!(
