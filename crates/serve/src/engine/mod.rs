@@ -264,8 +264,10 @@ impl<'a> Engine<'a> {
     ///
     /// With tracing on (`LM4DB_TRACE=1`), each phase is timed as a span
     /// nested under `serve_step` — `admit` (admission + deadline sweep),
-    /// `feed` (the step's stacked forward, row groups across the pool), and
-    /// `select` (serial token selection) — and the [`Stats`] counters are
+    /// `feed` (the step's stacked forward, row groups across the pool, and
+    /// nothing but the model), `share` (finished prefills go into the
+    /// prefix trie, which evicts to its budget), and `select` (serial token
+    /// selection) — and the [`Stats`] counters are
     /// mirrored into the global registry under `serve/*`. At
     /// `LM4DB_TRACE=2` the same spans additionally emit flight-recorder
     /// events, a request's own events carry its id (selection runs under a
@@ -287,6 +289,9 @@ impl<'a> Engine<'a> {
                 let _t = lm4db_obs::span("feed");
                 let failures = feed::run(self);
                 feed::quarantine(self, failures);
+            }
+            {
+                let _t = lm4db_obs::span("share");
                 feed::share_prefixes(self);
             }
             let occupancy = self.active.iter().map(|j| j.run.live.len()).sum::<usize>();

@@ -12,25 +12,62 @@
 //! Capacity is bounded by a token (= node) budget; when an insert exceeds
 //! it, least-recently-used leaves are evicted until the budget holds.
 //! Eviction only ever removes leaves, so every surviving node still
-//! represents a valid prefix. A [`std::collections::BTreeMap`] keyed on
-//! token ids keeps traversal order — and therefore eviction — fully
-//! deterministic.
-
-use std::collections::BTreeMap;
+//! represents a valid prefix. Every touch advances one clock, so ages are
+//! unique and the least-recently-used leaf is one particular node: eviction
+//! is deterministic whatever order the trie is walked in.
+//!
+//! The trie *keeps* its LRU order instead of searching for it. Each node
+//! caches the age of the oldest leaf at or below it; a restore or insert
+//! recomputes that age bottom-up along the one path it touched, and
+//! eviction follows it down from the root. Costs, in nodes visited:
+//! restore O(hit length), insert O(prompt length), one evicted position
+//! O(depth × fan-out along its path) — none depends on how many other
+//! prefixes the cache holds (a counting test pins that, and
+//! `prefix/differential.rs` checks every eviction against the full-scan
+//! implementation this one replaced).
 
 use lm4db_transformer::{GptModel, KvCache};
+
+#[cfg(test)]
+mod differential;
+#[cfg(test)]
+mod reference;
+
+/// A node's children, sorted by token. Nine nodes in ten are inside a
+/// header chain and have exactly one, which a map would pay a whole tree
+/// leaf for.
+type Children = Vec<(usize, Node)>;
 
 struct Node {
     /// Flattened per-layer `[k, v]` rows for this position, in the layout
     /// of [`KvCache::position_kv`].
     kv: Vec<f32>,
-    children: BTreeMap<usize, Node>,
+    children: Children,
     last_used: u64,
+    /// Age of the least-recently-used leaf at or below this node: its own
+    /// `last_used` while it is a leaf, the minimum over `children`
+    /// otherwise. Whoever changes anything below a node calls
+    /// [`Node::refresh`] on the way back up.
+    oldest: u64,
+}
+
+impl Node {
+    /// Recomputes `oldest` from the children, which must be up to date.
+    fn refresh(&mut self) {
+        #[cfg(test)]
+        probe::visit(self.children.len());
+        self.oldest = self
+            .children
+            .iter()
+            .map(|(_, c)| c.oldest)
+            .min()
+            .unwrap_or(self.last_used);
+    }
 }
 
 /// Trie of cached prompt prefixes. See the module docs.
 pub struct PrefixCache {
-    children: BTreeMap<usize, Node>,
+    children: Children,
     max_tokens: usize,
     stored: usize,
     clock: u64,
@@ -41,7 +78,7 @@ impl PrefixCache {
     /// caching entirely.
     pub fn new(max_tokens: usize) -> Self {
         PrefixCache {
-            children: BTreeMap::new(),
+            children: Vec::new(),
             max_tokens,
             stored: 0,
             clock: 0,
@@ -71,23 +108,7 @@ impl PrefixCache {
         if !self.enabled() {
             return 0;
         }
-        let mut clock = self.clock;
-        let mut children = &mut self.children;
-        let mut restored = 0;
-        for &tok in tokens {
-            match children.get_mut(&tok) {
-                None => break,
-                Some(node) => {
-                    clock += 1;
-                    node.last_used = clock;
-                    cache.push_position(model, tok, &node.kv);
-                    restored += 1;
-                    children = &mut node.children;
-                }
-            }
-        }
-        self.clock = clock;
-        restored
+        restore_below(&mut self.children, tokens, &mut self.clock, model, cache)
     }
 
     /// Inserts the first `upto` positions of `cache` (which must have fed
@@ -99,82 +120,133 @@ impl PrefixCache {
             return;
         }
         assert!(upto <= cache.len(), "insert beyond cache length");
-        let tokens = &cache.tokens()[..upto];
-        let mut clock = self.clock;
-        let mut stored = self.stored;
-        let mut children = &mut self.children;
-        for (t, &tok) in tokens.iter().enumerate() {
-            clock += 1;
-            let node = children.entry(tok).or_insert_with(|| {
-                stored += 1;
-                Node {
-                    kv: cache.position_kv(model, t),
-                    children: BTreeMap::new(),
-                    last_used: 0,
-                }
-            });
-            node.last_used = clock;
-            children = &mut node.children;
-        }
-        self.clock = clock;
-        self.stored = stored;
-        self.evict();
-    }
-
-    /// Evicts least-recently-used leaves until the token budget holds.
-    fn evict(&mut self) {
+        insert_below(
+            &mut self.children,
+            model,
+            cache,
+            0..upto,
+            &mut self.clock,
+            &mut self.stored,
+        );
         while self.stored > self.max_tokens {
-            let Some(age) = Self::oldest_leaf(&self.children) else {
-                break;
-            };
-            if Self::remove_leaf(&mut self.children, age) {
-                self.stored -= 1;
-            } else {
-                break;
+            let _leaf = evict_oldest(&mut self.children);
+            self.stored -= 1;
+            #[cfg(test)]
+            probe::evicted(_leaf);
+        }
+    }
+}
+
+/// Restores the longest cached prefix of `tokens` found below `children`,
+/// touching each node on it; returns how many positions that was.
+fn restore_below(
+    children: &mut Children,
+    tokens: &[usize],
+    clock: &mut u64,
+    model: &GptModel,
+    cache: &mut KvCache,
+) -> usize {
+    let Some((&tok, rest)) = tokens.split_first() else {
+        return 0;
+    };
+    let Ok(i) = children.binary_search_by_key(&tok, |c| c.0) else {
+        return 0;
+    };
+    let node = &mut children[i].1;
+    *clock += 1;
+    node.last_used = *clock;
+    cache.push_position(model, tok, &node.kv);
+    let below = restore_below(&mut node.children, rest, clock, model, cache);
+    node.refresh();
+    1 + below
+}
+
+/// Inserts `positions` of `cache` below `children`, touching the nodes
+/// that exist and creating the ones that do not (counted into `stored`).
+fn insert_below(
+    children: &mut Children,
+    model: &GptModel,
+    cache: &KvCache,
+    mut positions: std::ops::Range<usize>,
+    clock: &mut u64,
+    stored: &mut usize,
+) {
+    let Some(t) = positions.next() else {
+        return;
+    };
+    let tok = cache.tokens()[t];
+    let i = match children.binary_search_by_key(&tok, |c| c.0) {
+        Ok(i) => i,
+        Err(i) => {
+            if children.is_empty() {
+                // The usual node never gets a second child: skip `Vec`'s
+                // four-slot first growth.
+                children.reserve_exact(1);
             }
+            let node = Node {
+                kv: cache.position_kv(model, t),
+                children: Vec::new(),
+                last_used: 0,
+                oldest: 0,
+            };
+            children.insert(i, (tok, node));
+            *stored += 1;
+            i
         }
+    };
+    let node = &mut children[i].1;
+    *clock += 1;
+    node.last_used = *clock;
+    insert_below(&mut node.children, model, cache, positions, clock, stored);
+    node.refresh();
+}
+
+/// Removes the least-recently-used leaf below `children` by following the
+/// cached ages down, and returns its `(depth, token)`.
+fn evict_oldest(children: &mut Children) -> (usize, usize) {
+    #[cfg(test)]
+    probe::visit(children.len());
+    let i = (0..children.len())
+        .min_by_key(|&i| children[i].1.oldest)
+        .expect("over budget implies a leaf exists");
+    let node = &mut children[i].1;
+    if node.children.is_empty() {
+        (1, children.remove(i).0)
+    } else {
+        let (depth, tok) = evict_oldest(&mut node.children);
+        node.refresh();
+        (depth + 1, tok)
+    }
+}
+
+/// What the tests watch the eviction path through; not in the product.
+#[cfg(test)]
+mod probe {
+    use std::cell::{Cell, RefCell};
+
+    thread_local! {
+        static VISITS: Cell<usize> = const { Cell::new(0) };
+        static EVICTED: RefCell<Vec<(usize, usize)>> = const { RefCell::new(Vec::new()) };
     }
 
-    /// Age of the least-recently-used leaf in the forest, if any. Ages are
-    /// unique (the clock advances on every touch), so the minimum
-    /// identifies exactly one leaf.
-    fn oldest_leaf(children: &BTreeMap<usize, Node>) -> Option<u64> {
-        children
-            .values()
-            .map(|n| {
-                if n.children.is_empty() {
-                    n.last_used
-                } else {
-                    Self::oldest_leaf(&n.children).expect("non-empty subtree has a leaf")
-                }
-            })
-            .min()
+    /// `n` more child entries were read to find or recompute an age.
+    pub(super) fn visit(n: usize) {
+        VISITS.with(|v| v.set(v.get() + n));
     }
 
-    /// Removes the unique leaf whose age is `age`; returns whether it was
-    /// found.
-    fn remove_leaf(children: &mut BTreeMap<usize, Node>, age: u64) -> bool {
-        let key = children
-            .iter()
-            .find(|(_, n)| {
-                let leaf_age = if n.children.is_empty() {
-                    n.last_used
-                } else {
-                    Self::oldest_leaf(&n.children).expect("non-empty subtree has a leaf")
-                };
-                leaf_age == age
-            })
-            .map(|(&k, _)| k);
-        let Some(k) = key else {
-            return false;
-        };
-        let node = children.get_mut(&k).expect("key just found");
-        if node.children.is_empty() {
-            children.remove(&k);
-            true
-        } else {
-            Self::remove_leaf(&mut node.children, age)
-        }
+    /// A leaf `(depth, token)` was evicted.
+    pub(super) fn evicted(leaf: (usize, usize)) {
+        EVICTED.with(|e| e.borrow_mut().push(leaf));
+    }
+
+    /// Child entries read on this thread since the last call.
+    pub(super) fn take_visits() -> usize {
+        VISITS.with(Cell::take)
+    }
+
+    /// Leaves evicted on this thread since the last call, in order.
+    pub(super) fn take_evicted() -> Vec<(usize, usize)> {
+        EVICTED.with(RefCell::take)
     }
 }
 

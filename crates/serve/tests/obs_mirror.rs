@@ -90,6 +90,7 @@ fn registry_counters_match_engine_stats() {
         "serve_step",
         "serve_step/admit",
         "serve_step/feed",
+        "serve_step/share",
         "serve_step/select",
     ] {
         let t = snap

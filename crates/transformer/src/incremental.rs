@@ -157,6 +157,8 @@ pub fn feed_stack(
         // Attention is the one per-sequence stage: each entry appends its
         // chunk's key/value rows to its own cache, then each position
         // attends over the prefix the one-token decoder would have had.
+        // `normed` has been read by the three projections and is not
+        // written again until `ln2`: it lends its storage to the scores.
         ctx.clear();
         ctx.resize(rows * d, 0.0);
         let mut r0 = 0;
@@ -169,7 +171,8 @@ pub fn feed_stack(
             cache.t += n;
             for (p, r) in (r0..r0 + n).enumerate() {
                 let span = r * d..(r + 1) * d;
-                attend_prefix(&q[span.clone()], cache, base + p + 1, h, hd, &mut ctx[span]);
+                let ctx = &mut ctx[span.clone()];
+                attend_prefix(&q[span], cache, base + p + 1, h, hd, ctx, &mut normed);
             }
             r0 += n;
         }

@@ -261,6 +261,10 @@ impl AttnCache {
 /// key/value rows before attending, so each chunk position passes the cache
 /// length the one-token decoder would have seen — causality inside the
 /// chunk, and a per-head kernel call identical to the one-position path.
+///
+/// `scratch` is any buffer the caller is not reading: the inline path keeps
+/// its score row there (growing it to `t_lim` if need be) instead of
+/// allocating one per call.
 pub(crate) fn attend_prefix(
     q: &[f32],
     cache: &AttnCache,
@@ -268,22 +272,31 @@ pub(crate) fn attend_prefix(
     h: usize,
     hd: usize,
     ctx: &mut [f32],
+    scratch: &mut Vec<f32>,
 ) {
     let d = h * hd;
     let scale = 1.0 / (hd as f32).sqrt();
-    // Heads are independent and each owns a disjoint `hd`-wide slice of
-    // `ctx`, so they fan out across the pool. Tiny caches run inline
-    // (min_heads = h forces a single chunk).
-    let min_heads = if t_lim * hd >= 4_096 { 1 } else { h };
     let (ck, cv) = (&cache.k[..t_lim * d], &cache.v[..t_lim * d]);
-    lm4db_tensor::parallel_rows_mut(ctx, h, min_heads, |first_head, block| {
-        let mut scores = vec![0.0f32; t_lim];
+    let heads = |first_head: usize, block: &mut [f32], scores: &mut [f32]| {
         for (hh, ctx_h) in block.chunks_mut(hd).enumerate() {
             let off = (first_head + hh) * hd;
             let qh = &q[off..off + hd];
-            lm4db_tensor::kernels::attn_head(qh, ck, cv, d, off, scale, &mut scores, ctx_h);
+            lm4db_tensor::kernels::attn_head(qh, ck, cv, d, off, scale, scores, ctx_h);
         }
-    });
+    };
+    // Heads are independent and each owns a disjoint `hd`-wide slice of
+    // `ctx`, so over a long cache they fan out across the pool, a score row
+    // per task. A short one is not worth a dispatch and runs here.
+    if t_lim * hd >= 4_096 {
+        lm4db_tensor::parallel_rows_mut(ctx, h, 1, |first_head, block| {
+            heads(first_head, block, &mut vec![0.0f32; t_lim]);
+        });
+    } else {
+        if scratch.len() < t_lim {
+            scratch.resize(t_lim, 0.0);
+        }
+        heads(0, ctx, &mut scratch[..t_lim]);
+    }
 }
 
 /// Two-layer feed-forward network with GELU.
