@@ -8,9 +8,7 @@
 //! attention can look back directly.
 
 use lm4db::tensor::Rand;
-use lm4db::transformer::{
-    greedy, GptModel, ModelConfig, NextToken, RnnConfig, RnnLm, Unconstrained,
-};
+use lm4db::transformer::{greedy, GptModel, ModelConfig, NextToken, RnnConfig, RnnLm};
 use lm4db_bench::{pct, print_table};
 
 const QUERY: usize = 8; // token id marking "now answer for this key"
@@ -54,7 +52,7 @@ fn train_and_eval(model: &mut dyn NextTokenTrain, n_pairs: usize, steps: usize) 
     let total = 40;
     for _ in 0..total {
         let (seq, v) = episode(n_pairs, &mut rng);
-        let out = greedy(model.as_next_token(), &seq, 1, usize::MAX, &Unconstrained);
+        let out = greedy(model.as_next_token(), &seq, 1, usize::MAX, None);
         if out.first() == Some(&v) {
             correct += 1;
         }

@@ -240,7 +240,6 @@ fn main() {
         max_queue: MAX_QUEUE,
         tenants: tenant_classes(),
         slo_admission: true,
-        slo_initial_service_steps: 4,
         ..Default::default()
     };
 

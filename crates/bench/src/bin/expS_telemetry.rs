@@ -223,7 +223,6 @@ fn main() {
         max_queue: 256,
         tenants: tenant_classes(),
         slo_admission: true,
-        slo_initial_service_steps: 4,
         sample_steps: 0,
         slo_alerts: None,
         ..Default::default()

@@ -20,7 +20,7 @@ use lm4db_sql::Catalog;
 use lm4db_tensor::Rand;
 use lm4db_text2sql::{decode_units, SqlTrie, TrieConstraint};
 use lm4db_tokenize::{Bpe, Tokenizer, BOS, EOS};
-use lm4db_transformer::{sample, GptModel, ModelConfig, SampleOptions, Unconstrained};
+use lm4db_transformer::{sample, GptModel, ModelConfig, SampleOptions};
 
 use crate::dsl::{parse_pipeline, Pipeline};
 use crate::instructions::Task;
@@ -185,9 +185,6 @@ impl Synthesizer {
             .map(|q| q.len() + 2)
             .max()
             .unwrap_or(48);
-        // Decode through the engine-native incremental mask — the same
-        // veto set as the oracle form of `TrieConstraint`, materialized
-        // once per beam step instead of probed per vocabulary token.
         let hyps = Engine::new(&self.gpt).beam(&prompt, 3, max_new, EOS, Some(&constraint));
         let best = hyps.iter().find(|h| h.finished).or_else(|| hyps.first());
         let Some(best) = best else {
@@ -275,15 +272,7 @@ impl Synthesizer {
                     top_k: 8,
                     top_p: 1.0,
                 };
-                let generated = sample(
-                    &mut self.gpt,
-                    &prompt,
-                    48,
-                    EOS,
-                    &opts,
-                    &Unconstrained,
-                    &mut self.rng,
-                );
+                let generated = sample(&mut self.gpt, &prompt, 48, EOS, &opts, None, &mut self.rng);
                 let mut ids = prompt.clone();
                 ids.extend(generated);
                 ids

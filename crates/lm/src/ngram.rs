@@ -210,7 +210,7 @@ impl lm4db_transformer::DraftModel for NGramLm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lm4db_transformer::{greedy, Unconstrained};
+    use lm4db_transformer::greedy;
 
     fn repeating_stream() -> Vec<usize> {
         // 1 2 3 1 2 3 ... deterministic trigram structure.
@@ -263,7 +263,7 @@ mod tests {
     fn generation_follows_pattern() {
         let mut lm = NGramLm::new(3, 10);
         lm.train(&repeating_stream());
-        let out = greedy(&mut lm, &[1, 2], 4, 999, &Unconstrained);
+        let out = greedy(&mut lm, &[1, 2], 4, 999, None);
         assert_eq!(out, vec![3, 1, 2, 3]);
     }
 

@@ -30,8 +30,8 @@ pub enum EventKind {
     /// A point-in-time marker (`ph: "i"`).
     Instant,
     /// A complete interval whose duration is in [`Event::arg`] (`ph: "X"`,
-    /// emitted by [`crate::timed`] which only knows the duration at the
-    /// end).
+    /// emitted by [`complete_for`], whose caller knows the duration only
+    /// at the end).
     Complete,
 }
 

@@ -37,11 +37,6 @@ impl TimerStat {
         self.total_ns.checked_div(self.count).unwrap_or(0)
     }
 
-    /// Total recorded time in seconds.
-    pub fn total_secs(&self) -> f64 {
-        self.total_ns as f64 / 1e9
-    }
-
     /// Approximate quantile from the log₂ histogram: the upper bound of
     /// the bucket where the cumulative count crosses `q * count`. `q` is
     /// clamped to `[0, 1]`; returns 0 when empty.

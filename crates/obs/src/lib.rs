@@ -119,7 +119,7 @@ pub use hist::Histogram;
 pub use prom::{global_prometheus, to_prometheus, validate_exposition};
 pub use registry::{counter_add, gauge_set, record_duration_ns, reset, snapshot};
 pub use slo::{AlertConfig, AlertState, AlertTransition, SloMonitor};
-pub use span::{leaf, span, time, timed, Span};
+pub use span::{leaf, span, time, Span};
 pub use timeseries::{
     env_sample_steps, sample_registry, series_record, series_reset, series_snapshot, Point, Series,
 };

@@ -14,7 +14,7 @@
 //! `span()`/`leaf()` shows up in per-request timelines with no changes.
 
 use std::cell::RefCell;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::event::{Event, EventKind};
 use crate::registry::record_duration_ns;
@@ -145,28 +145,6 @@ pub fn time<R>(name: &'static str, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Runs `f`, always measuring its wall-clock duration, and records it as a
-/// flat timer when tracing is enabled. Benches use this so their printed
-/// tables and the exported trace come from the *same* measurement and
-/// cannot drift apart.
-pub fn timed<R>(name: &'static str, f: impl FnOnce() -> R) -> (R, Duration) {
-    let start = Instant::now();
-    let out = f();
-    let elapsed = start.elapsed();
-    if crate::enabled() {
-        record_duration_ns(name, elapsed.as_nanos() as u64);
-        if crate::events_enabled() {
-            // A complete ("X") event: stamped at the end, duration in arg.
-            crate::flight::record(Event::now(
-                EventKind::Complete,
-                name,
-                elapsed.as_nanos() as u64,
-            ));
-        }
-    }
-    (out, elapsed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,17 +178,5 @@ mod tests {
             PATH.with(|p| assert_eq!(&*p.borrow(), "outer"));
         }
         crate::set_enabled(false);
-    }
-
-    #[test]
-    fn timed_measures_even_when_disabled() {
-        let _lock = crate::TEST_LOCK.lock().unwrap();
-        crate::set_enabled(false);
-        let (v, d) = timed("x", || {
-            std::thread::sleep(Duration::from_micros(20));
-            7
-        });
-        assert_eq!(v, 7);
-        assert!(d >= Duration::from_micros(20));
     }
 }

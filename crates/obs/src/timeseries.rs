@@ -199,42 +199,26 @@ impl Series {
 pub const DEFAULT_SERIES_CAP: usize = 512;
 
 /// The global named-series store behind [`series_record`].
-struct Store {
-    series: BTreeMap<String, Series>,
-    cap: usize,
+static STORE: OnceLock<Mutex<BTreeMap<String, Series>>> = OnceLock::new();
+
+fn store() -> &'static Mutex<BTreeMap<String, Series>> {
+    STORE.get_or_init(|| Mutex::new(BTreeMap::new()))
 }
 
-static STORE: OnceLock<Mutex<Store>> = OnceLock::new();
-
-fn store() -> &'static Mutex<Store> {
-    STORE.get_or_init(|| {
-        Mutex::new(Store {
-            series: BTreeMap::new(),
-            cap: DEFAULT_SERIES_CAP,
-        })
-    })
-}
-
-/// Appends a sample to the named global series, creating it (with the
-/// store's ring capacity) on first use. Unlike counters this is **not**
-/// gated on the trace level: the sampler that calls it is armed by its
-/// own cadence (`LM4DB_SAMPLE_STEPS` / `EngineOptions`), and runs far off
-/// the per-token hot path.
+/// Appends a sample to the named global series, creating it (with
+/// [`DEFAULT_SERIES_CAP`] points of ring) on first use. Unlike counters
+/// this is **not** gated on the trace level: the sampler that calls it is
+/// armed by its own cadence (`LM4DB_SAMPLE_STEPS` / `EngineOptions`), and
+/// runs far off the per-token hot path.
 pub fn series_record(name: &str, step: u64, value: u64) {
     let mut s = store().lock().unwrap();
-    if let Some(series) = s.series.get_mut(name) {
+    if let Some(series) = s.get_mut(name) {
         series.push(step, value);
         return;
     }
-    let cap = s.cap;
-    let mut series = Series::with_capacity(cap);
+    let mut series = Series::with_capacity(DEFAULT_SERIES_CAP);
     series.push(step, value);
-    s.series.insert(name.to_string(), series);
-}
-
-/// Sets the ring capacity used for series created *after* this call.
-pub fn set_series_capacity(cap: usize) {
-    store().lock().unwrap().cap = cap.max(1);
+    s.insert(name.to_string(), series);
 }
 
 /// A point-in-time copy of every global series, sorted by name — the
@@ -243,15 +227,14 @@ pub fn series_snapshot() -> Vec<(String, Series)> {
     store()
         .lock()
         .unwrap()
-        .series
         .iter()
         .map(|(k, v)| (k.clone(), v.clone()))
         .collect()
 }
 
-/// Drops every global series (capacity setting survives).
+/// Drops every global series.
 pub fn series_reset() {
-    store().lock().unwrap().series.clear();
+    store().lock().unwrap().clear();
 }
 
 /// Tolerant `LM4DB_SAMPLE_STEPS` parsing: the sampling cadence in

@@ -23,7 +23,7 @@ fn record_workload() {
         {
             let _inner = lm4db_obs::leaf("kernel");
         }
-        let (_, _) = lm4db_obs::timed("validate", || 1 + 1);
+        lm4db_obs::complete_for("validate", 11, 1_000);
     }
     std::thread::spawn(|| {
         let _req = lm4db_obs::request_scope(12);

@@ -75,16 +75,12 @@ pub enum RoutePolicy {
 pub struct RouterOptions {
     /// Number of engine replicas (≥ 1).
     pub replicas: usize,
-    /// Virtual nodes per replica on the routing ring.
-    pub vnodes: u32,
     /// Prompt tokens hashed into the routing fingerprint (0 = whole
     /// prompt).
     pub prefix_window: usize,
     /// Heartbeat cadence in router steps (0 disables health rolls — no
     /// fault-driven kills, breakers stay closed).
     pub heartbeat_every: u64,
-    /// Consecutive heartbeat misses that trip a replica's breaker.
-    pub breaker_threshold: u32,
     /// Steps a tripped breaker stays open before its half-open probe.
     pub breaker_cooldown: u64,
     /// Replica-selection policy.
@@ -97,10 +93,8 @@ impl Default for RouterOptions {
     fn default() -> Self {
         RouterOptions {
             replicas: 4,
-            vnodes: 64,
             prefix_window: 8,
             heartbeat_every: 32,
-            breaker_threshold: 2,
             breaker_cooldown: 96,
             policy: RoutePolicy::PrefixAffinity,
             engine: EngineOptions::default(),
@@ -216,17 +210,21 @@ impl<'a> Router<'a> {
     /// A router whose replicas all serve `model` with the options'
     /// per-engine configuration.
     pub fn new(model: &'a GptModel, opts: RouterOptions) -> Self {
+        /// Consecutive heartbeat misses that trip a replica's breaker.
+        const BREAKER_THRESHOLD: u32 = 2;
+        /// Ring nodes per replica: at ≥ 64 none owns > 2× its fair share.
+        const VNODES: u32 = 64;
         assert!(opts.replicas >= 1, "need at least one replica");
         let replicas: Vec<Replica<'a>> = (0..opts.replicas)
             .map(|_| Replica {
                 engine: Engine::with_options(model, opts.engine.clone()),
-                breaker: Breaker::new(opts.breaker_threshold, opts.breaker_cooldown),
+                breaker: Breaker::new(BREAKER_THRESHOLD, opts.breaker_cooldown),
                 alive: true,
                 routed: 0,
                 ids: BTreeMap::new(),
             })
             .collect();
-        let ring = HashRing::new(opts.replicas as u32, opts.vnodes);
+        let ring = HashRing::new(opts.replicas as u32, VNODES);
         Router {
             replicas,
             ring,

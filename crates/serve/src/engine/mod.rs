@@ -137,12 +137,13 @@ impl<'a> Engine<'a> {
 
     /// An engine with explicit options.
     pub fn with_options(model: &'a GptModel, opts: EngineOptions) -> Self {
+        /// SLO admission's service-step estimate before any completion.
+        const SLO_INITIAL_SERVICE_STEPS: u64 = 4;
         assert!(opts.max_batch >= 1, "max_batch must be at least 1");
         let quant = opts
             .quantized
             .then(|| lm4db_transformer::QuantizedGpt::from_model(model));
         let queue = FairQueues::new(opts.tenants.clone());
-        let est_service_steps = opts.slo_initial_service_steps.max(1);
         let monitor = opts.slo_alerts.map(lm4db_obs::SloMonitor::new);
         // Record each tenant's wall-clock SLO target up front so stats
         // snapshots carry the full SLO schema. The target is accounting
@@ -166,7 +167,7 @@ impl<'a> Engine<'a> {
             stats,
             ticks: 0,
             next_serial: 0,
-            est_service_steps,
+            est_service_steps: SLO_INITIAL_SERVICE_STEPS,
             monitor,
             transitions: Vec::new(),
         }

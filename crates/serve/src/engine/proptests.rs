@@ -2,11 +2,10 @@
 //! speculation, for arbitrary prompt mixes.
 
 use super::tests::testdraft::ConstDraft;
+use super::tests::MultiplesOrEos;
 use super::*;
 use lm4db_tokenize::{BOS, EOS};
-use lm4db_transformer::{
-    greedy as greedy_single, greedy_cached, ConstraintMask, IncrementalSession, ModelConfig,
-};
+use lm4db_transformer::{greedy as greedy_single, greedy_cached, IncrementalSession, ModelConfig};
 use proptest::prelude::*;
 
 proptest! {
@@ -57,8 +56,7 @@ proptest! {
     ) {
         let m = GptModel::new(ModelConfig::test(), 13);
         let step = modulus + 1;
-        let allow = move |_p: &[usize], t: usize| t.is_multiple_of(step) || t == EOS;
-        let mask = ConstraintMask(&allow);
+        let mask = MultiplesOrEos(step);
         let draft = ConstDraft {
             vocab: m.config().vocab_size,
             tok: draft_tok % m.config().vocab_size,
@@ -80,7 +78,7 @@ proptest! {
             let mut prompt = vec![BOS];
             prompt.extend_from_slice(p);
             let mut session = IncrementalSession::new(&m);
-            let want = greedy_single(&mut session, &prompt, 6, EOS, &allow);
+            let want = greedy_single(&mut session, &prompt, 6, EOS, Some(&mask));
             prop_assert_eq!(&r.tokens, &want);
             prop_assert!(
                 r.tokens.iter().all(|&t| t.is_multiple_of(step)),

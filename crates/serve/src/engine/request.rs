@@ -65,8 +65,8 @@ pub struct Request<'a> {
     pub decode: Decode,
     /// Optional incremental grammar mask (PICARD-style constrained
     /// decoding): materialized once per decode step as a vocabulary-wide
-    /// allow table. A per-token [`lm4db_transformer::Constraint`] oracle
-    /// attaches through the [`lm4db_transformer::ConstraintMask`] adapter.
+    /// allow table — the same form `lm4db_transformer::{greedy, beam,
+    /// sample}` take.
     pub mask: Option<&'a dyn TokenMask>,
     /// Optional deadline.
     pub deadline: Deadline,
@@ -209,12 +209,9 @@ pub struct EngineOptions {
     /// the tenant's target — the backlog a tenant waits behind is its own
     /// tier's and higher tiers' queues plus the running batch, so
     /// lower-tier tenants shed first under overload. The service estimate
-    /// is a deterministic integer EWMA over completed requests, seeded by
-    /// [`EngineOptions::slo_initial_service_steps`].
+    /// is a deterministic integer EWMA over completed requests, starting
+    /// at 4 steps before any request has completed.
     pub slo_admission: bool,
-    /// Initial per-request service-step estimate for SLO admission, before
-    /// any request has completed (clamped to ≥ 1).
-    pub slo_initial_service_steps: u64,
     /// Speculative decoding lookahead: after each greedy selection the
     /// draft model (see [`crate::Engine::set_draft`]) proposes up to this
     /// many tokens, which the next scheduler step verifies as one chunk of
@@ -265,7 +262,6 @@ impl Default for EngineOptions {
             quantized: false,
             tenants: Vec::new(),
             slo_admission: false,
-            slo_initial_service_steps: 8,
             draft_k: 0,
             sample_steps: lm4db_obs::env_sample_steps(),
             slo_alerts: None,

@@ -2,8 +2,8 @@
 //! logits the feed stage just produced, one request at a time in batch
 //! order.
 
-use lm4db_transformer::generate::{apply_token_mask, argmax, log_softmax};
-use lm4db_transformer::{DraftModel, GptModel, Hypothesis, TokenMask};
+use lm4db_transformer::generate::{argmax, log_softmax, mask_logits};
+use lm4db_transformer::{DraftModel, GptModel, Hypothesis};
 
 use super::request::{Job, Seq};
 use super::retire::finish;
@@ -40,21 +40,6 @@ pub(super) fn log_softmax_at(logits: &[f32], idx: usize) -> f32 {
     logits[idx] - logsum
 }
 
-/// Applies a request's grammar mask to `logits` in place and returns how
-/// many tokens remain allowed. [`apply_token_mask`] performs the same
-/// float write as `generate::apply_constraint` (`NEG_INFINITY` into
-/// vetoed entries, ascending token order), so a masked request decodes
-/// byte-identically to the single-request decoders under the same veto
-/// set.
-fn apply_mask(logits: &mut [f32], prefix: &[usize], mask: Option<&dyn TokenMask>) -> usize {
-    let Some(m) = mask else {
-        return logits.len();
-    };
-    let mut allow = vec![false; logits.len()];
-    m.fill(prefix, &mut allow);
-    apply_token_mask(logits, &allow)
-}
-
 /// One selection round for one request: consume the freshly computed
 /// logits, choose continuations, and either schedule more work (`false`)
 /// or report the request finished (`true`). Runs serially — masks need
@@ -80,7 +65,10 @@ fn select(
     stats: &mut Stats,
 ) -> bool {
     let max_seq_len = model.config().max_seq_len;
+    // Masks veto through the single-request decoders' own `mask_logits`,
+    // so a masked request decodes byte-identically to them.
     let mask = job.req.mask;
+    let mut allow = Vec::new();
     let run = &mut job.run;
     match job.req.decode {
         Decode::Greedy { max_new, stop } => {
@@ -107,7 +95,7 @@ fn select(
                 let mut masked = Vec::new();
                 let logits = if mask.is_some() {
                     masked.extend_from_slice(raw);
-                    if apply_mask(&mut masked, &seq.ids[..vlen], mask) == 0 {
+                    if mask_logits(&mut masked, &seq.ids[..vlen], mask, &mut allow) == 0 {
                         // Dead end: `generate::greedy` stops and returns
                         // the output so far.
                         return true;
@@ -160,7 +148,7 @@ fn select(
                         .min(max_seq_len.saturating_sub(seq.ids.len()));
                     while drafted < budget {
                         let mut dl = dm.draft_logits(&seq.ids);
-                        if apply_mask(&mut dl, &seq.ids, mask) == 0 {
+                        if mask_logits(&mut dl, &seq.ids, mask, &mut allow) == 0 {
                             break;
                         }
                         let dt = argmax(&dl);
@@ -193,7 +181,7 @@ fn select(
             let mut specs: Vec<(usize, usize, f32)> = Vec::new();
             for (si, seq) in run.live.iter().enumerate() {
                 let mut logits = seq.cache.last_logits().to_vec();
-                if apply_mask(&mut logits, &seq.ids, mask) == 0 {
+                if mask_logits(&mut logits, &seq.ids, mask, &mut allow) == 0 {
                     continue; // dead end — drop this beam
                 }
                 let log_probs = log_softmax(&logits);

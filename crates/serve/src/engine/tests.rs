@@ -8,9 +8,21 @@ use super::select::log_softmax_at;
 use super::*;
 use lm4db_tokenize::{BOS, EOS};
 use lm4db_transformer::{
-    beam as beam_single, greedy as greedy_single, greedy_cached, ConstraintMask,
-    IncrementalSession, ModelConfig, Unconstrained,
+    beam as beam_single, greedy as greedy_single, greedy_cached, IncrementalSession, ModelConfig,
+    TokenMask,
 };
+
+/// A divisibility grammar for the mask tests: allows the multiples of
+/// `.0`, and the stop token.
+pub(super) struct MultiplesOrEos(pub usize);
+
+impl TokenMask for MultiplesOrEos {
+    fn fill(&self, _prefix: &[usize], mask: &mut [bool]) {
+        for (t, m) in mask.iter_mut().enumerate() {
+            *m = t.is_multiple_of(self.0) || t == EOS;
+        }
+    }
+}
 
 /// Deterministic draft models for the speculative-decoding tests: a
 /// pattern-following draft that agrees with the trained test model often
@@ -213,7 +225,7 @@ fn engine_beam_matches_single_request_beam() {
         // The reference is the seed beam over a KV-cached session —
         // float-identical to the engine's compute path.
         let mut session = IncrementalSession::new(&m);
-        let want = beam_single(&mut session, &p, 3, 6, EOS, &Unconstrained);
+        let want = beam_single(&mut session, &p, 3, 6, EOS, None);
         let mut engine = Engine::new(&m);
         let got = engine.beam(&p, 3, 6, EOS, None);
         assert_eq!(got.len(), want.len(), "prompt {p:?}");
@@ -228,11 +240,10 @@ fn engine_beam_matches_single_request_beam() {
 #[test]
 fn engine_beam_respects_constraints() {
     let m = trained_model();
-    let even = |_p: &[usize], t: usize| t.is_multiple_of(2) || t == EOS;
+    let mask = MultiplesOrEos(2);
     let p = vec![BOS, 10];
     let mut session = IncrementalSession::new(&m);
-    let want = beam_single(&mut session, &p, 2, 5, EOS, &even);
-    let mask = ConstraintMask(&even);
+    let want = beam_single(&mut session, &p, 2, 5, EOS, Some(&mask));
     let mut engine = Engine::new(&m);
     let got = engine.beam(&p, 2, 5, EOS, Some(&mask));
     assert_eq!(got.len(), want.len());
@@ -756,14 +767,13 @@ fn quantized_speculative_matches_quantized_non_speculative() {
 #[test]
 fn masked_speculative_matches_constrained_non_speculative() {
     let m = trained_model();
-    let even = |_p: &[usize], t: usize| t.is_multiple_of(2) || t == EOS;
-    let mask = ConstraintMask(&even);
+    let mask = MultiplesOrEos(2);
     let good = IncDraft {
         vocab: m.config().vocab_size,
     };
     for p in prompts().into_iter().take(4) {
         let mut session = IncrementalSession::new(&m);
-        let want = greedy_single(&mut session, &p, 8, EOS, &even);
+        let want = greedy_single(&mut session, &p, 8, EOS, Some(&mask));
         let mut b = Engine::with_options(
             &m,
             EngineOptions {
@@ -882,7 +892,6 @@ fn slo_admission_sheds_predicted_misses() {
             max_batch: 1,
             tenants: vec![TenantClass::new("strict").slo_steps(4)],
             slo_admission: true,
-            slo_initial_service_steps: 4,
             ..EngineOptions::default()
         },
     );
@@ -949,7 +958,6 @@ fn burn_rate_alerts_fire_and_resolve_deterministically() {
                 max_batch: 1,
                 tenants: vec![TenantClass::new("strict").slo_steps(4)],
                 slo_admission: true,
-                slo_initial_service_steps: 4,
                 sample_steps: 1,
                 slo_alerts: Some(lm4db_obs::AlertConfig {
                     fast_samples: 1,
@@ -1012,7 +1020,6 @@ fn firing_alert_tightens_slo_admission() {
                 max_batch: 1,
                 tenants: vec![TenantClass::new("strict").slo_steps(12)],
                 slo_admission: true,
-                slo_initial_service_steps: 4,
                 sample_steps: 1,
                 slo_alerts: alerts,
                 ..EngineOptions::default()

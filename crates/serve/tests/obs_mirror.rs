@@ -371,7 +371,6 @@ fn sampler_and_alert_counters_match_engine_stats() {
             max_batch: 1,
             tenants: vec![TenantClass::new("strict").slo_steps(4)],
             slo_admission: true,
-            slo_initial_service_steps: 4,
             sample_steps: 1,
             slo_alerts: Some(lm4db_obs::AlertConfig {
                 fast_samples: 1,

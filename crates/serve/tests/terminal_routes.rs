@@ -142,7 +142,6 @@ fn routes() -> Vec<Route> {
             slo_steps: 4,
             opts: EngineOptions {
                 slo_admission: true,
-                slo_initial_service_steps: 4,
                 ..opts.clone()
             },
             drive: |e, _| {

@@ -282,15 +282,6 @@ impl Graph {
         })
     }
 
-    /// ReLU activation.
-    pub fn relu(&mut self, a: Var) -> Var {
-        let x = self.value(a).clone();
-        let value = x.map(|v| v.max(0.0));
-        self.unary(a, value, move |g| {
-            g.zip(&x, |gi, xi| if xi > 0.0 { gi } else { 0.0 })
-        })
-    }
-
     /// Hyperbolic tangent activation.
     pub fn tanh(&mut self, a: Var) -> Var {
         let value = self.value(a).map(f32::tanh);

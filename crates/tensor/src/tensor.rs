@@ -517,11 +517,6 @@ impl Tensor {
         }
     }
 
-    /// Frobenius / L2 norm of all elements.
-    pub fn l2_norm(&self) -> f32 {
-        self.data.iter().map(|&x| x * x).sum::<f32>().sqrt()
-    }
-
     /// Index of the maximum element within each trailing row, collapsing
     /// `[..., d]` to one index per row.
     pub fn argmax_last(&self) -> Vec<usize> {

@@ -2,14 +2,13 @@
 //! `question → SQL` pairs, decoded with or without the grammar constraint.
 //!
 //! The constrained mode is the PICARD recipe (Scholak et al., EMNLP 2021):
-//! beam search in which every candidate token is checked against an
-//! incremental validity oracle — here, prefix membership in the
-//! schema-specialized [`SqlTrie`] — so the parser can only emit executable
-//! SQL.
+//! beam search in which, at every step, the tokens that would leave the
+//! schema-specialized [`SqlTrie`] are vetoed — so the parser can only emit
+//! executable SQL.
 
 use lm4db_serve::{Engine, EngineOptions, Request};
 use lm4db_tokenize::{vocab::SPECIAL_TOKENS, Bpe, Tokenizer, BOS, EOS};
-use lm4db_transformer::{Constraint, GptModel, Hypothesis, ModelConfig};
+use lm4db_transformer::{GptModel, Hypothesis, ModelConfig, TokenMask};
 
 use crate::trie::SqlTrie;
 use crate::workload::Example;
@@ -40,7 +39,8 @@ pub fn decode_units(bpe: &Bpe, ids: &[usize]) -> (Vec<String>, Option<String>) {
     (units, partial)
 }
 
-/// The PICARD-style token-level validity oracle.
+/// The PICARD-style grammar mask: after a decoded prefix, exactly the
+/// tokens that keep the generated text on a path of the word trie.
 pub struct TrieConstraint<'a> {
     bpe: &'a Bpe,
     trie: &'a SqlTrie,
@@ -93,41 +93,14 @@ fn suffix_completable(bpe: &Bpe, suffix: &str) -> bool {
     ok[0]
 }
 
-impl Constraint for TrieConstraint<'_> {
-    fn allowed(&self, prefix: &[usize], token: usize) -> bool {
-        let generated = &prefix[self.prompt_len.min(prefix.len())..];
-        if token == EOS {
-            let (units, partial) = decode_units(self.bpe, generated);
-            return partial.is_none() && self.trie.is_complete(&units);
-        }
-        if token < SPECIAL_TOKENS.len() {
-            return false;
-        }
-        let mut ids = generated.to_vec();
-        ids.push(token);
-        let (units, partial) = decode_units(self.bpe, &ids);
-        match partial.as_deref() {
-            None => self.trie.is_valid_prefix(&units, None),
-            // A partial word must not only prefix some next unit — the
-            // remainder must be spellable with vocab tokens, or the beam
-            // would be admitted into a dead end it can never complete
-            // (e.g. a bare ">" token when only "></w>" finishes the word).
-            Some(p) => self.trie.next_words(&units).iter().any(|w| {
-                w.len() > p.len() && w.starts_with(p) && suffix_completable(self.bpe, &w[p.len()..])
-            }),
-        }
-    }
-}
-
-/// The engine-native form of the oracle: one vocabulary-wide allow table
-/// per decode step. Byte-for-byte the same veto set as
-/// [`Constraint::allowed`] — the tests pin the two token by token — but
-/// the per-step trie state (`decode_units` of the generated prefix, the
-/// sorted `next_words` frontier, completability of the current node) is
-/// computed **once** per step instead of once per candidate token, which
-/// is what makes grammar-constrained decoding cheap enough to run inside
-/// the engine's speculative draft/verify loop.
-impl lm4db_transformer::TokenMask for TrieConstraint<'_> {
+/// One vocabulary-wide allow table per decode step. The per-step trie
+/// state (`decode_units` of the generated prefix, the sorted `next_words`
+/// frontier, completability of the current node) is computed **once** per
+/// step instead of once per candidate token, which is what makes
+/// grammar-constrained decoding cheap enough to run inside the engine's
+/// speculative draft/verify loop. The tests check it token by token
+/// against a per-token oracle that decodes every candidate from scratch.
+impl TokenMask for TrieConstraint<'_> {
     fn fill(&self, prefix: &[usize], mask: &mut [bool]) {
         let generated = &prefix[self.prompt_len.min(prefix.len())..];
         let (units, partial) = decode_units(self.bpe, generated);
@@ -313,10 +286,6 @@ impl SemanticParser {
             .map(|(p, c)| {
                 let req = Request::beam(p.clone(), self.beam_width, self.max_new, EOS);
                 match mode {
-                    // The incremental mask is the engine-native form of the
-                    // PICARD oracle — identical veto set (pinned by tests),
-                    // materialized once per beam step instead of probed per
-                    // vocabulary token.
                     DecodeMode::Constrained => req.with_mask(c),
                     DecodeMode::Unconstrained => req,
                 }
@@ -370,6 +339,7 @@ mod tests {
     use crate::workload::generate;
     use lm4db_corpus::{make_domain, DomainKind};
     use lm4db_sql::run_sql;
+    use lm4db_transformer::{beam, IncrementalSession};
 
     fn setup(n_train: usize) -> (lm4db_corpus::Domain, SemanticParser, Vec<Example>) {
         let d = make_domain(DomainKind::Employees, 20, 7);
@@ -381,6 +351,33 @@ mod tests {
         };
         let parser = SemanticParser::new(cfg, &train, trie, 5, 600);
         (d, parser, train)
+    }
+
+    /// The per-token oracle `fill` is checked against: may `token` follow
+    /// `prefix`? It decodes the generated text with the candidate appended
+    /// and asks the trie, from scratch for every candidate.
+    fn allowed(c: &TrieConstraint, prefix: &[usize], token: usize) -> bool {
+        let generated = &prefix[c.prompt_len.min(prefix.len())..];
+        if token == EOS {
+            let (units, partial) = decode_units(c.bpe, generated);
+            return partial.is_none() && c.trie.is_complete(&units);
+        }
+        if token < SPECIAL_TOKENS.len() {
+            return false;
+        }
+        let mut ids = generated.to_vec();
+        ids.push(token);
+        let (units, partial) = decode_units(c.bpe, &ids);
+        match partial.as_deref() {
+            None => c.trie.is_valid_prefix(&units, None),
+            // A partial word must not only prefix some next unit — the
+            // remainder must be spellable with vocab tokens, or the beam
+            // would be admitted into a dead end it can never complete
+            // (e.g. a bare ">" token when only "></w>" finishes the word).
+            Some(p) => c.trie.next_words(&units).iter().any(|w| {
+                w.len() > p.len() && w.starts_with(p) && suffix_completable(c.bpe, &w[p.len()..])
+            }),
+        }
     }
 
     #[test]
@@ -402,41 +399,36 @@ mod tests {
     fn constraint_only_allows_trie_paths() {
         let (_, parser, _) = setup(8);
         let prompt = parser.prompt_ids("show the name of all employees");
-        let constraint = TrieConstraint {
-            bpe: &parser.bpe,
-            trie: &parser.trie,
-            prompt_len: prompt.len(),
-        };
+        let constraint = TrieConstraint::new(&parser.bpe, &parser.trie, prompt.len());
+        let vocab = parser.bpe.vocab();
+        let mut mask = vec![false; vocab.len()];
+        constraint.fill(&prompt, &mut mask);
         // From the empty generation, the only valid first word is "select";
         // any token starting a different word must be rejected.
-        let vocab = parser.bpe.vocab();
-        let mut allowed_any = false;
-        for id in SPECIAL_TOKENS.len()..vocab.len() {
-            if constraint.allowed(&prompt, id) {
-                allowed_any = true;
-                let tok = vocab.token(id).trim_end_matches(crate::EOW).to_string();
-                assert!(
-                    "select".starts_with(&tok),
-                    "allowed non-select start: {tok}"
-                );
-            }
+        let allowed: Vec<usize> = (SPECIAL_TOKENS.len()..vocab.len())
+            .filter(|&id| mask[id])
+            .collect();
+        for &id in &allowed {
+            let tok = vocab.token(id).trim_end_matches(crate::EOW).to_string();
+            assert!(
+                "select".starts_with(&tok),
+                "allowed non-select start: {tok}"
+            );
         }
-        assert!(allowed_any, "constraint rejected everything");
+        assert!(!allowed.is_empty(), "constraint rejected everything");
         // EOS is not allowed at the very start.
-        assert!(!constraint.allowed(&prompt, EOS));
+        assert!(!mask[EOS]);
     }
 
     #[test]
     fn token_mask_agrees_with_constraint_oracle_token_by_token() {
-        use lm4db_transformer::TokenMask;
         let (_, parser, _) = setup(8);
         let prompt = parser.prompt_ids("show the name of all employees");
         let constraint = TrieConstraint::new(&parser.bpe, &parser.trie, prompt.len());
         let vocab_len = parser.bpe.vocab().len();
         // Walk a constrained decode: at every prefix along the way, the
         // one-shot mask and the per-token oracle must agree on the entire
-        // vocabulary (this is what makes mask-decoded SQL byte-identical
-        // to oracle-decoded SQL).
+        // vocabulary.
         let mut prefix = prompt.clone();
         for _step in 0..10 {
             let mut mask = vec![false; vocab_len];
@@ -445,7 +437,7 @@ mod tests {
             for (id, &m) in mask.iter().enumerate() {
                 assert_eq!(
                     m,
-                    constraint.allowed(&prefix, id),
+                    allowed(&constraint, &prefix, id),
                     "mask and oracle disagree on token {id} ({:?}) after {:?}",
                     parser.bpe.vocab().token(id),
                     &prefix[prompt.len()..]
@@ -460,6 +452,38 @@ mod tests {
             }
         }
         assert!(prefix.len() > prompt.len(), "walk never advanced");
+    }
+
+    #[test]
+    fn reference_beam_matches_engine_beam_under_the_trie_mask() {
+        let (_, mut parser, train) = setup(16);
+        parser.fit(&train, 4, 4, 3e-3);
+        for q in [
+            "show the name of all employees",
+            "how many employees have dept sales",
+            "which employee has the highest salary",
+        ] {
+            let prompt = parser.prompt_ids(q);
+            let mask = TrieConstraint::new(&parser.bpe, &parser.trie, prompt.len());
+            let (width, max_new) = (parser.beam_width, parser.max_new);
+            // The reference decodes over a KV-cached session, the engine's
+            // float path.
+            let mut session = IncrementalSession::new(&parser.gpt);
+            let want = beam(&mut session, &prompt, width, max_new, EOS, Some(&mask));
+            let got = Engine::new(&parser.gpt).beam(&prompt, width, max_new, EOS, Some(&mask));
+            assert_eq!(got.len(), want.len(), "{q}");
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(g.ids, w.ids, "{q}");
+                assert_eq!(g.finished, w.finished, "{q}");
+                assert_eq!(g.log_prob.to_bits(), w.log_prob.to_bits(), "{q}");
+            }
+            let best = parser.prediction_from_hyps(&got, prompt.len());
+            assert!(
+                best.sql.is_some(),
+                "{q}: masked beam left the trie: {}",
+                best.raw
+            );
+        }
     }
 
     #[test]

@@ -89,7 +89,7 @@ impl SqlTrie {
         self.walk(units).and_then(|n| n.terminal.as_deref())
     }
 
-    /// The allowed next words after `units` (for diagnostics).
+    /// The allowed next words after `units`, sorted.
     pub fn next_words(&self, units: &[String]) -> Vec<&str> {
         match self.walk(units) {
             Some(n) => {

@@ -174,13 +174,12 @@ impl BertModel {
         (corrupted, targets)
     }
 
-    /// Builds the MLM loss over a batch of already-corrupted inputs and
-    /// their targets.
+    /// Builds the training-mode MLM loss over a batch of already-corrupted
+    /// inputs and their targets.
     fn mlm_loss_graph(
         &mut self,
         corrupted: &[Vec<usize>],
         targets: &[Vec<usize>],
-        train: bool,
     ) -> (Graph, Bound, Var) {
         let (flat, b, t, lengths) = Self::pad_batch(corrupted);
         let mut flat_targets = Vec::with_capacity(b * t);
@@ -191,7 +190,7 @@ impl BertModel {
         let segments = vec![0usize; flat.len()];
         let mut g = Graph::new();
         let bound = Bound::bind(&self.store, &mut g);
-        let h = self.encode(&mut g, &bound, &flat, &segments, b, t, &lengths, train);
+        let h = self.encode(&mut g, &bound, &flat, &segments, b, t, &lengths, true);
         let h = self.mlm_dense.forward(&mut g, &bound, h);
         let h = g.gelu(h);
         let h = self.mlm_ln.forward(&mut g, &bound, h);
@@ -211,19 +210,13 @@ impl BertModel {
             .collect();
         let corrupted: Vec<Vec<usize>> = pairs.iter().map(|(c, _)| c.clone()).collect();
         let targets: Vec<Vec<usize>> = pairs.into_iter().map(|(_, t)| t).collect();
-        let (mut g, bound, loss) = self.mlm_loss_graph(&corrupted, &targets, true);
+        let (mut g, bound, loss) = self.mlm_loss_graph(&corrupted, &targets);
         let loss_val = g.value(loss).item();
         g.backward(loss);
         let mut grads = bound.grads(&self.store, &g);
         clip_grad_norm(&mut grads, 1.0);
         opt.step(&mut self.store, &grads);
         loss_val
-    }
-
-    /// MLM loss on explicitly corrupted input (no parameter update).
-    pub fn mlm_eval_loss(&mut self, corrupted: &[Vec<usize>], targets: &[Vec<usize>]) -> f32 {
-        let (g, _bound, loss) = self.mlm_loss_graph(corrupted, targets, false);
-        g.value(loss).item()
     }
 
     /// Predicts the most likely token at every `[MASK]` position of `ids`.

@@ -1,7 +1,10 @@
 //! Decoding strategies: greedy, temperature/top-k/top-p sampling, beam
 //! search — all with optional **constrained decoding** in the style of
-//! PICARD (Scholak et al., EMNLP 2021): at every step a [`Constraint`] may
-//! veto tokens, and only permitted tokens can be emitted.
+//! PICARD (Scholak et al., EMNLP 2021): at every step a [`TokenMask`] may
+//! veto tokens, and only permitted tokens can be emitted. These are the
+//! single-request reference decoders; the serving engine (`lm4db-serve`)
+//! takes the same mask and applies it with the same [`mask_logits`], so
+//! both decode byte-identically under one grammar.
 
 use lm4db_tensor::Rand;
 
@@ -16,63 +19,23 @@ pub trait NextToken {
     fn next_logits(&mut self, prefix: &[usize]) -> Vec<f32>;
 }
 
-/// A decoding-time veto over candidate tokens.
-///
-/// `allowed(prefix, token)` is consulted for every candidate continuation;
-/// returning `false` removes the token from consideration at this step.
-pub trait Constraint {
-    /// May `token` follow `prefix`?
-    fn allowed(&self, prefix: &[usize], token: usize) -> bool;
-}
-
-/// The trivial constraint that permits everything.
-pub struct Unconstrained;
-
-impl Constraint for Unconstrained {
-    fn allowed(&self, _prefix: &[usize], _token: usize) -> bool {
-        true
-    }
-}
-
-impl<F: Fn(&[usize], usize) -> bool> Constraint for F {
-    fn allowed(&self, prefix: &[usize], token: usize) -> bool {
-        self(prefix, token)
-    }
-}
-
 /// A per-step grammar mask: given the decoded prefix, mark every allowed
 /// next token in one pass.
 ///
-/// This is the incremental (PICARD-style) form of [`Constraint`] used by
-/// the serving engine: instead of one `allowed(prefix, token)` oracle call
-/// per candidate token — which re-derives the grammar state `vocab_size`
-/// times per step — an implementation derives its state once per step and
-/// fills the whole mask. The veto *set* must match whatever `Constraint`
-/// the grammar also implements, so masked and oracle-constrained decoding
-/// stay byte-identical; only the cost per step changes.
+/// An implementation derives its grammar state once per step and fills
+/// the whole vocabulary, rather than re-deriving it once per candidate
+/// token. Every decoder here and in the serving engine takes its
+/// constraint in this form.
 pub trait TokenMask {
     /// Sets `mask[token] = true` for every token allowed after `prefix`.
     /// The buffer arrives zeroed (`false`) and is `vocab_size` long.
     fn fill(&self, prefix: &[usize], mask: &mut [bool]);
 }
 
-/// Adapts any [`Constraint`] oracle to the [`TokenMask`] interface by
-/// probing every token. (A blanket impl is impossible — closures already
-/// implement `Constraint` — so the adapter is an explicit wrapper.)
-pub struct ConstraintMask<'a>(pub &'a dyn Constraint);
-
-impl TokenMask for ConstraintMask<'_> {
-    fn fill(&self, prefix: &[usize], mask: &mut [bool]) {
-        for (tok, m) in mask.iter_mut().enumerate() {
-            *m = self.0.allowed(prefix, tok);
-        }
-    }
-}
-
 /// Masks every token not allowed by `mask` to `-inf` in place; returns how
-/// many tokens remain allowed. The float operations (ascending-token
-/// `NEG_INFINITY` stores) are exactly those of [`apply_constraint`], so a
-/// grammar exposed both ways yields bit-identical logits.
+/// many tokens remain allowed. Vetoed entries get a `NEG_INFINITY` store
+/// in ascending token order and allowed ones are left untouched, so every
+/// caller that vetoes the same set yields bit-identical logits.
 pub fn apply_token_mask(logits: &mut [f32], mask: &[bool]) -> usize {
     assert_eq!(logits.len(), mask.len(), "mask width mismatch");
     let mut allowed = 0;
@@ -84,6 +47,25 @@ pub fn apply_token_mask(logits: &mut [f32], mask: &[bool]) -> usize {
         }
     }
     allowed
+}
+
+/// Vetoes, in place, what an optional `mask` forbids after `prefix`, and
+/// returns how many tokens remain allowed (all of them without a mask).
+/// `allow` holds the vocabulary-wide allow table: it is zeroed and filled
+/// here, so a decode loop passes one buffer for all its steps.
+pub fn mask_logits(
+    logits: &mut [f32],
+    prefix: &[usize],
+    mask: Option<&dyn TokenMask>,
+    allow: &mut Vec<bool>,
+) -> usize {
+    let Some(mask) = mask else {
+        return logits.len();
+    };
+    allow.clear();
+    allow.resize(logits.len(), false);
+    mask.fill(prefix, allow);
+    apply_token_mask(logits, allow)
 }
 
 /// A cheap proposal model for speculative decoding: drafts likely next
@@ -125,26 +107,6 @@ impl Default for SampleOptions {
     }
 }
 
-/// Masks constraint-vetoed tokens to `-inf` in place; returns how many
-/// tokens remain allowed. Public so the batched engine (`lm4db-serve`)
-/// applies constraints with the exact same float operations as the
-/// single-request decoders here — a prerequisite for bit-identical output.
-pub fn apply_constraint(
-    logits: &mut [f32],
-    prefix: &[usize],
-    constraint: &dyn Constraint,
-) -> usize {
-    let mut allowed = 0;
-    for (tok, l) in logits.iter_mut().enumerate() {
-        if constraint.allowed(prefix, tok) {
-            allowed += 1;
-        } else {
-            *l = f32::NEG_INFINITY;
-        }
-    }
-    allowed
-}
-
 /// Greedy decoding: always pick the most likely permitted token. Stops at
 /// `stop` or after `max_new` tokens. Returns only the newly generated ids.
 pub fn greedy(
@@ -152,13 +114,14 @@ pub fn greedy(
     prefix: &[usize],
     max_new: usize,
     stop: usize,
-    constraint: &dyn Constraint,
+    mask: Option<&dyn TokenMask>,
 ) -> Vec<usize> {
+    let mut allow = Vec::new();
     let mut seq = prefix.to_vec();
     let mut out = Vec::new();
     for _ in 0..max_new {
         let mut logits = model.next_logits(&seq);
-        if apply_constraint(&mut logits, &seq, constraint) == 0 {
+        if mask_logits(&mut logits, &seq, mask, &mut allow) == 0 {
             break; // dead end: no permitted continuation
         }
         let tok = argmax(&logits);
@@ -179,15 +142,16 @@ pub fn sample(
     max_new: usize,
     stop: usize,
     opts: &SampleOptions,
-    constraint: &dyn Constraint,
+    mask: Option<&dyn TokenMask>,
     rng: &mut Rand,
 ) -> Vec<usize> {
     assert!(opts.temperature > 0.0, "temperature must be positive");
+    let mut allow = Vec::new();
     let mut seq = prefix.to_vec();
     let mut out = Vec::new();
     for _ in 0..max_new {
         let mut logits = model.next_logits(&seq);
-        if apply_constraint(&mut logits, &seq, constraint) == 0 {
+        if mask_logits(&mut logits, &seq, mask, &mut allow) == 0 {
             break;
         }
         for l in logits.iter_mut() {
@@ -222,7 +186,7 @@ pub struct Hypothesis {
 }
 
 /// Beam search with `width` beams. Returns hypotheses sorted by descending
-/// length-normalized log-probability. Constraint-vetoed tokens are never
+/// length-normalized log-probability. Mask-vetoed tokens are never
 /// expanded, making this a complete PICARD-style constrained decoder.
 pub fn beam(
     model: &mut dyn NextToken,
@@ -230,9 +194,10 @@ pub fn beam(
     width: usize,
     max_new: usize,
     stop: usize,
-    constraint: &dyn Constraint,
+    mask: Option<&dyn TokenMask>,
 ) -> Vec<Hypothesis> {
     assert!(width > 0, "beam width must be positive");
+    let mut allow = Vec::new();
     let mut live = vec![Hypothesis {
         ids: prefix.to_vec(),
         log_prob: 0.0,
@@ -244,7 +209,7 @@ pub fn beam(
         let mut candidates: Vec<Hypothesis> = Vec::new();
         for hyp in &live {
             let mut logits = model.next_logits(&hyp.ids);
-            if apply_constraint(&mut logits, &hyp.ids, constraint) == 0 {
+            if mask_logits(&mut logits, &hyp.ids, mask, &mut allow) == 0 {
                 continue; // dead end — drop this beam
             }
             let log_probs = log_softmax(&logits);
@@ -379,17 +344,30 @@ mod tests {
         }
     }
 
+    /// A prefix-independent mask allowing exactly the tokens `.0` accepts.
+    struct Allow<F>(F);
+
+    impl<F: Fn(usize) -> bool> TokenMask for Allow<F> {
+        fn fill(&self, _prefix: &[usize], mask: &mut [bool]) {
+            for (tok, m) in mask.iter_mut().enumerate() {
+                *m = (self.0)(tok);
+            }
+        }
+    }
+
+    const EVEN: Allow<fn(usize) -> bool> = Allow(|t| t.is_multiple_of(2));
+
     #[test]
     fn greedy_follows_boosted_chain() {
         let mut m = FakeLm { vocab: 10 };
-        let out = greedy(&mut m, &[3], 4, 99, &Unconstrained);
+        let out = greedy(&mut m, &[3], 4, 99, None);
         assert_eq!(out, vec![4, 5, 6, 7]);
     }
 
     #[test]
     fn greedy_stops_at_stop_token() {
         let mut m = FakeLm { vocab: 10 };
-        let out = greedy(&mut m, &[6], 10, 8, &Unconstrained);
+        let out = greedy(&mut m, &[6], 10, 8, None);
         assert_eq!(out, vec![7]); // 8 would be next but is the stop token
     }
 
@@ -397,8 +375,7 @@ mod tests {
     fn constraint_vetoes_tokens() {
         let mut m = FakeLm { vocab: 10 };
         // Forbid the boosted chain entirely: only even tokens allowed.
-        let even = |_p: &[usize], t: usize| t.is_multiple_of(2);
-        let out = greedy(&mut m, &[3], 3, 99, &even);
+        let out = greedy(&mut m, &[3], 3, 99, Some(&EVEN));
         // Boosted token 4 is even (allowed); then 5 is vetoed so the best
         // even token is chosen: 0 has the highest base logit.
         assert_eq!(out[0], 4);
@@ -408,8 +385,7 @@ mod tests {
     #[test]
     fn dead_end_terminates_generation() {
         let mut m = FakeLm { vocab: 10 };
-        let nothing = |_p: &[usize], _t: usize| false;
-        let out = greedy(&mut m, &[3], 5, 99, &nothing);
+        let out = greedy(&mut m, &[3], 5, 99, Some(&Allow(|_: usize| false)));
         assert!(out.is_empty());
     }
 
@@ -421,7 +397,7 @@ mod tests {
             temperature: 0.05,
             ..Default::default()
         };
-        let out = sample(&mut m, &[3], 4, 99, &opts, &Unconstrained, &mut rng);
+        let out = sample(&mut m, &[3], 4, 99, &opts, None, &mut rng);
         assert_eq!(out, vec![4, 5, 6, 7]);
     }
 
@@ -429,7 +405,6 @@ mod tests {
     fn sampling_respects_constraint() {
         let mut m = FakeLm { vocab: 10 };
         let mut rng = Rand::seeded(2);
-        let even = |_p: &[usize], t: usize| t.is_multiple_of(2);
         for _ in 0..5 {
             let out = sample(
                 &mut m,
@@ -437,7 +412,7 @@ mod tests {
                 6,
                 99,
                 &SampleOptions::default(),
-                &even,
+                Some(&EVEN),
                 &mut rng,
             );
             assert!(out.iter().all(|t| t % 2 == 0), "sampled odd token: {out:?}");
@@ -461,7 +436,7 @@ mod tests {
     #[test]
     fn beam_finds_boosted_chain() {
         let mut m = FakeLm { vocab: 10 };
-        let hyps = beam(&mut m, &[3], 3, 4, 99, &Unconstrained);
+        let hyps = beam(&mut m, &[3], 3, 4, 99, None);
         assert!(!hyps.is_empty());
         assert_eq!(hyps[0].ids, vec![3, 4, 5, 6, 7]);
     }
@@ -469,7 +444,7 @@ mod tests {
     #[test]
     fn beam_respects_stop_token() {
         let mut m = FakeLm { vocab: 10 };
-        let hyps = beam(&mut m, &[6], 2, 10, 8, &Unconstrained);
+        let hyps = beam(&mut m, &[6], 2, 10, 8, None);
         // Best hypothesis: 6 -> 7 -> stop(8), finished.
         assert!(hyps[0].finished);
         assert_eq!(hyps[0].ids, vec![6, 7]);
@@ -478,36 +453,16 @@ mod tests {
     #[test]
     fn beam_constrained_avoids_vetoed_tokens() {
         let mut m = FakeLm { vocab: 10 };
-        let even = |_p: &[usize], t: usize| t.is_multiple_of(2);
-        let hyps = beam(&mut m, &[2], 2, 3, 99, &even);
+        let hyps = beam(&mut m, &[2], 2, 3, 99, Some(&EVEN));
         for h in &hyps {
             assert!(h.ids[1..].iter().all(|t| t % 2 == 0), "{:?}", h.ids);
         }
     }
 
     #[test]
-    fn token_mask_matches_constraint_bitwise() {
-        // Same veto set through both interfaces ⇒ identical logits,
-        // identical allowed count — the invariant the engine relies on to
-        // keep masked decoding byte-equal to oracle-constrained decoding.
-        let even = |_p: &[usize], t: usize| t.is_multiple_of(2);
-        let logits: Vec<f32> = (0..10).map(|t| (t as f32) * 0.7 - 3.0).collect();
-        let mut via_constraint = logits.clone();
-        let n_c = apply_constraint(&mut via_constraint, &[3], &even);
-        let mut mask = vec![false; 10];
-        ConstraintMask(&even).fill(&[3], &mut mask);
-        let mut via_mask = logits.clone();
-        let n_m = apply_token_mask(&mut via_mask, &mask);
-        assert_eq!(n_c, n_m);
-        let a: Vec<u32> = via_constraint.iter().map(|f| f.to_bits()).collect();
-        let b: Vec<u32> = via_mask.iter().map(|f| f.to_bits()).collect();
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn beam_log_probs_are_negative_and_ordered() {
         let mut m = FakeLm { vocab: 10 };
-        let hyps = beam(&mut m, &[3], 4, 3, 99, &Unconstrained);
+        let hyps = beam(&mut m, &[3], 4, 3, 99, None);
         for h in &hyps {
             assert!(h.log_prob <= 0.0);
         }
@@ -535,6 +490,15 @@ mod proptests {
         }
     }
 
+    /// A prefix-independent mask: the same allow table at every step.
+    struct Fixed(Vec<bool>);
+
+    impl TokenMask for Fixed {
+        fn fill(&self, _prefix: &[usize], mask: &mut [bool]) {
+            mask.copy_from_slice(&self.0);
+        }
+    }
+
     proptest! {
         #[test]
         fn sampled_tokens_respect_arbitrary_constraints(
@@ -544,8 +508,7 @@ mod proptests {
             // Ensure something stays allowed (besides stop token 0).
             let mut mask = allowed_mask;
             mask[3] = true;
-            let mask_clone = mask.clone();
-            let constraint = move |_p: &[usize], t: usize| mask_clone[t];
+            let constraint = Fixed(mask.clone());
             let mut lm = ProfileLm { vocab: 12 };
             let mut rng = lm4db_tensor::Rand::seeded(seed);
             let out = sample(
@@ -554,7 +517,7 @@ mod proptests {
                 6,
                 usize::MAX,
                 &SampleOptions::default(),
-                &constraint,
+                Some(&constraint),
                 &mut rng,
             );
             for t in out {
@@ -565,7 +528,7 @@ mod proptests {
         #[test]
         fn beam_hypotheses_are_sorted_by_normalized_score(width in 1usize..5) {
             let mut lm = ProfileLm { vocab: 12 };
-            let hyps = beam(&mut lm, &[1], width, 4, 0, &Unconstrained);
+            let hyps = beam(&mut lm, &[1], width, 4, 0, None);
             prop_assert!(!hyps.is_empty());
             prop_assert!(hyps.len() <= width);
             for h in &hyps {
@@ -576,8 +539,8 @@ mod proptests {
         #[test]
         fn greedy_is_deterministic(prefix in prop::collection::vec(1usize..12, 1..5)) {
             let mut lm = ProfileLm { vocab: 12 };
-            let a = greedy(&mut lm, &prefix, 5, 0, &Unconstrained);
-            let b = greedy(&mut lm, &prefix, 5, 0, &Unconstrained);
+            let a = greedy(&mut lm, &prefix, 5, 0, None);
+            let b = greedy(&mut lm, &prefix, 5, 0, None);
             prop_assert_eq!(a, b);
         }
     }

@@ -458,11 +458,6 @@ impl<'a> IncrementalSession<'a> {
         }
     }
 
-    /// Wraps an existing cache (e.g. restored from a prefix cache).
-    pub fn from_cache(model: &'a GptModel, cache: KvCache) -> Self {
-        IncrementalSession { model, cache }
-    }
-
     /// Tokens consumed so far.
     pub fn consumed(&self) -> &[usize] {
         self.cache.tokens()
@@ -471,11 +466,6 @@ impl<'a> IncrementalSession<'a> {
     /// The underlying decode state.
     pub fn cache(&self) -> &KvCache {
         &self.cache
-    }
-
-    /// Consumes the session, returning the decode state.
-    pub fn into_cache(self) -> KvCache {
-        self.cache
     }
 
     /// Resets the session to the empty prefix.
@@ -559,7 +549,7 @@ pub fn greedy_cached(
 mod tests {
     use super::*;
     use crate::config::ModelConfig;
-    use crate::generate::{greedy, Unconstrained};
+    use crate::generate::greedy;
     use lm4db_tokenize::{BOS, EOS};
 
     fn model() -> GptModel {
@@ -623,7 +613,7 @@ mod tests {
     fn greedy_cached_matches_uncached_greedy() {
         let mut m = model();
         let prefix = vec![BOS, 10, 11];
-        let uncached = greedy(&mut m, &prefix, 6, EOS, &Unconstrained);
+        let uncached = greedy(&mut m, &prefix, 6, EOS, None);
         let cached = greedy_cached(&m, &prefix, 6, EOS);
         assert_eq!(uncached, cached);
     }

@@ -262,9 +262,10 @@ impl AttnCache {
 /// length the one-token decoder would have seen — causality inside the
 /// chunk, and a per-head kernel call identical to the one-position path.
 ///
-/// `scratch` is any buffer the caller is not reading: the inline path keeps
-/// its score row there (growing it to `t_lim` if need be) instead of
-/// allocating one per call.
+/// `scratch` is any buffer the caller is not reading: the score row lives
+/// there (grown to `t_lim` if need be) instead of being allocated per call.
+/// Heads run one after another on the calling thread; the engine already
+/// runs each row group's forward on its own pool worker.
 pub(crate) fn attend_prefix(
     q: &[f32],
     cache: &AttnCache,
@@ -277,25 +278,13 @@ pub(crate) fn attend_prefix(
     let d = h * hd;
     let scale = 1.0 / (hd as f32).sqrt();
     let (ck, cv) = (&cache.k[..t_lim * d], &cache.v[..t_lim * d]);
-    let heads = |first_head: usize, block: &mut [f32], scores: &mut [f32]| {
-        for (hh, ctx_h) in block.chunks_mut(hd).enumerate() {
-            let off = (first_head + hh) * hd;
-            let qh = &q[off..off + hd];
-            lm4db_tensor::kernels::attn_head(qh, ck, cv, d, off, scale, scores, ctx_h);
-        }
-    };
-    // Heads are independent and each owns a disjoint `hd`-wide slice of
-    // `ctx`, so over a long cache they fan out across the pool, a score row
-    // per task. A short one is not worth a dispatch and runs here.
-    if t_lim * hd >= 4_096 {
-        lm4db_tensor::parallel_rows_mut(ctx, h, 1, |first_head, block| {
-            heads(first_head, block, &mut vec![0.0f32; t_lim]);
-        });
-    } else {
-        if scratch.len() < t_lim {
-            scratch.resize(t_lim, 0.0);
-        }
-        heads(0, ctx, &mut scratch[..t_lim]);
+    if scratch.len() < t_lim {
+        scratch.resize(t_lim, 0.0);
+    }
+    let scores = &mut scratch[..t_lim];
+    for (hh, ctx_h) in ctx.chunks_mut(hd).enumerate() {
+        let off = hh * hd;
+        lm4db_tensor::kernels::attn_head(&q[off..off + hd], ck, cv, d, off, scale, scores, ctx_h);
     }
 }
 

@@ -28,8 +28,8 @@ pub use bert::{BertClassifier, BertModel};
 pub use checkpoint::{restore_store, snapshot_store, Checkpoint, ParamSnapshot};
 pub use config::ModelConfig;
 pub use generate::{
-    apply_constraint, apply_token_mask, argmax, beam, greedy, log_softmax, sample, Constraint,
-    ConstraintMask, DraftModel, Hypothesis, NextToken, SampleOptions, TokenMask, Unconstrained,
+    apply_token_mask, argmax, beam, greedy, log_softmax, sample, DraftModel, Hypothesis, NextToken,
+    SampleOptions, TokenMask,
 };
 pub use gpt::GptModel;
 pub use incremental::{feed_stack, greedy_cached, IncrementalSession, KvCache, StackEntry};

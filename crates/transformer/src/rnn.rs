@@ -170,7 +170,7 @@ impl NextToken for RnnLm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generate::{greedy, Unconstrained};
+    use crate::generate::greedy;
     use lm4db_tokenize::BOS;
 
     #[test]
@@ -204,7 +204,7 @@ mod tests {
         for _ in 0..150 {
             m.train_step(std::slice::from_ref(&seq), &mut opt);
         }
-        let out = greedy(&mut m, &[BOS, 10], 3, 999, &Unconstrained);
+        let out = greedy(&mut m, &[BOS, 10], 3, 999, None);
         assert_eq!(out, vec![11, 12, 13]);
     }
 

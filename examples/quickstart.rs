@@ -14,7 +14,6 @@ use lm4db::sql::run_sql;
 use lm4db::tokenize::{Bpe, Tokenizer};
 use lm4db::transformer::{
     evaluate_perplexity, greedy, pack_corpus, pretrain_gpt, GptModel, ModelConfig, TrainOptions,
-    Unconstrained,
 };
 use lm4db::zoo;
 
@@ -54,7 +53,7 @@ fn main() {
     let prompt = bpe.encode("the optimizer");
     let mut prefix = vec![lm4db::tokenize::BOS];
     prefix.extend(prompt);
-    let completion = greedy(&mut model, &prefix, 8, lm4db::tokenize::EOS, &Unconstrained);
+    let completion = greedy(&mut model, &prefix, 8, lm4db::tokenize::EOS, None);
     println!("completion: the optimizer {}", bpe.decode(&completion));
 
     println!("\n== 3. The SQL substrate ==");

@@ -5,7 +5,7 @@ use lm4db::lm::NGramLm;
 use lm4db::tokenize::{Bpe, Tokenizer, WordPiece, BOS, EOS};
 use lm4db::transformer::{
     beam, evaluate_perplexity, greedy, pack_corpus, pretrain_gpt, BertModel, GptModel, ModelConfig,
-    NextToken, TrainOptions, Unconstrained,
+    NextToken, TrainOptions,
 };
 
 fn corpus() -> Vec<String> {
@@ -68,9 +68,9 @@ fn gpt_and_ngram_share_decoding_infrastructure() {
     // Both models work through the same generation entry points.
     let models: Vec<&mut dyn NextToken> = vec![&mut ngram, &mut gpt];
     for m in models {
-        let g = greedy(m, &prefix, 5, EOS, &Unconstrained);
+        let g = greedy(m, &prefix, 5, EOS, None);
         assert!(g.len() <= 5);
-        let hyps = beam(m, &prefix, 2, 4, EOS, &Unconstrained);
+        let hyps = beam(m, &prefix, 2, 4, EOS, None);
         assert!(!hyps.is_empty());
     }
 }

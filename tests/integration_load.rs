@@ -119,7 +119,6 @@ fn soak_workload(seed: u64) -> String {
             max_queue: 12,
             tenants: classes,
             slo_admission: true,
-            slo_initial_service_steps: 4,
             ..Default::default()
         },
     );

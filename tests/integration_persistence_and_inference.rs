@@ -7,7 +7,7 @@ use lm4db::factcheck::{synthetic_summary, verify_summary, KeywordMapper, Verdict
 use lm4db::tokenize::{Bpe, Tokenizer, BOS, EOS};
 use lm4db::transformer::{
     greedy, greedy_cached, pack_corpus, pretrain_gpt, GptModel, IncrementalSession, ModelConfig,
-    NextToken, TrainOptions, Unconstrained,
+    NextToken, TrainOptions,
 };
 
 #[test]
@@ -38,8 +38,8 @@ fn checkpoint_survives_pretraining_and_matches_generation() {
 
     let mut prefix = vec![BOS];
     prefix.extend(bpe.encode("the optimizer"));
-    let original = greedy(&mut model, &prefix, 6, EOS, &Unconstrained);
-    let after = greedy(&mut restored, &prefix, 6, EOS, &Unconstrained);
+    let original = greedy(&mut model, &prefix, 6, EOS, None);
+    let after = greedy(&mut restored, &prefix, 6, EOS, None);
     assert_eq!(original, after, "restored model generates differently");
 }
 
@@ -69,7 +69,7 @@ fn kv_cache_session_agrees_with_model_after_training() {
     let mut prefix = vec![BOS];
     prefix.extend(bpe.encode("the database"));
     // Cached greedy equals uncached greedy on a trained model.
-    let uncached = greedy(&mut model, &prefix, 8, EOS, &Unconstrained);
+    let uncached = greedy(&mut model, &prefix, 8, EOS, None);
     let cached = greedy_cached(&model, &prefix, 8, EOS);
     assert_eq!(uncached, cached);
     // And the session's NextToken impl matches the model's logits.

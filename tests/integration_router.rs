@@ -115,17 +115,14 @@ fn routed_soak(seed: u64) -> (String, RouterStats) {
         &model,
         RouterOptions {
             replicas: 3,
-            vnodes: 64,
             prefix_window: 6,
             heartbeat_every: 16,
-            breaker_threshold: 2,
             breaker_cooldown: 64,
             engine: EngineOptions {
                 max_batch: 3,
                 max_queue: 10,
                 tenants: classes,
                 slo_admission: true,
-                slo_initial_service_steps: 4,
                 ..Default::default()
             },
             ..Default::default()

@@ -21,9 +21,7 @@ use lm4db::fault::fnv64;
 use lm4db::lm::NGramLm;
 use lm4db::serve::{Engine, EngineOptions, Request};
 use lm4db::tokenize::{BOS, EOS};
-use lm4db::transformer::{
-    beam, greedy, greedy_cached, GptModel, IncrementalSession, ModelConfig, Unconstrained,
-};
+use lm4db::transformer::{beam, greedy, greedy_cached, GptModel, IncrementalSession, ModelConfig};
 
 /// A fixed-seed model trained until its next-token distributions are sharp,
 /// so the full-forward and incremental paths agree token for token.
@@ -215,7 +213,7 @@ fn greedy_golden_single_request_paths() {
     let mut m = m;
     let full: Vec<Vec<usize>> = prompts()
         .iter()
-        .map(|p| greedy(&mut m, p, MAX_NEW, EOS, &Unconstrained))
+        .map(|p| greedy(&mut m, p, MAX_NEW, EOS, None))
         .collect();
     assert_eq!(render_greedy(&full), render_greedy(&cached));
 }
@@ -227,7 +225,7 @@ fn beam_golden_single_request_path() {
         .iter()
         .map(|p| {
             let mut session = IncrementalSession::new(&m);
-            beam(&mut session, p, BEAM_WIDTH, MAX_NEW, EOS, &Unconstrained)
+            beam(&mut session, p, BEAM_WIDTH, MAX_NEW, EOS, None)
         })
         .collect();
     check_or_bless("beam.txt", &render_beam(&all));
