@@ -18,7 +18,7 @@ use lm4db_fault::Breaker;
 use lm4db_serve::Engine;
 use lm4db_sql::Catalog;
 use lm4db_tensor::Rand;
-use lm4db_text2sql::{decode_units, SqlTrie, TrieConstraint};
+use lm4db_text2sql::{decode_units, Spellings, SqlTrie, TrieConstraint};
 use lm4db_tokenize::{Bpe, Tokenizer, BOS, EOS};
 use lm4db_transformer::{sample, GptModel, ModelConfig, SampleOptions};
 
@@ -73,6 +73,7 @@ pub struct Synthesizer {
     gpt: GptModel,
     bpe: Bpe,
     trie: SqlTrie,
+    spellings: Spellings,
     rng: Rand,
     breaker: Breaker,
     /// The breaker's tick: `synthesize_resilient` calls so far.
@@ -98,10 +99,12 @@ impl Synthesizer {
             ..cfg
         };
         let gpt = GptModel::new(cfg, seed);
+        let spellings = Spellings::new(&bpe, &trie);
         Synthesizer {
             gpt,
             bpe,
             trie,
+            spellings,
             rng: Rand::seeded(seed ^ 0x5eed),
             breaker: BreakerOptions::default().breaker(),
             breaker_tick: 0,
@@ -173,7 +176,7 @@ impl Synthesizer {
         let _span = lm4db_obs::span("codegen_constrained");
         lm4db_obs::counter_add("codegen/attempts", 1);
         let prompt = self.prompt_ids(instruction);
-        let constraint = TrieConstraint::new(&self.bpe, &self.trie, prompt.len());
+        let constraint = TrieConstraint::new(&self.bpe, &self.trie, &self.spellings, prompt.len());
         // Budget enough steps to reach a leaf of the deepest trie path, so
         // constrained decoding is complete: every beam can finish a program.
         // Worst case the model spells a program one character per token, so

@@ -2,7 +2,7 @@
 //! logits the feed stage just produced, one request at a time in batch
 //! order.
 
-use lm4db_transformer::generate::{argmax, log_softmax, mask_logits};
+use lm4db_transformer::generate::{argmax, log_softmax, mask_logits, top_tokens};
 use lm4db_transformer::{DraftModel, GptModel, Hypothesis};
 
 use super::request::{Job, Seq};
@@ -13,6 +13,8 @@ use crate::stats::{Counter, Stats};
 /// Runs one selection round for every request in the batch, retiring the
 /// ones that reach their natural end.
 pub(super) fn run(eng: &mut Engine<'_>) {
+    // One allow table for every masked selection of the round.
+    let mut allow = Vec::new();
     let mut i = 0;
     while i < eng.active.len() {
         let _req = lm4db_obs::request_scope(eng.active[i].id);
@@ -22,6 +24,7 @@ pub(super) fn run(eng: &mut Engine<'_>) {
             eng.draft,
             eng.opts.draft_k,
             &mut eng.stats,
+            &mut allow,
         );
         if done {
             let job = eng.active.remove(i);
@@ -63,12 +66,12 @@ fn select(
     draft: Option<&dyn DraftModel>,
     draft_k: usize,
     stats: &mut Stats,
+    allow: &mut Vec<bool>,
 ) -> bool {
     let max_seq_len = model.config().max_seq_len;
     // Masks veto through the single-request decoders' own `mask_logits`,
     // so a masked request decodes byte-identically to them.
     let mask = job.req.mask;
-    let mut allow = Vec::new();
     let run = &mut job.run;
     match job.req.decode {
         Decode::Greedy { max_new, stop } => {
@@ -95,7 +98,7 @@ fn select(
                 let mut masked = Vec::new();
                 let logits = if mask.is_some() {
                     masked.extend_from_slice(raw);
-                    if mask_logits(&mut masked, &seq.ids[..vlen], mask, &mut allow) == 0 {
+                    if mask_logits(&mut masked, &seq.ids[..vlen], mask, allow) == 0 {
                         // Dead end: `generate::greedy` stops and returns
                         // the output so far.
                         return true;
@@ -148,7 +151,7 @@ fn select(
                         .min(max_seq_len.saturating_sub(seq.ids.len()));
                     while drafted < budget {
                         let mut dl = dm.draft_logits(&seq.ids);
-                        if mask_logits(&mut dl, &seq.ids, mask, &mut allow) == 0 {
+                        if mask_logits(&mut dl, &seq.ids, mask, allow) == 0 {
                             break;
                         }
                         let dt = argmax(&dl);
@@ -181,15 +184,11 @@ fn select(
             let mut specs: Vec<(usize, usize, f32)> = Vec::new();
             for (si, seq) in run.live.iter().enumerate() {
                 let mut logits = seq.cache.last_logits().to_vec();
-                if mask_logits(&mut logits, &seq.ids, mask, &mut allow) == 0 {
+                if mask_logits(&mut logits, &seq.ids, mask, allow) == 0 {
                     continue; // dead end — drop this beam
                 }
                 let log_probs = log_softmax(&logits);
-                let mut order: Vec<usize> = (0..log_probs.len())
-                    .filter(|&t| log_probs[t].is_finite())
-                    .collect();
-                order.sort_by(|&a, &b| log_probs[b].total_cmp(&log_probs[a]));
-                for &tok in order.iter().take(width) {
+                for tok in top_tokens(&log_probs, width) {
                     let lp = seq.log_prob + log_probs[tok];
                     if tok == stop {
                         run.done.push(Hypothesis {
@@ -207,9 +206,18 @@ fn select(
             }
             specs.sort_by(|a, b| b.2.total_cmp(&a.2));
             specs.truncate(width);
+            // A parent's last child takes its KV cache; the others fork it.
+            let mut children_left = vec![0usize; run.live.len()];
+            for &(si, ..) in &specs {
+                children_left[si] += 1;
+            }
+            let mut parents: Vec<Option<Seq>> = run.live.drain(..).map(Some).collect();
             let mut new_live = Vec::with_capacity(specs.len());
             for (si, tok, lp) in specs {
-                let parent = &run.live[si];
+                children_left[si] -= 1;
+                let parent = parents[si]
+                    .as_ref()
+                    .expect("a parent outlives its children");
                 let mut ids = parent.ids.clone();
                 ids.push(tok);
                 if parent.ids.len() >= max_seq_len {
@@ -222,9 +230,15 @@ fn select(
                     });
                     continue;
                 }
+                let cache = if children_left[si] > 0 {
+                    parent.cache.clone()
+                } else {
+                    let parent = parents[si].take();
+                    parent.expect("taken by the last child only").cache
+                };
                 let sched = ids.len();
                 new_live.push(Seq {
-                    cache: parent.cache.clone(),
+                    cache,
                     ids,
                     sched,
                     log_prob: lp,

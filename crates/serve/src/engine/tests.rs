@@ -254,6 +254,67 @@ fn engine_beam_respects_constraints() {
     }
 }
 
+/// Vetoes every token.
+struct VetoAll;
+
+impl TokenMask for VetoAll {
+    fn fill(&self, _prefix: &[usize], _mask: &mut [bool]) {}
+}
+
+/// Allows the stop token only.
+struct OnlyEos;
+
+impl TokenMask for OnlyEos {
+    fn fill(&self, _prefix: &[usize], mask: &mut [bool]) {
+        mask[EOS] = true;
+    }
+}
+
+#[test]
+fn masks_that_allow_nothing_or_only_eos_end_every_decoder_at_the_prompt() {
+    let m = trained_model();
+    let p = vec![BOS, 10];
+    let bare = |finished| Hypothesis {
+        ids: p.clone(),
+        log_prob: 0.0,
+        finished,
+    };
+    // Beam: a vetoed first step leaves the prompt as the one unfinished
+    // hypothesis (as a zero budget does); EOS as the only choice finishes
+    // it at log-probability 0 and keeps the unfinished prompt behind it.
+    let cases: [(&str, &dyn TokenMask, Vec<Hypothesis>); 2] = [
+        ("veto-all", &VetoAll, vec![bare(false)]),
+        ("eos-only", &OnlyEos, vec![bare(true), bare(false)]),
+    ];
+    for (name, mask, want_hyps) in cases {
+        let mut session = IncrementalSession::new(&m);
+        let want_tokens = greedy_single(&mut session, &p, 8, EOS, Some(mask));
+        assert!(want_tokens.is_empty(), "{name}: reference greedy");
+        let mut session = IncrementalSession::new(&m);
+        let want = beam_single(&mut session, &p, 3, 6, EOS, Some(mask));
+
+        let mut engine = Engine::new(&m);
+        let g = engine.submit(Request::greedy(p.clone(), 8, EOS).with_mask(mask));
+        let b = engine.submit(Request::beam(p.clone(), 3, 6, EOS).with_mask(mask));
+        let out = engine.run();
+        let [greedy, beam] = [g, b].map(|id| {
+            let r = out.iter().find(|r| r.id == id).expect("one response each");
+            assert_eq!(r.outcome, Outcome::Finished, "{name}");
+            r
+        });
+        assert_eq!(greedy.tokens, want_tokens, "{name}: engine greedy");
+        assert!(beam.tokens.is_empty(), "{name}: engine beam");
+        for (hyps, who) in [(&want, "reference"), (&beam.hyps, "engine")] {
+            assert_eq!(hyps.len(), want_hyps.len(), "{name}: {who} beam");
+            for (h, w) in hyps.iter().zip(&want_hyps) {
+                assert_eq!(h.ids, w.ids, "{name}: {who} beam");
+                assert_eq!(h.finished, w.finished, "{name}: {who} beam");
+                assert_eq!(h.log_prob.to_bits(), w.log_prob.to_bits(), "{name}: {who}");
+            }
+        }
+    }
+}
+
 #[test]
 fn engine_score_matches_sequential_scoring() {
     let m = trained_model();

@@ -9,7 +9,7 @@
 //!   `question → SQL` pairs, decoded by beam search ([`SemanticParser`]);
 //! * **PICARD-style constrained decoding**: a word-trie of the full
 //!   candidate query space vetoes every token that cannot extend to valid
-//!   SQL ([`SqlTrie`], [`TrieConstraint`]);
+//!   SQL ([`SqlTrie`], [`TrieConstraint`] over the words' [`Spellings`]);
 //! * a **template baseline** representing pre-LM keyword systems
 //!   ([`TemplateBaseline`]);
 //! * **evaluation** by exact-match and execution accuracy ([`eval`]), plus
@@ -30,6 +30,6 @@ pub use lm4db_tokenize::bpe::EOW;
 pub use baseline::TemplateBaseline;
 pub use eval::{evaluate, score_one, Metrics};
 pub use paraphrase::{paraphrase_examples, paraphrase_question};
-pub use parser::{decode_units, DecodeMode, Prediction, SemanticParser, TrieConstraint};
+pub use parser::{decode_units, DecodeMode, Prediction, SemanticParser, Spellings, TrieConstraint};
 pub use trie::{enumerate_queries, SqlTrie};
 pub use workload::{generate, Example, Tier, THRESHOLDS};

@@ -6,6 +6,8 @@
 //! schema-specialized [`SqlTrie`] are vetoed — so the parser can only emit
 //! executable SQL.
 
+use std::collections::HashMap;
+
 use lm4db_serve::{Engine, EngineOptions, Request};
 use lm4db_tokenize::{vocab::SPECIAL_TOKENS, Bpe, Tokenizer, BOS, EOS};
 use lm4db_transformer::{GptModel, Hypothesis, ModelConfig, TokenMask};
@@ -39,96 +41,118 @@ pub fn decode_units(bpe: &Bpe, ids: &[usize]) -> (Vec<String>, Option<String>) {
     (units, partial)
 }
 
+/// The token spellings of every word on a trie's edges, built once per
+/// tokenizer and trie so that [`TrieConstraint`] never scans the
+/// vocabulary.
+pub struct Spellings {
+    /// Per word `w`, indexed by a char-boundary byte offset `i`: the ids
+    /// that continue the partial word `w[..i]` towards `w`.
+    by_word: HashMap<String, Vec<Vec<usize>>>,
+}
+
+impl Spellings {
+    /// Spells every word of `trie` with the tokens of `bpe`.
+    pub fn new(bpe: &Bpe, trie: &SqlTrie) -> Self {
+        let by_word = trie
+            .words()
+            .into_iter()
+            .map(|w| (w.to_string(), spell(bpe, w)))
+            .collect();
+        Spellings { by_word }
+    }
+
+    /// The ids that continue the partial word `word[..at]` towards `word`.
+    fn after(&self, word: &str, at: usize) -> &[usize] {
+        &self
+            .by_word
+            .get(word)
+            .expect("spellings are built from the constraint's own trie")[at]
+    }
+}
+
+/// For every char boundary `i` of `word`, the tokens that may follow the
+/// partial word `word[..i]`: the end-of-word token `word[i..]`, and each
+/// token `word[i..j]` (`i < j < len`) whose remainder `word[j..]` can still
+/// be spelled with an end-of-word token last — otherwise a beam would be
+/// admitted into a dead end (e.g. the token `a` towards `avg` under a
+/// tokenizer that has no `v`).
+fn spell(bpe: &Bpe, word: &str) -> Vec<Vec<usize>> {
+    let vocab = bpe.vocab();
+    let n = word.len();
+    let eow = |piece: &str| vocab.id(&format!("{piece}{}", crate::EOW));
+    let cuts: Vec<usize> = (0..=n).filter(|&i| word.is_char_boundary(i)).collect();
+    // finishable[i]: `word[i..]` splits into tokens, the last one
+    // end-of-word. One right-to-left pass covers every suffix.
+    let mut finishable = vec![false; n + 1];
+    for (k, &i) in cuts.iter().enumerate().rev().skip(1) {
+        finishable[i] = cuts[k + 1..].iter().any(|&j| {
+            if j == n {
+                eow(&word[i..]).is_some()
+            } else {
+                finishable[j] && vocab.id(&word[i..j]).is_some()
+            }
+        });
+    }
+    let mut spellings = vec![Vec::new(); n + 1];
+    for (k, &i) in cuts.iter().enumerate() {
+        let pieces = cuts[k + 1..]
+            .iter()
+            .filter(|&&j| j < n && finishable[j])
+            .filter_map(|&j| vocab.id(&word[i..j]));
+        spellings[i] = eow(&word[i..]).into_iter().chain(pieces).collect();
+    }
+    spellings
+}
+
 /// The PICARD-style grammar mask: after a decoded prefix, exactly the
 /// tokens that keep the generated text on a path of the word trie.
 pub struct TrieConstraint<'a> {
     bpe: &'a Bpe,
     trie: &'a SqlTrie,
+    spellings: &'a Spellings,
     /// Length of the prompt prefix; only tokens after it are generated SQL.
     prompt_len: usize,
 }
 
 impl<'a> TrieConstraint<'a> {
     /// Builds a constraint over any word trie (reused by the CodexDB-style
-    /// synthesizer for its pipeline DSL).
-    pub fn new(bpe: &'a Bpe, trie: &'a SqlTrie, prompt_len: usize) -> Self {
+    /// synthesizer for its pipeline DSL). `spellings` must be
+    /// [`Spellings::new`] of the same `bpe` and `trie`.
+    pub fn new(
+        bpe: &'a Bpe,
+        trie: &'a SqlTrie,
+        spellings: &'a Spellings,
+        prompt_len: usize,
+    ) -> Self {
         TrieConstraint {
             bpe,
             trie,
+            spellings,
             prompt_len,
         }
     }
 }
 
-/// True when `suffix` can be spelled by vocabulary tokens such that the
-/// word ends with an end-of-word token — i.e. a partially decoded unit can
-/// actually be finished. Dynamic program over byte positions of `suffix`.
-fn suffix_completable(bpe: &Bpe, suffix: &str) -> bool {
-    let n = suffix.len();
-    if n == 0 {
-        return false;
-    }
-    // ok[i]: suffix[i..] splits into vocab tokens with the last one EOW.
-    let mut ok = vec![false; n + 1];
-    for i in (0..n).rev() {
-        if !suffix.is_char_boundary(i) {
-            continue;
-        }
-        for j in (i + 1)..=n {
-            if !suffix.is_char_boundary(j) {
-                continue;
-            }
-            let piece = &suffix[i..j];
-            let fits = if j == n {
-                bpe.vocab().id(&format!("{piece}{}", crate::EOW)).is_some()
-            } else {
-                ok[j] && bpe.vocab().id(piece).is_some()
-            };
-            if fits {
-                ok[i] = true;
-                break;
-            }
-        }
-    }
-    ok[0]
-}
-
-/// One vocabulary-wide allow table per decode step. The per-step trie
-/// state (`decode_units` of the generated prefix, the sorted `next_words`
-/// frontier, completability of the current node) is computed **once** per
-/// step instead of once per candidate token, which is what makes
-/// grammar-constrained decoding cheap enough to run inside the engine's
-/// speculative draft/verify loop. The tests check it token by token
-/// against a per-token oracle that decodes every candidate from scratch.
+/// One vocabulary-wide allow table per decode step. The trie state
+/// (`decode_units` of the generated prefix, the node it reaches) is
+/// derived once per step, and the allowed tokens are read off the
+/// precomputed [`Spellings`] of the node's child words that continue the
+/// partial word — a step costs the frontier's spellings, not the
+/// vocabulary, which is what makes grammar-constrained beam search
+/// cheap enough to run on every hypothesis inside the engine. The tests
+/// check it token by token against a per-token oracle that decodes every
+/// candidate from scratch.
 impl TokenMask for TrieConstraint<'_> {
     fn fill(&self, prefix: &[usize], mask: &mut [bool]) {
         let generated = &prefix[self.prompt_len.min(prefix.len())..];
         let (units, partial) = decode_units(self.bpe, generated);
-        let nexts = self.trie.next_words(&units);
-        let p = partial.as_deref().unwrap_or("");
         if partial.is_none() && self.trie.is_complete(&units) {
             mask[EOS] = true;
         }
-        let vocab = self.bpe.vocab();
-        for (id, slot) in mask.iter_mut().enumerate().skip(SPECIAL_TOKENS.len()) {
-            let tok = vocab.token(id);
-            match tok.strip_suffix(crate::EOW) {
-                // Token finishes the current word: the completed word must
-                // be on the trie frontier (`nexts` is sorted).
-                Some(stem) => {
-                    let word = format!("{p}{stem}");
-                    *slot = nexts.binary_search(&word.as_str()).is_ok();
-                }
-                // Token extends the partial word: some frontier word must
-                // continue through it and stay spellable to an EOW token.
-                None => {
-                    let cand = format!("{p}{tok}");
-                    *slot = nexts.iter().any(|w| {
-                        w.len() > cand.len()
-                            && w.starts_with(&cand)
-                            && suffix_completable(self.bpe, &w[cand.len()..])
-                    });
-                }
+        let p = partial.as_deref().unwrap_or("");
+        for word in self.trie.children(&units).filter(|w| w.starts_with(p)) {
+            for &id in self.spellings.after(word, p.len()) {
+                mask[id] = true;
             }
         }
     }
@@ -158,6 +182,7 @@ pub struct SemanticParser {
     gpt: GptModel,
     bpe: Bpe,
     trie: SqlTrie,
+    spellings: Spellings,
     beam_width: usize,
     max_new: usize,
     /// Decode through the int8 quantized engine path.
@@ -185,10 +210,12 @@ impl SemanticParser {
             ..cfg
         };
         let gpt = GptModel::new(cfg, seed);
+        let spellings = Spellings::new(&bpe, &trie);
         SemanticParser {
             gpt,
             bpe,
             trie,
+            spellings,
             beam_width: 3,
             max_new: 48,
             quantized: false,
@@ -271,7 +298,7 @@ impl SemanticParser {
         let prompts: Vec<Vec<usize>> = questions.iter().map(|q| self.prompt_ids(q)).collect();
         let constraints: Vec<TrieConstraint> = prompts
             .iter()
-            .map(|p| TrieConstraint::new(&self.bpe, &self.trie, p.len()))
+            .map(|p| TrieConstraint::new(&self.bpe, &self.trie, &self.spellings, p.len()))
             .collect();
         let mut engine = Engine::with_options(
             &self.gpt,
@@ -337,6 +364,7 @@ impl SemanticParser {
 mod tests {
     use super::*;
     use crate::workload::generate;
+    use lm4db_codegen::{enumerate_programs, generate_tasks, Synthesizer};
     use lm4db_corpus::{make_domain, DomainKind};
     use lm4db_sql::run_sql;
     use lm4db_transformer::{beam, IncrementalSession};
@@ -351,6 +379,40 @@ mod tests {
         };
         let parser = SemanticParser::new(cfg, &train, trie, 5, 600);
         (d, parser, train)
+    }
+
+    /// True when `suffix` can be spelled by vocabulary tokens such that the
+    /// word ends with an end-of-word token — i.e. a partially decoded unit
+    /// can actually be finished. Dynamic program over byte positions of
+    /// `suffix`, run afresh for every suffix.
+    fn suffix_completable(bpe: &Bpe, suffix: &str) -> bool {
+        let n = suffix.len();
+        if n == 0 {
+            return false;
+        }
+        // ok[i]: suffix[i..] splits into vocab tokens with the last one EOW.
+        let mut ok = vec![false; n + 1];
+        for i in (0..n).rev() {
+            if !suffix.is_char_boundary(i) {
+                continue;
+            }
+            for j in (i + 1)..=n {
+                if !suffix.is_char_boundary(j) {
+                    continue;
+                }
+                let piece = &suffix[i..j];
+                let fits = if j == n {
+                    bpe.vocab().id(&format!("{piece}{}", crate::EOW)).is_some()
+                } else {
+                    ok[j] && bpe.vocab().id(piece).is_some()
+                };
+                if fits {
+                    ok[i] = true;
+                    break;
+                }
+            }
+        }
+        ok[0]
     }
 
     /// The per-token oracle `fill` is checked against: may `token` follow
@@ -399,7 +461,8 @@ mod tests {
     fn constraint_only_allows_trie_paths() {
         let (_, parser, _) = setup(8);
         let prompt = parser.prompt_ids("show the name of all employees");
-        let constraint = TrieConstraint::new(&parser.bpe, &parser.trie, prompt.len());
+        let constraint =
+            TrieConstraint::new(&parser.bpe, &parser.trie, &parser.spellings, prompt.len());
         let vocab = parser.bpe.vocab();
         let mut mask = vec![false; vocab.len()];
         constraint.fill(&prompt, &mut mask);
@@ -424,7 +487,8 @@ mod tests {
     fn token_mask_agrees_with_constraint_oracle_token_by_token() {
         let (_, parser, _) = setup(8);
         let prompt = parser.prompt_ids("show the name of all employees");
-        let constraint = TrieConstraint::new(&parser.bpe, &parser.trie, prompt.len());
+        let constraint =
+            TrieConstraint::new(&parser.bpe, &parser.trie, &parser.spellings, prompt.len());
         let vocab_len = parser.bpe.vocab().len();
         // Walk a constrained decode: at every prefix along the way, the
         // one-shot mask and the per-token oracle must agree on the entire
@@ -454,6 +518,106 @@ mod tests {
         assert!(prefix.len() > prompt.len(), "walk never advanced");
     }
 
+    /// The differential for the mask: random constrained walks, run to
+    /// completion, under both grammars the applications decode with — the
+    /// text-to-SQL trie and codegen's program trie, each spelled by a small
+    /// tokenizer (words in many pieces), by its application's own size, and
+    /// by a small tokenizer that never saw the letters `v` and `x`: that one
+    /// cannot finish `avg` or `max`, so pieces that lead into them must be
+    /// vetoed and a walk may reach a dead end. At every step `fill` must
+    /// equal the oracle on every vocabulary id and allow no special token
+    /// but EOS; the walk picks a random allowed token and ends on EOS at a
+    /// stored query. `PROPTEST_CASES` walks per grammar from a fixed seed.
+    #[test]
+    fn fill_matches_the_oracle_on_random_walks_over_both_grammars() {
+        let d = make_domain(DomainKind::Employees, 20, 7);
+        let sql = SqlTrie::for_domain(&d);
+        let mut sql_texts: Vec<String> = generate(&d, 16, 1)
+            .iter()
+            .map(SemanticParser::serialize)
+            .collect();
+        sql_texts.extend(sql.all_queries().iter().map(|q| q.to_lowercase()));
+        let programs = enumerate_programs(&d);
+        let mut program_trie = SqlTrie::default();
+        for p in &programs {
+            program_trie.insert(p);
+        }
+        let mut program_texts: Vec<String> = generate_tasks(&d, 18, 1)
+            .iter()
+            .map(Synthesizer::serialize)
+            .collect();
+        program_texts.extend(programs);
+        let grammars = [
+            (&sql, &sql_texts, 300, false),
+            (&sql, &sql_texts, 600, false),
+            (&sql, &sql_texts, 300, true),
+            (&program_trie, &program_texts, 300, false),
+            (&program_trie, &program_texts, 700, false),
+            (&program_trie, &program_texts, 300, true),
+        ]
+        .map(|(trie, texts, size, blind)| {
+            let texts: Vec<String> = if blind {
+                texts.iter().map(|t| t.replace(['v', 'x'], "")).collect()
+            } else {
+                texts.clone()
+            };
+            let bpe = Bpe::train(texts.iter().map(String::as_str), size);
+            let spellings = Spellings::new(&bpe, trie);
+            (trie, bpe, spellings, blind)
+        });
+
+        let mut rng = proptest::TestRng::for_test("parser::fill_matches_the_oracle");
+        for case in 0..proptest::cases() {
+            for (g, (trie, bpe, spellings, blind)) in grammars.iter().enumerate() {
+                let vocab = bpe.vocab();
+                // Only what follows the prompt is decoded, whatever it holds.
+                let mut prompt = vec![BOS];
+                for _ in 0..rng.below(4) {
+                    let ordinary = (vocab.len() - SPECIAL_TOKENS.len()) as u64;
+                    prompt.push(SPECIAL_TOKENS.len() + rng.below(ordinary) as usize);
+                }
+                let c = TrieConstraint::new(bpe, trie, spellings, prompt.len());
+                let mut prefix = prompt.clone();
+                loop {
+                    let walk = || decode_units(bpe, &prefix[prompt.len()..]);
+                    let mut mask = vec![false; vocab.len()];
+                    c.fill(&prefix, &mut mask);
+                    for (id, &m) in mask.iter().enumerate() {
+                        assert_eq!(
+                            m,
+                            allowed(&c, &prefix, id),
+                            "case {case}, grammar {g}: mask and oracle disagree on token {id} \
+                             ({:?}) after {:?}",
+                            vocab.token(id),
+                            walk()
+                        );
+                    }
+                    let ok: Vec<usize> = (0..vocab.len()).filter(|&id| mask[id]).collect();
+                    assert!(
+                        ok.iter().all(|&id| id == EOS || !vocab.is_special(id)),
+                        "case {case}, grammar {g}: a special token allowed after {:?}: {ok:?}",
+                        walk()
+                    );
+                    if ok.is_empty() {
+                        assert!(
+                            *blind,
+                            "case {case}, grammar {g}: dead end after {:?}",
+                            walk()
+                        );
+                        break;
+                    }
+                    let next = ok[rng.below(ok.len() as u64) as usize];
+                    if next == EOS {
+                        let (units, partial) = walk();
+                        assert!(partial.is_none() && trie.lookup(&units).is_some());
+                        break;
+                    }
+                    prefix.push(next);
+                }
+            }
+        }
+    }
+
     #[test]
     fn reference_beam_matches_engine_beam_under_the_trie_mask() {
         let (_, mut parser, train) = setup(16);
@@ -464,7 +628,8 @@ mod tests {
             "which employee has the highest salary",
         ] {
             let prompt = parser.prompt_ids(q);
-            let mask = TrieConstraint::new(&parser.bpe, &parser.trie, prompt.len());
+            let mask =
+                TrieConstraint::new(&parser.bpe, &parser.trie, &parser.spellings, prompt.len());
             let (width, max_new) = (parser.beam_width, parser.max_new);
             // The reference decodes over a KV-cached session, the engine's
             // float path.

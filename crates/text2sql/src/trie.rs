@@ -3,7 +3,7 @@
 //! makes PICARD-style constrained decoding *complete* here: a decoded
 //! token sequence is valid iff it walks a path of this trie.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use lm4db_corpus::Domain;
 
@@ -89,16 +89,32 @@ impl SqlTrie {
         self.walk(units).and_then(|n| n.terminal.as_deref())
     }
 
+    /// The allowed next words after `units`, in no particular order (none
+    /// when `units` leaves the trie).
+    pub fn children(&self, units: &[String]) -> impl Iterator<Item = &str> {
+        self.walk(units)
+            .into_iter()
+            .flat_map(|n| n.children.keys().map(String::as_str))
+    }
+
     /// The allowed next words after `units`, sorted.
     pub fn next_words(&self, units: &[String]) -> Vec<&str> {
-        match self.walk(units) {
-            Some(n) => {
-                let mut words: Vec<&str> = n.children.keys().map(String::as_str).collect();
-                words.sort_unstable();
-                words
+        let mut words: Vec<&str> = self.children(units).collect();
+        words.sort_unstable();
+        words
+    }
+
+    /// Every distinct word on an edge of the trie, sorted.
+    pub fn words(&self) -> BTreeSet<&str> {
+        let mut out = BTreeSet::new();
+        let mut stack = vec![&self.root];
+        while let Some(node) = stack.pop() {
+            for (word, child) in &node.children {
+                out.insert(word.as_str());
+                stack.push(child);
             }
-            None => vec![],
         }
+        out
     }
 
     /// Iterates over every stored SQL string (for exhaustive checks).
@@ -236,6 +252,14 @@ mod tests {
     fn next_words_from_root_is_select() {
         let (_, t) = trie();
         assert_eq!(t.next_words(&[]), vec!["select"]);
+    }
+
+    #[test]
+    fn words_are_the_units_of_the_stored_queries() {
+        let (_, t) = trie();
+        let units: BTreeSet<String> = t.all_queries().into_iter().flat_map(pretokenize).collect();
+        let words: BTreeSet<String> = t.words().into_iter().map(str::to_string).collect();
+        assert_eq!(words, units);
     }
 
     #[test]

@@ -214,11 +214,7 @@ pub fn beam(
             }
             let log_probs = log_softmax(&logits);
             // Expand the `width` best continuations of this hypothesis.
-            let mut order: Vec<usize> = (0..log_probs.len())
-                .filter(|&t| log_probs[t].is_finite())
-                .collect();
-            order.sort_by(|&a, &b| log_probs[b].total_cmp(&log_probs[a]));
-            for &tok in order.iter().take(width) {
+            for tok in top_tokens(&log_probs, width) {
                 let mut ids = hyp.ids.clone();
                 let lp = hyp.log_prob + log_probs[tok];
                 if tok == stop {
@@ -261,6 +257,24 @@ pub fn beam(
     });
     done.truncate(width);
     done
+}
+
+/// The `width` most likely tokens with a finite log-probability, best
+/// first; ties go to the lower token id — the order a stable sort by
+/// descending log-probability gives, without sorting the whole vocabulary.
+/// Beam search expands a hypothesis with exactly these, here and in the
+/// serving engine.
+pub fn top_tokens(log_probs: &[f32], width: usize) -> Vec<usize> {
+    let better = |a: &usize, b: &usize| log_probs[*b].total_cmp(&log_probs[*a]).then(a.cmp(b));
+    let mut order: Vec<usize> = (0..log_probs.len())
+        .filter(|&t| log_probs[t].is_finite())
+        .collect();
+    if order.len() > width {
+        order.select_nth_unstable_by(width, better);
+        order.truncate(width);
+    }
+    order.sort_unstable_by(better);
+    order
 }
 
 /// Index of the maximum element (ties broken toward the lower index, the
@@ -534,6 +548,22 @@ mod proptests {
             for h in &hyps {
                 prop_assert!(h.log_prob <= 0.0);
             }
+        }
+
+        #[test]
+        fn top_tokens_is_the_head_of_a_stable_sort(
+            log_probs in prop::collection::vec(
+                prop::sample::select(vec![-2.0f32, -0.5, 0.0, -0.0, f32::NEG_INFINITY]),
+                0..24,
+            ),
+            width in 0usize..8,
+        ) {
+            let mut want: Vec<usize> = (0..log_probs.len())
+                .filter(|&t| log_probs[t].is_finite())
+                .collect();
+            want.sort_by(|&a, &b| log_probs[b].total_cmp(&log_probs[a]));
+            want.truncate(width);
+            prop_assert_eq!(top_tokens(&log_probs, width), want);
         }
 
         #[test]
