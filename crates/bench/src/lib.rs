@@ -8,7 +8,7 @@
 #![warn(missing_docs)]
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use lm4db::tokenize::BOS;
 use lm4db::transformer::ModelConfig;
@@ -54,7 +54,8 @@ pub fn results_path(name: &str) -> PathBuf {
 
 /// Writes a machine-readable JSON result next to the experiment's text
 /// table (`results/<name>`, pretty-printed, trailing newline) and returns
-/// the path.
+/// the path relative to the repository root — what a binary prints, so its
+/// stdout is the same from any checkout.
 pub fn write_results_json(name: &str, value: &Value) -> PathBuf {
     let path = results_path(name);
     if let Some(dir) = path.parent() {
@@ -63,7 +64,7 @@ pub fn write_results_json(name: &str, value: &Value) -> PathBuf {
     let mut json = serde_json::to_string_pretty(value).expect("serialize results");
     json.push('\n');
     std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-    path
+    Path::new("results").join(name)
 }
 
 /// Builds a JSON object from key/value pairs (keys sort for deterministic

@@ -103,9 +103,8 @@ impl NGramLm {
     /// sequence, with the same float expressions), but each order's
     /// context is hashed once and its successor total summed once instead
     /// of once per token — `O(order · successors + vocab)` rather than
-    /// `O(vocab · order · successors)`. This is what makes the n-gram
-    /// viable as a serve-engine draft model: one distribution per drafted
-    /// token, on the critical path of every speculative decode step.
+    /// `O(vocab · order · successors)`. [`NextToken::next_logits`] reads
+    /// it, so every decode step costs one pass, not one per token.
     pub fn dist(&self, context: &[usize]) -> Vec<f32> {
         let mut num = vec![0.0f32; self.vocab_size];
         let mut weight_sum = 0.0;
@@ -188,25 +187,6 @@ impl NextToken for NGramLm {
     }
 }
 
-impl lm4db_transformer::DraftModel for NGramLm {
-    fn vocab_size(&self) -> usize {
-        self.vocab_size
-    }
-
-    /// Same logits as [`NextToken::next_logits`], through `&self`: the
-    /// serve engine shares one trained n-gram across every in-flight
-    /// request and uses it to draft tokens the transformer then verifies
-    /// in a single batched forward. One [`NGramLm::dist`] call per drafted
-    /// token is orders of magnitude cheaper than a transformer decode
-    /// step, which is the whole speculative bet.
-    fn draft_logits(&self, prefix: &[usize]) -> Vec<f32> {
-        self.dist(prefix)
-            .into_iter()
-            .map(|p| p.max(1e-12).ln())
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,11 +249,10 @@ mod tests {
 
     #[test]
     fn dist_is_bitwise_identical_to_per_token_prob() {
-        // The dense distribution is the draft-model fast path; it must be
-        // indistinguishable from the reference scalar probability — exact
-        // equality, because the serve engine's speculative byte-equality
-        // guarantee rests on the draft and verify paths never disagreeing
-        // about float values.
+        // The dense distribution is what `next_logits` decodes from; it
+        // must be indistinguishable from the reference scalar probability —
+        // exact equality, so n-gram decoding picks the same tokens whichever
+        // path scores them.
         let mut lm = NGramLm::new(4, 32);
         lm.train(&repeating_stream());
         lm.train(&[5, 9, 5, 9, 5, 2, 7]);

@@ -140,8 +140,6 @@ pub(super) fn admit(eng: &mut Engine<'_>) {
             ids: std::mem::take(&mut job.req.prompt),
             sched: target,
             log_prob: 0.0,
-            spec: 0,
-            step_logits: Vec::new(),
         });
         eng.active.push(job);
     }

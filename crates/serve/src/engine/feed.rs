@@ -1,8 +1,8 @@
 //! Stage 2 — feed: one stacked forward over every live sequence's pending
-//! tokens — decode rows, whole prefill chunks, speculative chunks and beam
-//! siblings alike — cut into row groups that fan out across the pool, fault
-//! quarantine for the sequences that poisoned, and prefix sharing for the
-//! ones that finished prefill.
+//! tokens — decode rows, whole prefill chunks and beam siblings alike — cut
+//! into row groups that fan out across the pool, fault quarantine for the
+//! sequences that poisoned, and prefix sharing for the ones that finished
+//! prefill.
 
 use std::time::Instant;
 
@@ -64,8 +64,8 @@ fn gate(id: RequestId, salt: u64) -> Result<(), String> {
     .map_err(|payload| lm4db_tensor::panic_message(payload.as_ref()))
 }
 
-/// One group's stacked forward. Sequences awaiting a speculative verify
-/// keep every position's logits for the walk; the rest only their last.
+/// One group's stacked forward. Selection reads only each sequence's last
+/// logits, which the stack leaves in its cache.
 fn forward(model: &GptModel, quant: Option<&QuantizedGpt>, group: &mut [Work<'_>]) {
     let started = lm4db_obs::events_enabled().then(Instant::now);
     let mut entries: Vec<StackEntry<'_>> = group
@@ -73,13 +73,10 @@ fn forward(model: &GptModel, quant: Option<&QuantizedGpt>, group: &mut [Work<'_>
         .map(|w| StackEntry {
             cache: &mut w.seq.cache,
             tokens: &w.seq.ids[w.fed..w.seq.sched],
-            keep_all: w.seq.spec > 0,
+            keep_all: false,
         })
         .collect();
-    let logits = feed_stack(model, quant, &mut entries);
-    for (w, per_position) in group.iter_mut().zip(logits) {
-        w.seq.step_logits = per_position;
-    }
+    feed_stack(model, quant, &mut entries);
     // Each member request books the group's interval as its feed phase of
     // this step: co-stacked requests share the forward, so they share its
     // wall time too (a beam's siblings book it once).

@@ -10,13 +10,13 @@
 //!    are free, restoring any shared prompt prefix from the trie cache,
 //!    and sweeps cancelled and deadline-expired requests out,
 //! 2. **feed** runs every live sequence's pending tokens through the model
-//!    as one stacked forward ([`feed_stack`]): decode rows, prefill chunks,
-//!    speculative chunks and beam siblings are rows of one activation, each
-//!    projection of each layer runs once over the stack, and row groups of
-//!    it fan out across the worker pool in one dispatch. Rows share weight
-//!    sweeps, never an accumulator, and each sequence attends over and
-//!    appends to only its own [`KvCache`], so the computation for one
-//!    request is independent of what else is in the batch,
+//!    as one stacked forward ([`feed_stack`]): decode rows, prefill chunks
+//!    and beam siblings are rows of one activation, each projection of each
+//!    layer runs once over the stack, and row groups of it fan out across
+//!    the worker pool in one dispatch. Rows share weight sweeps, never an
+//!    accumulator, and each sequence attends over and appends to only its
+//!    own [`KvCache`], so the computation for one request is independent
+//!    of what else is in the batch,
 //! 3. **select** chooses the next token(s) for each request serially, in
 //!    submission order, with the exact float operations of the
 //!    single-request decoders in `lm4db_transformer::generate`, and
@@ -73,7 +73,7 @@
 
 use std::collections::HashSet;
 
-use lm4db_transformer::{DraftModel, GptModel, Hypothesis, TokenMask};
+use lm4db_transformer::{GptModel, Hypothesis, TokenMask};
 
 use crate::prefix::PrefixCache;
 use crate::sched::{FairQueues, TenantClass, TenantId};
@@ -94,9 +94,6 @@ pub struct Engine<'a> {
     model: &'a GptModel,
     /// Int8 weight snapshot, present iff [`EngineOptions::quantized`].
     quant: Option<lm4db_transformer::QuantizedGpt>,
-    /// Cheap proposal model for speculative decoding, shared read-only
-    /// across every in-flight request (see [`Engine::set_draft`]).
-    draft: Option<&'a dyn DraftModel>,
     opts: EngineOptions,
     /// Per-tenant admission queues (one plain FIFO when no tenant classes
     /// are configured).
@@ -156,7 +153,6 @@ impl<'a> Engine<'a> {
         Engine {
             model,
             quant,
-            draft: None,
             prefix: PrefixCache::new(opts.prefix_cache_tokens),
             opts,
             queue,
@@ -171,35 +167,6 @@ impl<'a> Engine<'a> {
             monitor,
             transitions: Vec::new(),
         }
-    }
-
-    /// The model this engine serves.
-    pub fn model(&self) -> &'a GptModel {
-        self.model
-    }
-
-    /// Whether this engine decodes through the int8 quantized path.
-    pub fn is_quantized(&self) -> bool {
-        self.quant.is_some()
-    }
-
-    /// Heap bytes of the int8 weight snapshot (0 for an f32 engine).
-    pub fn quantized_weight_bytes(&self) -> usize {
-        self.quant.as_ref().map_or(0, |q| q.weight_bytes())
-    }
-
-    /// Installs the draft model used by speculative greedy decoding when
-    /// [`EngineOptions::draft_k`] is non-zero. The draft only *proposes*
-    /// tokens — every proposal is verified against the transformer's own
-    /// argmax before it can appear in an output, so a bad draft costs
-    /// throughput, never correctness.
-    pub fn set_draft(&mut self, draft: &'a dyn DraftModel) {
-        assert_eq!(
-            draft.vocab_size(),
-            self.model.config().vocab_size,
-            "draft model vocabulary must match the served model"
-        );
-        self.draft = Some(draft);
     }
 
     /// Enqueues a request; it is admitted into the batch on a later
@@ -246,12 +213,6 @@ impl<'a> Engine<'a> {
             s.tenants.entry(job.req.tenant).or_default().queued += 1;
         }
         s
-    }
-
-    /// The tenant classes this engine schedules across (one synthetic
-    /// default class when [`EngineOptions::tenants`] was empty).
-    pub fn tenant_classes(&self) -> &[TenantClass] {
-        self.queue.classes()
     }
 
     /// Responses completed so far, drained in submission order.

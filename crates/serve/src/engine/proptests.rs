@@ -1,7 +1,6 @@
-//! Property tests: batch-size independence and mask safety under
-//! speculation, for arbitrary prompt mixes.
+//! Property tests: batch-size independence and mask safety, for arbitrary
+//! prompt mixes.
 
-use super::tests::testdraft::ConstDraft;
 use super::tests::MultiplesOrEos;
 use super::*;
 use lm4db_tokenize::{BOS, EOS};
@@ -40,33 +39,24 @@ proptest! {
         }
     }
 
-    /// Grammar-constrained speculative decoding as a property: for any
-    /// prompts, draft lookahead (including an adversarial constant
-    /// draft), batch size, and divisibility grammar, the engine never
-    /// emits a mask-vetoed token and reproduces the single-request
-    /// constrained greedy output byte for byte.
+    /// Grammar-constrained greedy decoding as a property: for any prompts,
+    /// batch size, and divisibility grammar, the engine never emits a
+    /// mask-vetoed token and reproduces the single-request constrained
+    /// greedy output byte for byte.
     #[test]
-    fn constrained_speculative_decode_never_violates_mask(
+    fn constrained_greedy_never_violates_mask(
         prompts in prop::collection::vec(
             prop::collection::vec(8usize..60, 1..6), 1..5),
-        draft_k in 0usize..5,
         modulus in 1usize..4,
-        draft_tok in 8usize..60,
         max_batch in 1usize..4,
     ) {
         let m = GptModel::new(ModelConfig::test(), 13);
         let step = modulus + 1;
         let mask = MultiplesOrEos(step);
-        let draft = ConstDraft {
-            vocab: m.config().vocab_size,
-            tok: draft_tok % m.config().vocab_size,
-        };
         let mut engine = Engine::with_options(&m, EngineOptions {
             max_batch,
-            draft_k,
             ..EngineOptions::default()
         });
-        engine.set_draft(&draft);
         let mut reqs = Vec::new();
         for p in &prompts {
             let mut prompt = vec![BOS];

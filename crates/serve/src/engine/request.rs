@@ -212,18 +212,6 @@ pub struct EngineOptions {
     /// is a deterministic integer EWMA over completed requests, starting
     /// at 4 steps before any request has completed.
     pub slo_admission: bool,
-    /// Speculative decoding lookahead: after each greedy selection the
-    /// draft model (see [`crate::Engine::set_draft`]) proposes up to this
-    /// many tokens, which the next scheduler step verifies as one chunk of
-    /// its stacked forward ([`lm4db_transformer::feed_stack`]) instead of
-    /// one pass per token. The longest prefix of drafts agreeing with the
-    /// transformer's own argmax is accepted; the first disagreement is
-    /// resampled from the transformer's logits and the KV cache rolls
-    /// back to the verified prefix — so output is byte-identical to
-    /// non-speculative greedy decoding at any draft quality. `0` (the
-    /// default) disables speculation; without a draft model the setting
-    /// is inert. Beam and scoring requests never speculate.
-    pub draft_k: usize,
     /// Telemetry sampling cadence in scheduler ticks: every
     /// `sample_steps`-th tick, the engine snapshots its step-based
     /// counters, queue depths, and per-tenant step-latency quantiles into
@@ -262,7 +250,6 @@ impl Default for EngineOptions {
             quantized: false,
             tenants: Vec::new(),
             slo_admission: false,
-            draft_k: 0,
             sample_steps: lm4db_obs::env_sample_steps(),
             slo_alerts: None,
         }
@@ -273,20 +260,12 @@ impl Default for EngineOptions {
 /// up to `width`).
 pub(super) struct Seq {
     pub cache: KvCache,
-    /// Full token sequence: prompt plus chosen continuations. With
-    /// speculation, the last [`Seq::spec`] entries are unverified drafts.
+    /// Full token sequence: prompt plus chosen continuations.
     pub ids: Vec<usize>,
     /// How many of `ids` are scheduled for feeding; the unfed span is
     /// `ids[cache.len()..sched]`.
     pub sched: usize,
     pub log_prob: f32,
-    /// How many trailing `ids` are speculative drafts awaiting
-    /// verification (0 outside speculative greedy decoding).
-    pub spec: usize,
-    /// Per-position logits from the last chunked feed: `step_logits[j]`
-    /// is the model's output after `ids[fed + j]` where `fed` was the
-    /// cache length before the feed. Empty outside speculation.
-    pub step_logits: Vec<Vec<f32>>,
 }
 
 /// Decode progress of one attempt. Quarantine resets it wholesale

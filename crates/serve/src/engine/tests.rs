@@ -1,8 +1,6 @@
 //! Unit tests for the staged engine: decode parity with the single-request
-//! decoders, scheduling, shedding, deadlines, tenants, speculation and
-//! telemetry.
+//! decoders, scheduling, shedding, deadlines, tenants and telemetry.
 
-use self::testdraft::{ConstDraft, IncDraft};
 use super::feed::{backoff_steps, group_lens};
 use super::select::log_softmax_at;
 use super::*;
@@ -20,52 +18,6 @@ impl TokenMask for MultiplesOrEos {
     fn fill(&self, _prefix: &[usize], mask: &mut [bool]) {
         for (t, m) in mask.iter_mut().enumerate() {
             *m = t.is_multiple_of(self.0) || t == EOS;
-        }
-    }
-}
-
-/// Deterministic draft models for the speculative-decoding tests: a
-/// pattern-following draft that agrees with the trained test model often
-/// (exercising the accept path) and a constant draft that almost never
-/// does (exercising rollback).
-pub(super) mod testdraft {
-    use lm4db_transformer::DraftModel;
-
-    /// Proposes `last token + 1` — near-perfect on the arithmetic
-    /// sequences the test model is trained on.
-    pub struct IncDraft {
-        pub vocab: usize,
-    }
-
-    impl DraftModel for IncDraft {
-        fn vocab_size(&self) -> usize {
-            self.vocab
-        }
-
-        fn draft_logits(&self, prefix: &[usize]) -> Vec<f32> {
-            let mut l = vec![0.0f32; self.vocab];
-            let next = prefix.last().map_or(0, |&t| (t + 1) % self.vocab);
-            l[next] = 1.0;
-            l
-        }
-    }
-
-    /// Always proposes the same token — an adversarial draft whose
-    /// proposals the verify walk must reject without corrupting output.
-    pub struct ConstDraft {
-        pub vocab: usize,
-        pub tok: usize,
-    }
-
-    impl DraftModel for ConstDraft {
-        fn vocab_size(&self) -> usize {
-            self.vocab
-        }
-
-        fn draft_logits(&self, _prefix: &[usize]) -> Vec<f32> {
-            let mut l = vec![0.0f32; self.vocab];
-            l[self.tok] = 1.0;
-            l
         }
     }
 }
@@ -127,8 +79,6 @@ fn quantized_engine_is_independent_of_batch_size_and_prefix_cache() {
                     ..EngineOptions::default()
                 },
             );
-            assert!(engine.is_quantized());
-            assert!(engine.quantized_weight_bytes() > 0);
             let reqs = ps
                 .iter()
                 .map(|p| Request::greedy(p.clone(), 8, EOS))
@@ -364,22 +314,18 @@ fn response_bits(r: &Response) -> String {
 
 #[test]
 fn mixed_stack_serves_each_request_as_if_alone() {
-    // Eight requests of every kind under speculation. Four are admitted
-    // first; the other four arrive two steps later, so their prefill
-    // chunks share one step's stack with the verify chunks, the beam's
-    // siblings and the single decode rows of the first four. Each answer
-    // must equal the same request served alone, bit for bit.
+    // Eight requests of every kind. Four are admitted first; the other
+    // four arrive two steps later, so their prefill chunks share one
+    // step's stack with the beam's siblings and the single decode rows of
+    // the first four. Each answer must equal the same request served
+    // alone, bit for bit.
     let m = trained_model();
-    let draft = IncDraft {
-        vocab: m.config().vocab_size,
-    };
     let options = EngineOptions {
         max_batch: 8,
-        draft_k: 3,
         ..EngineOptions::default()
     };
-    // The greedy requests never stop early: a verify chunk is still
-    // pending when the late arrivals prefill.
+    // The greedy requests never stop early: a decode row is still pending
+    // when the late arrivals prefill.
     let requests = || -> Vec<Request<'static>> {
         vec![
             Request::greedy(vec![BOS, 10], 8, usize::MAX),
@@ -396,13 +342,11 @@ fn mixed_stack_serves_each_request_as_if_alone() {
         .into_iter()
         .map(|req| {
             let mut engine = Engine::with_options(&m, options.clone());
-            engine.set_draft(&draft);
             response_bits(&engine.generate_batch(vec![req])[0])
         })
         .collect();
 
-    let mut engine = Engine::with_options(&m, options.clone());
-    engine.set_draft(&draft);
+    let mut engine = Engine::with_options(&m, options);
     let mut late = requests().split_off(4);
     for req in requests().into_iter().take(4) {
         engine.submit(req);
@@ -412,10 +356,13 @@ fn mixed_stack_serves_each_request_as_if_alone() {
     for req in late.drain(..) {
         engine.submit(req);
     }
-    // The step about to run stacks all four row shapes.
+    // The step about to run stacks all three row shapes.
     assert!(
-        engine.active.iter().any(|j| j.run.live[0].spec > 0),
-        "a speculative chunk is pending"
+        engine
+            .active
+            .iter()
+            .any(|j| matches!(j.req.decode, Decode::Greedy { .. })),
+        "a greedy decode row is pending"
     );
     assert!(
         engine.active.iter().any(|j| j.run.live.len() > 1),
@@ -638,221 +585,6 @@ fn zero_budget_requests_return_empty() {
     assert_eq!(hyps.len(), 1);
     assert_eq!(hyps[0].ids, vec![BOS, 10]);
     assert!(!hyps[0].finished);
-}
-
-#[test]
-fn speculative_greedy_is_byte_identical_to_non_speculative() {
-    let m = trained_model();
-    let ps = prompts();
-    let want: Vec<Vec<usize>> = ps.iter().map(|p| greedy_cached(&m, p, 8, EOS)).collect();
-    let vocab = m.config().vocab_size;
-    let good = IncDraft { vocab };
-    let bad = ConstDraft { vocab, tok: 5 };
-    let drafts: [(&str, &dyn DraftModel); 2] = [("inc", &good), ("const", &bad)];
-    for (name, draft) in drafts {
-        for draft_k in [1, 2, 4] {
-            for max_batch in [1, 8] {
-                let mut engine = Engine::with_options(
-                    &m,
-                    EngineOptions {
-                        max_batch,
-                        draft_k,
-                        ..EngineOptions::default()
-                    },
-                );
-                engine.set_draft(draft);
-                let reqs = ps
-                    .iter()
-                    .map(|p| Request::greedy(p.clone(), 8, EOS))
-                    .collect();
-                let out: Vec<Vec<usize>> = engine
-                    .generate_batch(reqs)
-                    .into_iter()
-                    .map(|r| r.tokens)
-                    .collect();
-                assert_eq!(out, want, "draft {name} / k {draft_k} / batch {max_batch}");
-                let stats = engine.stats();
-                assert!(stats.drafted_tokens > 0, "speculation must have run");
-                assert!(stats.draft_accepted_tokens <= stats.drafted_tokens);
-                if name == "inc" {
-                    assert!(
-                        stats.draft_accepted_tokens > 0,
-                        "pattern draft must land accepts on the trained model"
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Speculation pays in scheduler steps, not only in wall clock: eight
-/// requests sharing a 24-token header, an order-8 n-gram draft trained on
-/// the non-speculative engine's own outputs, 32 new tokens each. With
-/// `draft_k = 4` every step may retire up to five tokens per request
-/// (nine at 8), so the same byte-identical outputs must take at most half
-/// the steps — if the verify walk stops accepting, the step count climbs
-/// back to the baseline's.
-#[test]
-fn speculation_halves_steps_at_byte_identical_output() {
-    const NEW_TOKENS: usize = 32;
-    const STOP: usize = usize::MAX; // never emitted: every request runs its full budget
-    let cfg = ModelConfig {
-        vocab_size: 512,
-        max_seq_len: 96,
-        d_model: 32,
-        n_heads: 2,
-        n_layers: 2,
-        d_ff: 64,
-        dropout: 0.0,
-    };
-    let m = GptModel::new(cfg, 11);
-    let mut header = vec![BOS];
-    header.extend((0..23).map(|i| 10 + (i * 7) % 500));
-    let ps: Vec<Vec<usize>> = (0..8)
-        .map(|r| {
-            let mut p = header.clone();
-            p.extend([10 + (r * 31) % 500, 10 + (r * 17) % 500]);
-            p
-        })
-        .collect();
-    let run = |draft: Option<&lm4db_lm::NGramLm>, draft_k: usize| {
-        let mut engine = Engine::with_options(
-            &m,
-            EngineOptions {
-                max_batch: 8,
-                draft_k,
-                ..EngineOptions::default()
-            },
-        );
-        if let Some(d) = draft {
-            engine.set_draft(d);
-        }
-        let reqs = ps
-            .iter()
-            .map(|p| Request::greedy(p.clone(), NEW_TOKENS, STOP))
-            .collect();
-        let out: Vec<Vec<usize>> = engine
-            .generate_batch(reqs)
-            .into_iter()
-            .map(|r| r.tokens)
-            .collect();
-        (out, engine.stats())
-    };
-
-    let (want, base) = run(None, 0);
-    assert!(want.iter().all(|o| o.len() == NEW_TOKENS));
-    let mut draft = lm4db_lm::NGramLm::new(8, m.config().vocab_size);
-    for (p, o) in ps.iter().zip(&want) {
-        draft.train(&[p.as_slice(), o.as_slice()].concat());
-    }
-    for draft_k in [4, 8] {
-        let (got, spec) = run(Some(&draft), draft_k);
-        assert_eq!(got, want, "draft_k={draft_k} changed the output");
-        assert!(
-            2 * spec.steps <= base.steps,
-            "draft_k={draft_k} took {} steps, baseline {}",
-            spec.steps,
-            base.steps
-        );
-        assert!(
-            spec.draft_accept_rate() >= 0.5,
-            "draft_k={draft_k} accept rate {} ({} of {} drafted)",
-            spec.draft_accept_rate(),
-            spec.draft_accepted_tokens,
-            spec.drafted_tokens
-        );
-    }
-}
-
-#[test]
-fn draft_k_without_draft_model_is_inert() {
-    let m = trained_model();
-    let p = vec![BOS, 10];
-    let want = greedy_cached(&m, &p, 8, EOS);
-    let mut engine = Engine::with_options(
-        &m,
-        EngineOptions {
-            draft_k: 3,
-            ..EngineOptions::default()
-        },
-    );
-    assert_eq!(engine.greedy(&p, 8, EOS), want);
-    assert_eq!(engine.stats().drafted_tokens, 0);
-}
-
-#[test]
-fn quantized_speculative_matches_quantized_non_speculative() {
-    let m = trained_model();
-    let ps = prompts();
-    let mut base = Engine::with_options(
-        &m,
-        EngineOptions {
-            quantized: true,
-            ..EngineOptions::default()
-        },
-    );
-    let reqs = ps
-        .iter()
-        .map(|p| Request::greedy(p.clone(), 8, EOS))
-        .collect();
-    let want: Vec<Vec<usize>> = base
-        .generate_batch(reqs)
-        .into_iter()
-        .map(|r| r.tokens)
-        .collect();
-    let good = IncDraft {
-        vocab: m.config().vocab_size,
-    };
-    let mut engine = Engine::with_options(
-        &m,
-        EngineOptions {
-            quantized: true,
-            draft_k: 3,
-            ..EngineOptions::default()
-        },
-    );
-    engine.set_draft(&good);
-    let reqs = ps
-        .iter()
-        .map(|p| Request::greedy(p.clone(), 8, EOS))
-        .collect();
-    let out: Vec<Vec<usize>> = engine
-        .generate_batch(reqs)
-        .into_iter()
-        .map(|r| r.tokens)
-        .collect();
-    assert_eq!(out, want, "quantized speculative decode diverged");
-    assert!(engine.stats().draft_accepted_tokens > 0);
-}
-
-#[test]
-fn masked_speculative_matches_constrained_non_speculative() {
-    let m = trained_model();
-    let mask = MultiplesOrEos(2);
-    let good = IncDraft {
-        vocab: m.config().vocab_size,
-    };
-    for p in prompts().into_iter().take(4) {
-        let mut session = IncrementalSession::new(&m);
-        let want = greedy_single(&mut session, &p, 8, EOS, Some(&mask));
-        let mut b = Engine::with_options(
-            &m,
-            EngineOptions {
-                draft_k: 3,
-                ..EngineOptions::default()
-            },
-        );
-        b.set_draft(&good);
-        let ib = b.submit(Request::greedy(p.clone(), 8, EOS).with_mask(&mask));
-        let got = b
-            .run()
-            .into_iter()
-            .find(|r| r.id == ib)
-            .expect("masked request completes")
-            .tokens;
-        assert_eq!(got, want, "prompt {p:?}");
-        assert!(got.iter().all(|&t| t % 2 == 0), "mask violated: {got:?}");
-    }
 }
 
 /// Two tenant classes: tier-0 interactive (weight 2) and tier-1 batch.

@@ -63,19 +63,8 @@ pub struct Stats {
     pub prefill_tokens: u64,
     /// Prompt tokens restored from the prefix cache instead of recomputed.
     pub cached_prefix_tokens: u64,
-    /// Generated tokens fed back through the model. With speculative
-    /// decoding this counts every token fed through a verify pass,
-    /// including drafts that were later rejected — it measures model
-    /// work, not emitted output.
+    /// Generated tokens fed back through the model.
     pub decoded_tokens: u64,
-    /// Draft tokens proposed by the speculative draft model and scheduled
-    /// for verification (see [`crate::EngineOptions::draft_k`]).
-    pub drafted_tokens: u64,
-    /// Draft tokens that matched the transformer's own argmax during the
-    /// verify walk and were emitted without an extra decode step;
-    /// `draft_accepted_tokens / drafted_tokens` is the acceptance rate
-    /// ([`Stats::draft_accept_rate`]).
-    pub draft_accepted_tokens: u64,
     /// Scheduler steps executed.
     pub steps: u64,
     /// Telemetry sampler ticks taken ([`crate::EngineOptions::sample_steps`]);
@@ -195,16 +184,6 @@ impl Stats {
             self.cached_prefix_tokens as f32 / total as f32
         }
     }
-
-    /// Fraction of speculative drafts accepted by the verify walk (0 when
-    /// speculation never ran).
-    pub fn draft_accept_rate(&self) -> f32 {
-        if self.drafted_tokens == 0 {
-            0.0
-        } else {
-            self.draft_accepted_tokens as f32 / self.drafted_tokens as f32
-        }
-    }
 }
 
 /// Selects the `u64` field a booking bumps.
@@ -223,11 +202,6 @@ impl Counter {
     pub const CACHED_PREFIX_TOKENS: Counter = Counter(
         |s| &mut s.cached_prefix_tokens,
         "serve/cached_prefix_tokens",
-    );
-    pub const DRAFTED_TOKENS: Counter = Counter(|s| &mut s.drafted_tokens, "serve/drafted_tokens");
-    pub const DRAFT_ACCEPTED_TOKENS: Counter = Counter(
-        |s| &mut s.draft_accepted_tokens,
-        "serve/draft_accepted_tokens",
     );
     pub const SAMPLER_TICKS: Counter = Counter(|s| &mut s.sampler_ticks, "serve/sampler_ticks");
     pub const SLO_PENDING: Counter = Counter(|s| &mut s.slo_pending, "slo/pending");

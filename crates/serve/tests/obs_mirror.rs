@@ -127,87 +127,6 @@ fn registry_counters_match_engine_stats() {
     assert!(p99 <= stats.latency.max());
 }
 
-/// Draft model for the speculative-counter test: proposes `last + 1`,
-/// which tracks the arithmetic training sequences closely.
-struct IncDraft {
-    vocab: usize,
-}
-
-impl lm4db_transformer::DraftModel for IncDraft {
-    fn vocab_size(&self) -> usize {
-        self.vocab
-    }
-
-    fn draft_logits(&self, prefix: &[usize]) -> Vec<f32> {
-        let mut l = vec![0.0f32; self.vocab];
-        let next = prefix.last().map_or(0, |&t| (t + 1) % self.vocab);
-        l[next] = 1.0;
-        l
-    }
-}
-
-#[test]
-fn speculative_counters_match_engine_stats() {
-    let _l = lock();
-    lm4db_obs::set_enabled(true);
-    lm4db_obs::reset();
-
-    let mut m = GptModel::new(ModelConfig::test(), 7);
-    let mut opt = m.optimizer(3e-3);
-    let batch = vec![
-        vec![BOS, 10, 11, 12, 13, 14, EOS],
-        vec![BOS, 20, 21, 22, 23, 24, EOS],
-    ];
-    for _ in 0..30 {
-        m.train_step(&batch, &mut opt);
-    }
-    lm4db_obs::reset();
-
-    let draft = IncDraft {
-        vocab: m.config().vocab_size,
-    };
-    let mut engine = Engine::with_options(
-        &m,
-        EngineOptions {
-            draft_k: 3,
-            ..Default::default()
-        },
-    );
-    engine.set_draft(&draft);
-    let reqs = [vec![BOS, 10], vec![BOS, 20, 21]]
-        .iter()
-        .map(|p| Request::greedy(p.clone(), 6, EOS))
-        .collect();
-    engine.generate_batch(reqs);
-
-    let stats = engine.stats();
-    let snap = lm4db_obs::snapshot();
-    lm4db_obs::set_enabled(false);
-
-    let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
-    assert!(stats.drafted_tokens > 0, "speculation must have run");
-    assert!(
-        stats.draft_accepted_tokens > 0,
-        "pattern draft must land accepts"
-    );
-    assert_eq!(counter("serve/drafted_tokens"), stats.drafted_tokens);
-    assert_eq!(
-        counter("serve/draft_accepted_tokens"),
-        stats.draft_accepted_tokens
-    );
-    // Verify chunks ride the same stacked forward as every other row: one
-    // timer observation per group forward, one counted row per fed token.
-    let stacks = snap.timers.get("kv/feed_stack").expect("stack timer");
-    assert!(stacks.count > 0, "verify chunks must run through the stack");
-    assert_eq!(
-        counter("kv/stack_rows"),
-        stats.prefill_tokens + stats.decoded_tokens
-    );
-    // Rejected drafts still cost model work: decoded_tokens counts fed
-    // tokens, which can only exceed the emitted-token count.
-    assert!(stats.decoded_tokens >= stats.draft_accepted_tokens);
-}
-
 #[test]
 fn fault_counters_match_engine_stats() {
     let _l = lock();

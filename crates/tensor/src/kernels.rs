@@ -865,8 +865,8 @@ pub const ROW_TILE: usize = 4;
 /// exists for memory locality: the cached-decode matvec is bound on weight
 /// traffic, and here each 16-column weight tile is streamed once per group
 /// of [`ROW_TILE`] rows instead of once per row, which is what makes a
-/// stacked forward — a draft chunk, a prefill chunk, or one decode row from
-/// each of several sequences — cheaper than feeding row by row.
+/// stacked forward — a prefill chunk, or one decode row from each of
+/// several sequences — cheaper than feeding row by row.
 pub fn vec_matmul_rows(xs: &[f32], d_in: usize, w: &[f32], d_out: usize, ys: &mut [f32]) {
     /// Columns per register tile (matches [`vec_matmul_block`]).
     const CT: usize = 16;

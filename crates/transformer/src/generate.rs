@@ -68,23 +68,6 @@ pub fn mask_logits(
     apply_token_mask(logits, allow)
 }
 
-/// A cheap proposal model for speculative decoding: drafts likely next
-/// tokens that the transformer then verifies in one batched forward.
-/// Implementations must be deterministic pure functions of the prefix —
-/// the n-gram LM in `lm4db-lm` is the canonical one. Drafts never affect
-/// emitted output (the verifier accepts only tokens the target model would
-/// itself have picked), so draft quality controls speed, not correctness.
-pub trait DraftModel {
-    /// Size of the logit vector (must match the target model's vocabulary).
-    fn vocab_size(&self) -> usize;
-
-    /// Unnormalized next-token logits for `prefix`. Unlike
-    /// [`NextToken::next_logits`] this takes `&self`: drafting happens
-    /// inside the scheduler where the draft model is shared across
-    /// requests.
-    fn draft_logits(&self, prefix: &[usize]) -> Vec<f32>;
-}
-
 /// Options controlling [`sample`].
 #[derive(Debug, Clone)]
 pub struct SampleOptions {

@@ -56,8 +56,8 @@ pub struct StackEntry<'a> {
     pub cache: &'a mut KvCache,
     /// The pending tokens, fed as one chunk (non-empty).
     pub tokens: &'a [usize],
-    /// Keep the logits after every position of the chunk — a speculative
-    /// verify walk reads them all — instead of only the last.
+    /// Keep the logits after every position of the chunk instead of only
+    /// the last ([`KvCache::feed_many`] returns them all).
     pub keep_all: bool,
 }
 
@@ -331,26 +331,15 @@ impl KvCache {
 
     /// Feeds `tokens` as one chunk like [`KvCache::feed_all`], returning
     /// the next-token logits after EACH token (one row per token, last row
-    /// == what [`KvCache::last_logits`] then holds). This is the
-    /// speculative-decode verification forward: the engine feeds
-    /// `[corrected, draft₁..draftₖ]` and uses the per-position logits to
-    /// accept the longest agreeing draft prefix.
+    /// == what [`KvCache::last_logits`] then holds): every position's
+    /// distribution from one stacked forward, bitwise identical to feeding
+    /// the tokens one at a time.
     ///
     /// # Panics
     /// Panics when the chunk would exceed the model's `max_seq_len` or any
     /// token is out of vocabulary.
     pub fn feed_many(&mut self, model: &GptModel, tokens: &[usize]) -> Vec<Vec<f32>> {
-        self.feed_many_with(model, None, tokens)
-    }
-
-    /// [`KvCache::feed_many`] over either weight format.
-    pub fn feed_many_with(
-        &mut self,
-        model: &GptModel,
-        quant: Option<&QuantizedGpt>,
-        tokens: &[usize],
-    ) -> Vec<Vec<f32>> {
-        self.feed_alone(model, quant, tokens, true)
+        self.feed_alone(model, None, tokens, true)
     }
 
     /// This cache as a one-entry [`feed_stack`].
@@ -369,37 +358,6 @@ impl KvCache {
         feed_stack(model, quant, &mut [entry])
             .pop()
             .expect("one entry in, one out")
-    }
-
-    /// Rolls the cache back to its first `len` tokens, dropping a rejected
-    /// speculative tail: per-layer key/value rows past `len` are truncated
-    /// and `last_logits` is restored to the caller-provided logits after
-    /// token `len - 1` (the batched [`KvCache::feed_many`] returned them
-    /// per position, so the verifier has them at hand). Key/value rows are
-    /// pure functions of the token prefix, so a rolled-back cache is
-    /// bitwise identical to one that never saw the dropped tokens.
-    ///
-    /// # Panics
-    /// Panics when `len` is zero (use [`KvCache::clear`]), exceeds the
-    /// cached length, or `last_logits` has the wrong width.
-    pub fn rollback(&mut self, model: &GptModel, len: usize, last_logits: Vec<f32>) {
-        assert!(len > 0, "rollback to empty prefix: use clear()");
-        assert!(
-            len <= self.tokens.len(),
-            "rollback {len} beyond cache length {}",
-            self.tokens.len()
-        );
-        assert_eq!(
-            last_logits.len(),
-            model.cfg.vocab_size,
-            "rollback logits width mismatch"
-        );
-        let d = model.cfg.d_model;
-        for layer in &mut self.layers {
-            layer.truncate(len, d);
-        }
-        self.tokens.truncate(len);
-        self.last_logits = last_logits;
     }
 
     /// Extracts the per-layer key/value rows of cached position `t` as one
@@ -691,8 +649,8 @@ mod tests {
             for c in tokens.chunks(chunk) {
                 got.extend(batched.feed_many(&m, c));
             }
-            // Exact equality — the speculative verify forward must be
-            // indistinguishable from sequential decode, bit for bit.
+            // Exact equality — a chunked forward must be indistinguishable
+            // from sequential decode, bit for bit.
             assert_eq!(got, want, "chunk size {chunk}");
             assert_eq!(batched.last_logits(), seq.last_logits());
             assert_eq!(batched.tokens(), seq.tokens());
@@ -704,60 +662,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn feed_many_quant_matches_sequential_quant_feeds() {
-        let m = trained_model();
-        let q = QuantizedGpt::from_model(&m);
-        let tokens = [BOS, 10, 11, 12, 13];
-        let mut seq = KvCache::new(&m);
-        let want: Vec<Vec<f32>> = tokens
-            .iter()
-            .map(|&t| seq.feed_quant(&m, &q, t).to_vec())
-            .collect();
-        let mut batched = KvCache::new(&m);
-        let got = batched.feed_many_with(&m, Some(&q), &tokens);
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn rollback_restores_bitwise_identical_state() {
-        let m = trained_model();
-        let mut base = KvCache::new(&m);
-        base.feed_all(&m, &[BOS, 10, 11, 12]);
-        // Speculate 3 tokens past the verified prefix, then reject them all.
-        let mut spec = base.clone();
-        let keep_logits = base.last_logits().to_vec();
-        spec.feed_many(&m, &[13, 20, 21]);
-        spec.rollback(&m, 4, keep_logits);
-        assert_eq!(spec.tokens(), base.tokens());
-        assert_eq!(spec.last_logits(), base.last_logits());
-        for t in 0..4 {
-            assert_eq!(spec.position_kv(&m, t), base.position_kv(&m, t));
-        }
-        // The rolled-back cache must continue exactly like the original.
-        let a = spec.feed(&m, 23).to_vec();
-        let b = base.feed(&m, 23).to_vec();
-        assert_eq!(a, b, "post-rollback decode diverged");
-    }
-
-    #[test]
-    fn rollback_to_partial_chunk_keeps_accepted_prefix() {
-        let m = trained_model();
-        let mut seq = KvCache::new(&m);
-        seq.feed_all(&m, &[BOS, 10, 11]);
-        let mut spec = seq.clone();
-        // Chunk of 4; accept 2, reject 2 — last_logits must become the
-        // per-position logits after the last accepted token.
-        let rows = spec.feed_many(&m, &[12, 13, 20, 21]);
-        spec.rollback(&m, 5, rows[1].clone());
-        seq.feed_all(&m, &[12, 13]);
-        assert_eq!(spec.tokens(), seq.tokens());
-        assert_eq!(spec.last_logits(), seq.last_logits());
-        let a = spec.feed(&m, 14).to_vec();
-        let b = seq.feed(&m, 14).to_vec();
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -241,18 +241,6 @@ impl AttnCache {
         self.v.extend_from_slice(v);
         self.t += 1;
     }
-
-    /// Drops every cached position past the first `t` (rows are `d` wide),
-    /// keeping the allocations. Speculative decoding uses this to discard
-    /// the key/value rows of rejected draft tokens; rows are pure functions
-    /// of the token prefix, so a truncated cache is bitwise identical to
-    /// one that never saw the dropped positions.
-    pub fn truncate(&mut self, t: usize, d: usize) {
-        assert!(t <= self.t, "truncate {t} beyond cache length {}", self.t);
-        self.k.truncate(t * d);
-        self.v.truncate(t * d);
-        self.t = t;
-    }
 }
 
 /// Attends one projected query over the first `t_lim` cached positions,

@@ -28,7 +28,7 @@ pub use bert::{BertClassifier, BertModel};
 pub use checkpoint::{restore_store, snapshot_store, Checkpoint, ParamSnapshot};
 pub use config::ModelConfig;
 pub use generate::{
-    apply_token_mask, argmax, beam, greedy, log_softmax, sample, DraftModel, Hypothesis, NextToken,
+    apply_token_mask, argmax, beam, greedy, log_softmax, sample, Hypothesis, NextToken,
     SampleOptions, TokenMask,
 };
 pub use gpt::GptModel;

@@ -7,7 +7,11 @@
 //! model whose widths straddle the kernels' 16-column tile (full tiles take
 //! the AVX path, the ragged tail the scalar one) and whose stacks straddle
 //! the 4-row tile.
+//!
+//! A stack with one bad entry must fail as a whole before any cache moves,
+//! so its group-mates can be stacked again as if nothing had happened.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 
 use lm4db_transformer::{feed_stack, GptModel, KvCache, ModelConfig, QuantizedGpt, StackEntry};
@@ -44,6 +48,78 @@ fn model() -> &'static (GptModel, QuantizedGpt) {
 
 fn bits(row: &[f32]) -> Vec<u32> {
     row.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Everything a cache holds — length, tokens, last logits and every
+/// position's key/value rows — with floats as bits.
+type Snapshot = (usize, Vec<usize>, Vec<u32>, Vec<Vec<u32>>);
+
+fn snapshot(m: &GptModel, c: &KvCache) -> Snapshot {
+    let kv = (0..c.len()).map(|t| bits(&c.position_kv(m, t))).collect();
+    (c.len(), c.tokens().to_vec(), bits(c.last_logits()), kv)
+}
+
+/// One f32 stack of `caches[i]` fed `chunks[i]`.
+fn stack(m: &GptModel, caches: &mut [KvCache], chunks: &[&[usize]]) {
+    let mut entries: Vec<StackEntry<'_>> = caches
+        .iter_mut()
+        .zip(chunks)
+        .map(|(cache, &tokens)| StackEntry {
+            cache,
+            tokens,
+            keep_all: false,
+        })
+        .collect();
+    feed_stack(m, None, &mut entries);
+}
+
+#[test]
+fn a_bad_entry_fails_the_stack_before_any_cache_moves() {
+    let (m, _) = model();
+    let max = m.config().max_seq_len;
+    // The good group-mates: a prefill chunk into an empty cache and one
+    // decode row onto a cache with history.
+    let prefill: Vec<usize> = (0..6).map(|t| 4 + t * 3).collect();
+    let decode_row = [23];
+    let mut decoding = KvCache::new(m);
+    decoding.feed_all(m, &[4, 9, 14, 19]);
+    let good: [&[usize]; 2] = [&prefill, &decode_row];
+    let mut undisturbed = [KvCache::new(m), decoding.clone()];
+    stack(m, &mut undisturbed, &good);
+
+    for (cause, history, bad_tokens) in [
+        ("max_seq_len", max - 1, vec![5, 6]),
+        ("out of vocabulary", 3, vec![5, VOCAB]),
+    ] {
+        let mut bad = KvCache::new(m);
+        let seen: Vec<usize> = (0..history).map(|t| 4 + t % 50).collect();
+        bad.feed_all(m, &seen);
+        let mut caches = [KvCache::new(m), decoding.clone(), bad];
+        let before: Vec<Snapshot> = caches.iter().map(|c| snapshot(m, c)).collect();
+
+        let failed = catch_unwind(AssertUnwindSafe(|| {
+            stack(m, &mut caches, &[&prefill, &decode_row, &bad_tokens]);
+        }))
+        .expect_err("a bad entry must fail the stack");
+        let message = lm4db_tensor::panic_message(failed.as_ref());
+        assert!(
+            message.contains(cause),
+            "{cause}: panicked with {message:?}"
+        );
+        for (i, (c, want)) in caches.iter().zip(&before).enumerate() {
+            assert!(snapshot(m, c) == *want, "{cause}: entry {i} moved");
+        }
+
+        // The good entries stack again exactly as if the bad one had never
+        // been there.
+        stack(m, &mut caches[..2], &good);
+        for (i, (c, want)) in caches.iter().zip(&undisturbed).enumerate() {
+            assert!(
+                snapshot(m, c) == snapshot(m, want),
+                "{cause}: entry {i} differs from an undisturbed run"
+            );
+        }
+    }
 }
 
 proptest! {

@@ -18,7 +18,6 @@ use std::path::PathBuf;
 use std::process::Command;
 
 use lm4db::fault::fnv64;
-use lm4db::lm::NGramLm;
 use lm4db::serve::{Engine, EngineOptions, Request};
 use lm4db::tokenize::{BOS, EOS};
 use lm4db::transformer::{beam, greedy, greedy_cached, GptModel, IncrementalSession, ModelConfig};
@@ -36,17 +35,6 @@ fn golden_model() -> GptModel {
         m.train_step(&batch, &mut opt);
     }
     m
-}
-
-/// An n-gram draft trained on the same streams as [`golden_model`], so
-/// speculative runs accept most drafts — and the goldens must hold
-/// regardless, because acceptance only changes *when* tokens are
-/// verified, never *which* tokens come out.
-fn golden_draft() -> NGramLm {
-    let mut d = NGramLm::new(4, ModelConfig::test().vocab_size);
-    d.train(&[BOS, 10, 11, 12, 13, 14, EOS]);
-    d.train(&[BOS, 20, 21, 22, 23, 24, EOS]);
-    d
 }
 
 /// Eight prompts, several sharing a header so the engine's prefix cache is
@@ -142,43 +130,6 @@ fn engine_greedy_all(m: &GptModel, max_batch: usize) -> String {
     render_greedy(&outs)
 }
 
-/// Greedy through the engine with speculative decoding on: an n-gram
-/// draft proposes `draft_k` tokens per request, the model verifies them
-/// in one batched forward. Returns the rendered output plus the
-/// (drafted, accepted) counters so callers can check speculation really
-/// engaged.
-fn engine_greedy_spec_all(
-    m: &GptModel,
-    draft: &NGramLm,
-    max_batch: usize,
-    draft_k: usize,
-) -> (String, u64, u64) {
-    let mut engine = Engine::with_options(
-        m,
-        EngineOptions {
-            max_batch,
-            draft_k,
-            ..Default::default()
-        },
-    );
-    engine.set_draft(draft);
-    let reqs = prompts()
-        .into_iter()
-        .map(|p| Request::greedy(p, MAX_NEW, EOS))
-        .collect();
-    let outs: Vec<Vec<usize>> = engine
-        .generate_batch(reqs)
-        .into_iter()
-        .map(|r| r.tokens)
-        .collect();
-    let stats = engine.stats();
-    (
-        render_greedy(&outs),
-        stats.drafted_tokens,
-        stats.draft_accepted_tokens,
-    )
-}
-
 fn engine_beam_all(m: &GptModel, max_batch: usize) -> String {
     let mut engine = Engine::with_options(
         m,
@@ -240,39 +191,12 @@ fn engine_reproduces_goldens_at_all_batch_sizes() {
     }
 }
 
-/// Speculative decoding must be invisible in the output: at every
-/// `draft_k` × batch-size point, the engine with an n-gram draft
-/// reproduces the same greedy golden as the non-speculative paths —
-/// byte for byte — while actually speculating (drafted > 0 for k > 0).
-#[test]
-fn speculative_engine_reproduces_greedy_golden() {
-    let m = golden_model();
-    let draft = golden_draft();
-    for max_batch in [1, 8] {
-        for draft_k in [0, 2, 4] {
-            let (g, drafted, accepted) = engine_greedy_spec_all(&m, &draft, max_batch, draft_k);
-            check_or_bless("greedy.txt", &g);
-            assert!(accepted <= drafted, "accepted more than drafted");
-            if draft_k == 0 {
-                assert_eq!(drafted, 0, "draft_k=0 must never draft");
-            } else {
-                assert!(drafted > 0, "draft_k={draft_k} never drafted");
-                assert!(accepted > 0, "in-distribution draft never accepted");
-            }
-        }
-    }
-}
-
 /// Child of the thread matrix below: checks the engine against the goldens
 /// under whatever `LM4DB_THREADS` the parent set, and prints a fingerprint
-/// of the full rendered output for cross-process comparison. Speculative
-/// legs are part of the fingerprint, so the matrix also pins
-/// draft/verify/rollback behaviour across worker-pool sizes and tracing
-/// levels.
+/// of the full rendered output for cross-process comparison.
 #[test]
 fn golden_child_fingerprint() {
     let m = golden_model();
-    let draft = golden_draft();
     let mut all = String::new();
     for max_batch in [1, 3, 8] {
         let g = engine_greedy_all(&m, max_batch);
@@ -281,23 +205,10 @@ fn golden_child_fingerprint() {
         check_or_bless("beam.txt", &b);
         all.push_str(&g);
         all.push_str(&b);
-        for draft_k in [2, 4] {
-            let (s, drafted, _) = engine_greedy_spec_all(&m, &draft, max_batch, draft_k);
-            check_or_bless("greedy.txt", &s);
-            assert!(drafted > 0, "speculative leg never drafted");
-            all.push_str(&s);
-        }
     }
-    // FNV-1a over the rendered bytes.
-    let mut fp: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in all.bytes() {
-        fp ^= u64::from(b);
-        fp = fp.wrapping_mul(0x1000_0000_01b3);
-    }
-    println!("SERVE_GOLDEN_FP={fp:016x}");
+    println!("SERVE_GOLDEN_FP={:016x}", fnv64(&all));
 }
 
-/// FNV-1a over a rendered output, for cross-process comparison.
 /// Child of the fault matrix below: a fixed mixed workload (greedy, beam,
 /// scoring; bounded queue; retry budget) under whatever `LM4DB_FAULTS`
 /// the parent set, rendered down to every response's outcome — including
