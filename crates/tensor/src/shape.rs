@@ -7,17 +7,6 @@ pub fn numel(shape: &[usize]) -> usize {
     shape.iter().product()
 }
 
-/// Row-major strides for `shape`.
-///
-/// `strides(&[2, 3, 4]) == [12, 4, 1]`.
-pub fn strides(shape: &[usize]) -> Vec<usize> {
-    let mut out = vec![1usize; shape.len()];
-    for i in (0..shape.len().saturating_sub(1)).rev() {
-        out[i] = out[i + 1] * shape[i + 1];
-    }
-    out
-}
-
 /// Splits `shape` into `(batch, rows, cols)` treating all leading dimensions
 /// as one flattened batch dimension. Requires rank >= 2.
 pub fn batch_dims(shape: &[usize]) -> (usize, usize, usize) {
@@ -59,13 +48,6 @@ mod tests {
         assert_eq!(numel(&[5]), 5);
         assert_eq!(numel(&[2, 3, 4]), 24);
         assert_eq!(numel(&[7, 0, 3]), 0);
-    }
-
-    #[test]
-    fn strides_are_row_major() {
-        assert_eq!(strides(&[2, 3, 4]), vec![12, 4, 1]);
-        assert_eq!(strides(&[6]), vec![1]);
-        assert!(strides(&[]).is_empty());
     }
 
     #[test]

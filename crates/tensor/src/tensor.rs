@@ -9,7 +9,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use crate::shape::{assert_same_shape, batch_dims, numel, strides};
+use crate::shape::{assert_same_shape, batch_dims, numel};
 
 /// Minimum rows per parallel chunk so a chunk amortizes both dispatch
 /// overhead and the per-chunk panel packing of the tiled kernels: roughly
@@ -289,6 +289,10 @@ impl Tensor {
     }
 
     /// Swaps two axes, materializing the permuted layout.
+    ///
+    /// With `a < b` the shape is `[outer, n_a, mid, n_b, inner]` and the
+    /// output `[outer, n_b, mid, n_a, inner]` is written in order, one
+    /// contiguous `inner`-long source run at a time.
     pub fn transpose(&self, a: usize, b: usize) -> Tensor {
         assert!(
             a < self.rank() && b < self.rank(),
@@ -298,25 +302,27 @@ impl Tensor {
         if a == b {
             return self.clone();
         }
-        let mut new_shape = self.shape.clone();
-        new_shape.swap(a, b);
-        let in_strides = strides(&self.shape);
-        let out_strides = strides(&new_shape);
-        let mut out = vec![0.0f32; self.data.len()];
-        // Walk output positions in order; compute the matching input index.
-        let rank = self.rank();
-        let mut idx = vec![0usize; rank];
-        for (pos, slot) in out.iter_mut().enumerate() {
-            // Decompose pos into output multi-index.
-            let mut rem = pos;
-            for (i, s) in out_strides.iter().enumerate() {
-                idx[i] = rem / s;
-                rem %= s;
+        let (a, b) = (a.min(b), a.max(b));
+        let dims = &self.shape;
+        let outer: usize = dims[..a].iter().product();
+        let n_a = dims[a];
+        let mid: usize = dims[a + 1..b].iter().product();
+        let n_b = dims[b];
+        let inner: usize = dims[b + 1..].iter().product();
+        let src = &self.data[..];
+        let mut out = Vec::with_capacity(src.len());
+        for o in 0..outer {
+            for j in 0..n_b {
+                for m in 0..mid {
+                    for i in 0..n_a {
+                        let start = (((o * n_a + i) * mid + m) * n_b + j) * inner;
+                        out.extend_from_slice(&src[start..start + inner]);
+                    }
+                }
             }
-            idx.swap(a, b); // output index -> input index
-            let src: usize = idx.iter().zip(in_strides.iter()).map(|(i, s)| i * s).sum();
-            *slot = self.data[src];
         }
+        let mut new_shape = dims.clone();
+        new_shape.swap(a, b);
         Tensor::new(new_shape, out)
     }
 
@@ -636,6 +642,62 @@ mod tests {
         let b = a.transpose(1, 2);
         assert_eq!(b.shape(), &[1, 2, 2, 1]);
         assert_eq!(b.data(), &[1.0, 3.0, 2.0, 4.0]);
+    }
+
+    /// The oracle: every output position split into a multi-index by
+    /// row-major strides, the two axes swapped, and the source element
+    /// gathered one at a time.
+    fn transpose_by_index(x: &Tensor, a: usize, b: usize) -> Tensor {
+        let strides = |shape: &[usize]| {
+            let mut out = vec![1usize; shape.len()];
+            for i in (0..shape.len().saturating_sub(1)).rev() {
+                out[i] = out[i + 1] * shape[i + 1];
+            }
+            out
+        };
+        let mut new_shape = x.shape().to_vec();
+        new_shape.swap(a, b);
+        let in_strides = strides(x.shape());
+        let out_strides = strides(&new_shape);
+        let mut out = vec![0.0f32; x.len()];
+        let mut idx = vec![0usize; x.rank()];
+        for (pos, slot) in out.iter_mut().enumerate() {
+            let mut rem = pos;
+            for (i, s) in out_strides.iter().enumerate() {
+                idx[i] = rem / s;
+                rem %= s;
+            }
+            idx.swap(a, b);
+            let src: usize = idx.iter().zip(in_strides.iter()).map(|(i, s)| i * s).sum();
+            *slot = x.data()[src];
+        }
+        Tensor::new(new_shape, out)
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// Run-copying equals the index oracle in shape and bits for
+            /// ranks 1-5, every dim in 0..=5 and every axis pair.
+            #[test]
+            fn transpose_matches_the_index_oracle(
+                shape in prop::collection::vec(0usize..6, 1..6),
+                a in 0usize..5,
+                b in 0usize..5,
+                salt in -4.0f32..4.0,
+            ) {
+                let (a, b) = (a % shape.len(), b % shape.len());
+                let data: Vec<f32> = (0..numel(&shape)).map(|i| i as f32 + salt).collect();
+                let x = Tensor::new(shape, data);
+                let got = x.transpose(a, b);
+                let want = transpose_by_index(&x, a, b);
+                prop_assert_eq!(got.shape(), want.shape());
+                let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&got), bits(&want));
+            }
+        }
     }
 
     #[test]

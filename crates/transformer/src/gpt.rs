@@ -166,18 +166,23 @@ impl GptModel {
     /// equals the full-batch gradient and is bit-identical at any thread
     /// count. Per-shard dropout seeds are drawn sequentially from the model
     /// RNG *before* the parallel region, keeping the random stream
-    /// independent of execution order.
+    /// independent of execution order. Shards are handed to the pool
+    /// longest-first (a stable sort, so ties keep batch order), so a long
+    /// example never starts last and runs alone; the schedule decides only
+    /// when a shard runs, never what it computes or the order it is summed.
     pub fn train_step(&mut self, batch: &[Vec<usize>], opt: &mut Adam) -> f32 {
         assert!(!batch.is_empty(), "empty batch");
         let _step_timer = lm4db_obs::span("train_step");
         let seeds: Vec<u64> = batch.iter().map(|_| self.rng.next_u64()).collect();
         let n = batch.len();
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(batch[i].len()));
         type Shard = Option<(f32, Vec<Tensor>, f32)>;
-        let mut shards: Vec<Shard> = vec![None; n];
+        let mut ran: Vec<Shard> = vec![None; n];
         let this = &*self;
-        lm4db_tensor::parallel_rows_mut(&mut shards, n, 1, |first, block| {
+        lm4db_tensor::parallel_rows_mut(&mut ran, n, 1, |first, block| {
             for (i, slot) in block.iter_mut().enumerate() {
-                let idx = first + i;
+                let idx = order[first + i];
                 let shard = std::slice::from_ref(&batch[idx]);
                 let mut rng = Rand::seeded(seeds[idx]);
                 // Flat per-phase timers: shards run on arbitrary pool
@@ -196,6 +201,11 @@ impl GptModel {
                 *slot = Some((loss_val, grads, weight));
             }
         });
+        // Back to batch order: the reduction below folds shards by index.
+        let mut shards: Vec<Shard> = vec![None; n];
+        for (&idx, s) in order.iter().zip(ran) {
+            shards[idx] = s;
+        }
         let shards: Vec<(f32, Vec<Tensor>, f32)> =
             shards.into_iter().map(|s| s.expect("shard ran")).collect();
         let total_w: f32 = shards.iter().map(|s| s.2).sum();
@@ -384,6 +394,62 @@ mod tests {
             after > before,
             "log prob did not increase: {before} -> {after}"
         );
+    }
+
+    #[test]
+    fn train_step_reduces_in_batch_order_whatever_the_schedule() {
+        // Ties and a longest-first order that differs from index order, with
+        // dropout on so every shard's seed matters.
+        let cfg = ModelConfig {
+            dropout: 0.1,
+            ..ModelConfig::test()
+        };
+        let batch: Vec<Vec<usize>> = [3, 9, 5, 9, 1, 7]
+            .iter()
+            .enumerate()
+            .map(|(b, &len)| (0..len).map(|i| 8 + (b * 7 + i * 3) % 50).collect())
+            .collect();
+        let mut m = GptModel::new(cfg.clone(), 13);
+        let mut opt = m.optimizer(3e-3);
+        let loss = m.train_step(&batch, &mut opt);
+
+        // Reference: a twin model (same seed, so its RNG starts where `m`'s
+        // did) runs every shard serially in index order.
+        let mut r = GptModel::new(cfg, 13);
+        let mut r_opt = r.optimizer(3e-3);
+        let seeds: Vec<u64> = batch.iter().map(|_| r.rng.next_u64()).collect();
+        let mut shards = Vec::new();
+        for (seq, &seed) in batch.iter().zip(&seeds) {
+            let mut rng = Rand::seeded(seed);
+            let (mut g, bound, l) = r.loss_graph(std::slice::from_ref(seq), true, Some(&mut rng));
+            let l_val = g.value(l).item();
+            g.backward(l);
+            let w = seq.len().saturating_sub(1) as f32;
+            shards.push((l_val, bound.grads(&r.store, &g), w));
+        }
+        let total_w: f32 = shards.iter().map(|s| s.2).sum();
+        let r_loss: f32 = shards.iter().map(|s| s.0 * s.2).sum::<f32>() / total_w;
+        let mut grads: Vec<Tensor> = shards[0]
+            .1
+            .iter()
+            .map(|t| Tensor::zeros(t.shape()))
+            .collect();
+        for (p, out) in grads.iter_mut().enumerate() {
+            for (_, g, w) in &shards {
+                let scale = w / total_w;
+                for (o, &x) in out.data_mut().iter_mut().zip(g[p].data()) {
+                    *o += scale * x;
+                }
+            }
+        }
+        clip_grad_norm(&mut grads, 1.0);
+        r_opt.step(&mut r.store, &grads);
+
+        assert_eq!(loss.to_bits(), r_loss.to_bits());
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for ((name, got), (_, want)) in m.params().iter().zip(r.params().iter()) {
+            assert_eq!(bits(got), bits(want), "parameter {name} moved");
+        }
     }
 
     #[test]
