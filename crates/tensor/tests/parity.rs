@@ -336,3 +336,109 @@ fn parity_across_thread_counts() {
         );
     }
 }
+
+/// One forward + backward through every public graph op, at shapes large
+/// enough that the pool splits each kernel; returns an FNV-1a hash over the
+/// loss and the gradient of every node, in recording order.
+fn every_op_suite() -> u64 {
+    let mut rng = Rand::seeded(31);
+    let (b, t, h, dh) = (8, 48, 4, 16);
+    let (d, n) = (h * dh, b * t);
+    let mut g = Graph::new();
+    let mut vars = Vec::new();
+    let mut rec = |v| {
+        vars.push(v);
+        v
+    };
+    let ids: Vec<usize> = (0..n).map(|i| (i * 7) % 50).collect();
+    let table = rec(g.param(rand_tensor(&[50, d], &mut rng)));
+    let e = rec(g.embedding(table, &ids)); // repeated ids
+    let e2 = rec(g.add(e, e)); // repeated operand
+    let x = rec(g.param(rand_tensor(&[n, d], &mut rng)));
+    let h0 = rec(g.mul(e2, x));
+    let h0 = rec(g.scale(h0, 0.5));
+    let bias = rec(g.param(rand_tensor(&[d], &mut rng)));
+    let h0 = rec(g.add_bcast(h0, bias)); // onto rank 2
+    let w1 = rec(g.param(rand_tensor(&[d, 2 * d], &mut rng)));
+    let h1 = rec(g.matmul(h0, w1)); // 2-D
+    let h1 = rec(g.gelu(h1));
+    let h1 = rec(g.tanh(h1));
+    let h1 = rec(g.reshape(h1, &[b, t, 2 * d]));
+    let w2 = rec(g.param(rand_tensor(&[2 * d, d], &mut rng)));
+    let h2 = rec(g.matmul(h1, w2)); // broadcast rhs
+    let gain = rec(g.param(rand_tensor(&[d], &mut rng)));
+    let shift = rec(g.param(rand_tensor(&[d], &mut rng)));
+    let h2 = rec(g.layer_norm(h2, gain, shift, 1e-5));
+    let heads = rec(g.reshape(h2, &[b, t, h, dh]));
+    let q = rec(g.transpose(heads, 1, 2)); // [b, h, t, dh]
+    let kt = rec(g.transpose(q, 2, 3)); // [b, h, dh, t]
+    let scores = rec(g.matmul(q, kt)); // batched
+    let mask = rec(g.param(rand_tensor(&[t, t], &mut rng)));
+    let scores = rec(g.add_bcast(scores, mask)); // [t, t] onto rank 4
+    let attn = rec(g.softmax_last(scores));
+    let ctx = rec(g.matmul(attn, q));
+    let ctx = rec(g.transpose(ctx, 1, 2));
+    let ctx = rec(g.reshape(ctx, &[b, t, d]));
+    let keep = rng.uniform_vec(n * d);
+    let ctx = rec(g.dropout(ctx, 0.1, &keep));
+    let positions: Vec<usize> = (0..b).map(|i| (i * 13) % t).collect();
+    let cls = rec(g.select_positions(ctx, &positions));
+    let cls_mean = rec(g.mean_all(cls));
+    let logits = rec(g.reshape(ctx, &[n, d]));
+    let targets: Vec<usize> = (0..n)
+        .map(|i| {
+            if i % 5 == 3 {
+                lm4db_tensor::IGNORE_INDEX
+            } else {
+                (i * 11) % d
+            }
+        })
+        .collect();
+    let ce = rec(g.cross_entropy(logits, &targets));
+    let total = rec(g.sum_all(h1));
+    let total = rec(g.scale(total, 1e-4));
+    let loss = rec(g.add(ce, cls_mean));
+    let loss = rec(g.add(loss, total));
+    g.backward(loss);
+
+    let mut fp = 0xcbf29ce484222325u64;
+    let mut eat = |t: &Tensor| {
+        for &v in t.data() {
+            fp ^= v.to_bits() as u64;
+            fp = fp.wrapping_mul(0x100000001b3);
+        }
+    };
+    eat(g.value(loss));
+    for var in vars {
+        eat(g.grad(var).expect("every recorded node requires grad"));
+    }
+    fp
+}
+
+/// `every_op_suite` as the boxed-closure tape computed it: the enum tape
+/// must reproduce every bit.
+const EVERY_OP_FP: &str = "10fef1a510069138";
+
+/// Child half of [`every_op_fingerprint`]: prints the suite's hash.
+#[test]
+fn every_op_child_fingerprint() {
+    println!("EVERY_OP_FP={:016x}", every_op_suite());
+}
+
+#[test]
+fn every_op_fingerprint() {
+    let exe = std::env::current_exe().expect("test binary path");
+    for threads in ["1", "2", "7"] {
+        let out = std::process::Command::new(&exe)
+            .args(["every_op_child_fingerprint", "--exact", "--nocapture"])
+            .env("LM4DB_THREADS", threads)
+            .output()
+            .expect("spawn every-op child");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains(&format!("EVERY_OP_FP={EVERY_OP_FP}")),
+            "LM4DB_THREADS={threads}: want EVERY_OP_FP={EVERY_OP_FP}, child printed:\n{stdout}{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+}
