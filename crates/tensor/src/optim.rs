@@ -282,8 +282,8 @@ mod tests {
             let mut g = Graph::new();
             let bound = Bound::bind(&store, &mut g);
             let xv = bound.var(x);
-            let c = g.input(Tensor::scalar(3.0));
-            let d = g.sub(xv, c);
+            let c = g.input(Tensor::scalar(-3.0));
+            let d = g.add(xv, c);
             let loss = g.mul(d, d);
             g.backward(loss);
             let grads = bound.grads(&store, &g);

@@ -3,8 +3,9 @@
 //! All operations here are plain functions of their inputs; the autograd
 //! layer in [`crate::graph`] composes them and supplies the matching
 //! backward passes. Data is stored row-major in an `Arc<Vec<f32>>` so that
-//! cloning a tensor is cheap and saved activations can be shared between the
-//! forward value and the closures recorded on the tape.
+//! cloning a tensor is cheap: [`crate::optim::Bound::bind`] puts every
+//! parameter on each training shard's tape, and [`Tensor::reshape`] shares
+//! its input's storage.
 
 use std::fmt;
 use std::sync::Arc;
@@ -192,11 +193,6 @@ impl Tensor {
     /// Element-wise addition.
     pub fn add(&self, other: &Tensor) -> Tensor {
         self.zip(other, |a, b| a + b)
-    }
-
-    /// Element-wise subtraction.
-    pub fn sub(&self, other: &Tensor) -> Tensor {
-        self.zip(other, |a, b| a - b)
     }
 
     /// Element-wise (Hadamard) product.
@@ -570,7 +566,6 @@ mod tests {
         let a = t(&[2, 2], &[1.0, 2.0, 3.0, 4.0]);
         let b = t(&[2, 2], &[10.0, 20.0, 30.0, 40.0]);
         assert_eq!(a.add(&b).data(), &[11.0, 22.0, 33.0, 44.0]);
-        assert_eq!(b.sub(&a).data(), &[9.0, 18.0, 27.0, 36.0]);
         assert_eq!(a.mul(&b).data(), &[10.0, 40.0, 90.0, 160.0]);
         assert_eq!(a.scale(2.0).data(), &[2.0, 4.0, 6.0, 8.0]);
     }
