@@ -5,31 +5,32 @@
 //! [`crate::pool`]): each output element is produced by a **single serial
 //! accumulation chain** over the reduction dimension in ascending order,
 //! with one `f32` accumulator. Register tiling keeps several independent
-//! output elements in flight and panel packing rearranges the *inputs* for
-//! contiguous loads, but neither changes the order of operations *within*
-//! any element's chain — so the tiled kernels are bit-identical to a naive
-//! triple loop, at any thread count, and safe for the compiler to
+//! output elements in flight, but never changes the order of operations
+//! *within* any element's chain — so the tiled kernels are bit-identical to
+//! a naive triple loop, at any thread count, and safe for the compiler to
 //! autovectorize across output lanes (Rust never contracts `a * b + c`
 //! into a fused multiply-add, so lane-wise code generation cannot change
 //! the result either).
 //!
-//! Layout of the matmul family (DESIGN.md §5g): an [`MR`]×[`NR`] register
-//! microkernel over a packed B panel. Panels are `[k][NR]` slabs copied
-//! out of the right-hand side once per parallel chunk (and zero-padded on
-//! the last partial panel), so the inner loop reads one contiguous `NR`
-//! float row per reduction step regardless of the original layout — this
-//! is what turns `matmul_bt`'s latency-bound scalar dot products into the
-//! same throughput-bound microkernel as plain `matmul`. The `A^T` variants
-//! need no packing at all: their reduction walks *rows* of both operands,
-//! so the microkernel is a rank-1 update with contiguous loads on both
-//! sides.
-
-//! On x86-64 the full-tile microkernels additionally carry a
-//! runtime-detected AVX variant built from lane-wise `mul_ps`/`add_ps`
-//! only — **never** fused multiply-adds. Each SIMD lane performs exactly
-//! the scalar kernel's `acc[j] += a * b[j]` chain with IEEE-identical
-//! rounding, so the AVX and scalar paths produce the same bits and the
-//! golden outputs do not depend on which machine ran them.
+//! Layout of the matmul family (DESIGN.md §5g): one register tile behind
+//! [`gemm_acc`], which every product — `matmul`, `matmul_bt`,
+//! `matmul_tn(_acc)` and decode's [`vec_matmul_rows`] — goes through. It
+//! accumulates *into* C (the zeroed output in training, the bias rows in
+//! decode) and reads both operands through strides: the left one as
+//! `x(r, i) = x[r·rs + i·cs]`, so row-major `A` (`cs = 1`) and the columns
+//! of `A` that `A^T x B` reduces over (`rs = 1`) are the same code; the
+//! right one as 8-column blocks, block `v` starting at `w[v·vs]` with rows
+//! `ldw` apart, so row-major `B` is read in place (`vs = 8`) and `B^T` is
+//! packed once per run into `[n/8][k][8]` panels (`vs = 8k`). A tile holds
+//! [`ROW_TILE`] rows × 16 columns, or a short last row group across more
+//! columns — eight 8-lane chains in flight — and the last `n % 8` columns
+//! run the same arithmetic with masked loads and stores.
+//!
+//! On x86-64 the tile is a runtime-detected AVX function built from
+//! lane-wise `mul_ps`/`add_ps` only — **never** fused multiply-adds. Each
+//! SIMD lane performs exactly the scalar fallback's `acc += x * w` chain
+//! with IEEE-identical rounding, so the AVX and scalar paths produce the
+//! same bits and the golden outputs do not depend on which machine ran them.
 //!
 //! The activation kernel ([`gelu`], [`gelu_in_place`], [`gelu_grad_scale`])
 //! follows the same rule by other means: its exponential is written out in
@@ -42,59 +43,116 @@
 // obscure the correspondence with the textbook kernel signatures.
 #![allow(clippy::too_many_arguments)]
 
-/// Rows per register tile: independent output rows in flight in the
-/// microkernel. `MR * NR` accumulators must fit the register file with
-/// room for one packed-panel row and a broadcast lane.
-pub const MR: usize = 4;
+/// Columns per column block of [`gemm_acc`]'s right-hand side: one AVX
+/// register of `f32`.
+const LANES: usize = 8;
 
-/// Columns per register tile; packed panels are zero-padded to this width
-/// so the inner loop is always a fixed-trip-count, vectorizable sweep.
-pub const NR: usize = 8;
+/// Rows per register tile of [`gemm_acc`] (4 rows × 16 columns, eight AVX
+/// accumulators). A caller that splits a stack of rows into groups should
+/// give each group at least this many, so every group fills a tile.
+pub const ROW_TILE: usize = 4;
 
-/// Packs row-major `b` (`[k][n]`) into `[n/NR]` slabs of `[k][NR]`,
-/// zero-padding the last panel. `panels` must hold
-/// `k * n.div_ceil(NR) * NR` elements.
-fn pack_row_major(b: &[f32], k: usize, n: usize, panels: &mut [f32]) {
-    for (jp, slab) in panels.chunks_exact_mut(k * NR).enumerate() {
-        let j0 = jp * NR;
-        let nr = NR.min(n - j0);
-        for (p, dst) in slab.chunks_exact_mut(NR).enumerate() {
-            dst[..nr].copy_from_slice(&b[p * n + j0..p * n + j0 + nr]);
-            for z in dst[nr..].iter_mut() {
-                *z = 0.0;
-            }
-        }
-    }
-}
-
-/// Packs transposed-layout `bt` (`[n][k]` row-major, i.e. `B^T`) into the
-/// same `[k][NR]` panel layout as [`pack_row_major`], so `A x B^T` runs
-/// through the identical microkernel.
+/// Packs transposed-layout `bt` (`[n][k]` row-major, i.e. `B^T`) into
+/// `[n/8]` column blocks of `[k][8]`, the layout [`gemm_acc`] reads with
+/// `ldw = 8`, `vs = 8k`. Lanes past `n` in the last block are never read.
 fn pack_transposed(bt: &[f32], k: usize, n: usize, panels: &mut [f32]) {
-    for (jp, slab) in panels.chunks_exact_mut(k * NR).enumerate() {
-        let j0 = jp * NR;
-        let nr = NR.min(n - j0);
-        slab.fill(0.0);
-        for jj in 0..nr {
+    for (jp, slab) in panels.chunks_exact_mut(k * LANES).enumerate() {
+        let j0 = jp * LANES;
+        for jj in 0..LANES.min(n - j0) {
             let col = &bt[(j0 + jj) * k..(j0 + jj) * k + k];
             for (p, &v) in col.iter().enumerate() {
-                slab[p * NR + jj] = v;
+                slab[p * LANES + jj] = v;
             }
         }
     }
 }
 
-/// Lane-wise AVX bodies of the full-tile microkernels. Compiled only on
-/// x86-64 and entered only after a runtime `avx` check; every intrinsic
-/// used (`broadcast`, `loadu`, `mul_ps`, `add_ps`) is a per-lane IEEE
-/// operation, so these produce bit-identical results to the scalar
-/// fallbacks below — they just retire 8 lanes per instruction instead of
+/// The one GEMM tile, accumulating into C:
+/// `c[r·ldc + j] += Σ_i x[r·rs + i·cs] · w[(j/8)·vs + i·ldw + j%8]` for
+/// `r < rows`, `j < n`, each element one chain from its initial value with
+/// `i` ascending. Elements of `c` outside those `rows × n` are neither read
+/// nor written.
+///
+/// # Panics
+/// If `vs < 8`, or any index the formula touches is out of its slice.
+pub fn gemm_acc(
+    x: &[f32],
+    rs: usize,
+    cs: usize,
+    rows: usize,
+    k: usize,
+    w: &[f32],
+    ldw: usize,
+    vs: usize,
+    n: usize,
+    c: &mut [f32],
+    ldc: usize,
+) {
+    if rows == 0 || k == 0 || n == 0 {
+        return;
+    }
+    // The safety argument of the AVX tile: the largest index of each
+    // operand, computed without overflow, is inside its slice. With
+    // `vs >= 8` column blocks do not overlap, so the last lane of the last
+    // block is the largest `w` index.
+    let last = |a: (usize, usize), b: (usize, usize), lane: usize| {
+        a.0 as u128 * a.1 as u128 + b.0 as u128 * b.1 as u128 + lane as u128
+    };
+    assert!(
+        vs >= LANES
+            && last((rows - 1, rs), (k - 1, cs), 0) < x.len() as u128
+            && last(((n - 1) / LANES, vs), (k - 1, ldw), (n - 1) % LANES) < w.len() as u128
+            && last((rows - 1, ldc), (0, 0), n - 1) < c.len() as u128,
+        "gemm_acc operands out of bounds"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if avx::usable() {
+        // SAFETY: AVX support was just checked, and the assert bounds every
+        // index the tiles touch.
+        unsafe { avx::gemm_acc(x, rs, cs, rows, k, w, ldw, vs, n, c, ldc) };
+        return;
+    }
+    gemm_acc_scalar(x, rs, cs, rows, k, w, ldw, vs, n, c, ldc);
+}
+
+/// [`gemm_acc`] one element at a time: the same chain per element, for
+/// hosts without AVX.
+fn gemm_acc_scalar(
+    x: &[f32],
+    rs: usize,
+    cs: usize,
+    rows: usize,
+    k: usize,
+    w: &[f32],
+    ldw: usize,
+    vs: usize,
+    n: usize,
+    c: &mut [f32],
+    ldc: usize,
+) {
+    for r in 0..rows {
+        for j in 0..n {
+            let wj = j / LANES * vs + j % LANES;
+            let mut acc = c[r * ldc + j];
+            for i in 0..k {
+                acc += x[r * rs + i * cs] * w[wj + i * ldw];
+            }
+            c[r * ldc + j] = acc;
+        }
+    }
+}
+
+/// Lane-wise AVX bodies of [`gemm_acc`] and the GELU slices. Compiled only
+/// on x86-64 and entered only after a runtime `avx` check; every intrinsic
+/// used (`broadcast`, `loadu`, `maskload`, `mul_ps`, `add_ps`) is a
+/// per-lane IEEE operation, so these produce bit-identical results to the
+/// scalar fallbacks — they just retire 8 lanes per instruction instead of
 /// relying on what the autovectorizer manages at the SSE2 baseline. Keep
 /// closures and `array::map` out of these functions: they are compiled
 /// without the target feature and do not inline into it.
 #[cfg(target_arch = "x86_64")]
 mod avx {
-    use super::{MR, NR};
+    use super::{LANES, ROW_TILE};
     use std::arch::x86_64::*;
 
     /// True once the CPU reports AVX; checked per kernel call (the result
@@ -127,253 +185,203 @@ mod avx {
         super::gelu_grad_lanes(dy, x);
     }
 
-    /// AVX body of [`super::mk_nn_full`]: one 8-lane accumulator per tile
-    /// row (`NR == 8`), `p` ascending.
-    ///
-    /// # Safety
-    /// Caller must ensure the CPU supports AVX ([`usable`]).
-    #[target_feature(enable = "avx")]
-    pub unsafe fn mk_nn_full(
-        a: &[f32],
-        lda: usize,
+    /// `MASKS[8 - t..][..8]` enables the first `t` lanes.
+    static MASKS: [i32; 2 * LANES] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+
+    /// One [`super::gemm_acc`] call's operands as raw pointers and strides.
+    #[derive(Clone, Copy)]
+    struct Operands {
+        x: *const f32,
+        rs: usize,
+        cs: usize,
         k: usize,
-        panel: &[f32],
-        out: &mut [f32],
+        w: *const f32,
+        ldw: usize,
+        vs: usize,
+        c: *mut f32,
         ldc: usize,
-        nr: usize,
-    ) {
-        const { assert!(NR == 8 && MR == 4) };
-        let rows = [
-            &a[..k],
-            &a[lda..lda + k],
-            &a[2 * lda..2 * lda + k],
-            &a[3 * lda..3 * lda + k],
-        ];
-        let mut acc = [_mm256_setzero_ps(); MR];
-        // Two reduction steps per iteration: `acc += a_p*b_p` then
-        // `acc += a_{p+1}*b_{p+1}` — the same ascending chain per lane,
-        // just with half the loop overhead.
-        let mut p = 0;
-        while p + 2 <= k {
-            let b0 = _mm256_loadu_ps(panel[p * NR..].as_ptr());
-            let b1 = _mm256_loadu_ps(panel[(p + 1) * NR..].as_ptr());
-            for (r, accr) in acc.iter_mut().enumerate() {
-                // SAFETY: every row slice holds `k` elements and `p+1 < k`.
-                let a0 = _mm256_broadcast_ss(rows[r].get_unchecked(p));
-                let a1 = _mm256_broadcast_ss(rows[r].get_unchecked(p + 1));
-                let t = _mm256_add_ps(*accr, _mm256_mul_ps(a0, b0));
-                *accr = _mm256_add_ps(t, _mm256_mul_ps(a1, b1));
-            }
-            p += 2;
-        }
-        if p < k {
-            let bv = _mm256_loadu_ps(panel[p * NR..].as_ptr());
-            for (r, accr) in acc.iter_mut().enumerate() {
-                // SAFETY: `p < k` and every row slice holds `k` elements.
-                let ar = _mm256_broadcast_ss(rows[r].get_unchecked(p));
-                *accr = _mm256_add_ps(*accr, _mm256_mul_ps(ar, bv));
-            }
-        }
-        if nr == NR {
-            for (r, &accr) in acc.iter().enumerate() {
-                _mm256_storeu_ps(out[r * ldc..].as_mut_ptr(), accr);
-            }
-        } else {
-            let mut lanes = [0.0f32; NR];
-            for (r, &accr) in acc.iter().enumerate() {
-                _mm256_storeu_ps(lanes.as_mut_ptr(), accr);
-                out[r * ldc..r * ldc + nr].copy_from_slice(&lanes[..nr]);
+    }
+
+    impl Operands {
+        /// The operands of the tile whose first output is C's `(r, j)`.
+        ///
+        /// # Safety
+        /// `(r, j)` is inside the call's `rows × n`, and `j % 8 == 0`.
+        #[inline(always)]
+        unsafe fn at(self, r: usize, j: usize) -> Operands {
+            Operands {
+                x: self.x.add(r * self.rs),
+                w: self.w.add(j / LANES * self.vs),
+                c: self.c.add(r * self.ldc + j),
+                ..self
             }
         }
     }
 
-    /// AVX body of the full-tile case of [`super::mk_tn`]: rank-1 updates
-    /// with contiguous loads on both operands, `i` ascending.
+    /// [`super::gemm_acc`] on raw pointers: row groups of [`ROW_TILE`], a
+    /// short last group as 3 × 16, 2 × 32 or 1 × 64 tiles so it keeps six
+    /// to eight chains in flight too (two, for one row in a 16-column tile,
+    /// leave it latency-bound).
     ///
     /// # Safety
-    /// Caller must ensure the CPU supports AVX ([`usable`]).
+    /// Caller must ensure the CPU supports AVX ([`usable`]) and that every
+    /// index `gemm_acc`'s formula touches is in bounds.
     #[target_feature(enable = "avx")]
-    pub unsafe fn mk_tn_full(
-        a: &[f32],
-        b: &[f32],
-        red: usize,
-        lda: usize,
-        ldb: usize,
-        p0: usize,
-        j0: usize,
-        out: &mut [f32],
-        ldc: usize,
-    ) {
-        const { assert!(NR == 8 && MR == 4) };
-        let mut acc = [_mm256_setzero_ps(); MR];
-        for i in 0..red {
-            let bv = _mm256_loadu_ps(b[i * ldb + j0..].as_ptr());
-            let av = &a[i * lda + p0..i * lda + p0 + MR];
-            for (r, accr) in acc.iter_mut().enumerate() {
-                let ar = _mm256_broadcast_ss(&av[r]);
-                *accr = _mm256_add_ps(*accr, _mm256_mul_ps(ar, bv));
-            }
-        }
-        for (r, &accr) in acc.iter().enumerate() {
-            _mm256_storeu_ps(out[r * ldc..].as_mut_ptr(), accr);
-        }
-    }
-
-    /// One register tile of the vector-matrix family: `R` input rows
-    /// against `8 * V` weight columns, `R * V` 8-lane accumulators held
-    /// across the whole `i` sweep. `w` and `ys` start at the tile's first
-    /// column (`ys` at its first row too); both have rows `d_out` apart.
-    /// Each weight vector is loaded once per `i` and shared by the `R` rows;
-    /// each lane does the scalar chain — bias-initialized, broadcast, mul,
-    /// add, `i` ascending, no FMA — so the tile shape never shows in the
-    /// result.
-    ///
-    /// # Safety
-    /// Caller must ensure the CPU supports AVX ([`usable`]).
-    #[target_feature(enable = "avx")]
-    unsafe fn vec_matmul_tile<const R: usize, const V: usize>(
-        xs: &[f32],
-        d_in: usize,
+    pub unsafe fn gemm_acc(
+        x: &[f32],
+        rs: usize,
+        cs: usize,
+        rows: usize,
+        k: usize,
         w: &[f32],
-        d_out: usize,
-        ys: &mut [f32],
+        ldw: usize,
+        vs: usize,
+        n: usize,
+        c: &mut [f32],
+        ldc: usize,
     ) {
+        let (x, w, c) = (x.as_ptr(), w.as_ptr(), c.as_mut_ptr());
+        let o = Operands {
+            x,
+            rs,
+            cs,
+            k,
+            w,
+            ldw,
+            vs,
+            c,
+            ldc,
+        };
+        for r0 in (0..rows).step_by(ROW_TILE) {
+            match rows - r0 {
+                1 => group::<1, 8>(o.at(r0, 0), n),
+                2 => group::<2, 4>(o.at(r0, 0), n),
+                3 => group::<3, 2>(o.at(r0, 0), n),
+                _ => group::<4, 2>(o.at(r0, 0), n),
+            }
+        }
+    }
+
+    /// `R` rows across all `n` columns: `8·V`-column tiles while they fit,
+    /// then 16- and 8-column ones, then the masked `n % 8` tail.
+    ///
+    /// # Safety
+    /// As for [`gemm_acc`].
+    #[target_feature(enable = "avx")]
+    unsafe fn group<const R: usize, const V: usize>(o: Operands, n: usize) {
+        let all = _mm256_set1_epi32(-1);
+        let mut j = 0;
+        while j + LANES * V <= n {
+            tile::<R, V, false>(o.at(0, j), all);
+            j += LANES * V;
+        }
+        while j + 2 * LANES <= n {
+            tile::<R, 2, false>(o.at(0, j), all);
+            j += 2 * LANES;
+        }
+        while j + LANES <= n {
+            tile::<R, 1, false>(o.at(0, j), all);
+            j += LANES;
+        }
+        if j < n {
+            let mask = _mm256_loadu_si256(MASKS[LANES - (n - j)..].as_ptr().cast());
+            tile::<R, 1, true>(o.at(0, j), mask);
+        }
+    }
+
+    /// One register tile: `R` rows × `8·V` columns, `R·V` 8-lane
+    /// accumulators loaded from C, held across the whole `i` sweep and
+    /// stored back. Each weight vector is loaded once per `i` and shared by
+    /// the `R` rows; each lane does the scalar chain — broadcast, mul, add,
+    /// `i` ascending, no FMA — so the tile shape never shows in the result.
+    /// With `MASKED` (and `V == 1`) only `mask`'s lanes of C and W are read
+    /// or written.
+    ///
+    /// # Safety
+    /// As for [`gemm_acc`].
+    #[target_feature(enable = "avx")]
+    unsafe fn tile<const R: usize, const V: usize, const MASKED: bool>(o: Operands, mask: __m256i) {
+        let Operands {
+            x,
+            rs,
+            cs,
+            k,
+            w,
+            ldw,
+            vs,
+            c,
+            ldc,
+        } = o;
         let mut acc = [[_mm256_setzero_ps(); V]; R];
-        for r in 0..R {
-            let y = &ys[r * d_out..r * d_out + 8 * V];
-            for v in 0..V {
-                acc[r][v] = _mm256_loadu_ps(y[8 * v..].as_ptr());
+        for (r, accr) in acc.iter_mut().enumerate() {
+            for (v, a) in accr.iter_mut().enumerate() {
+                let p = c.add(r * ldc + LANES * v);
+                *a = if MASKED {
+                    _mm256_maskload_ps(p, mask)
+                } else {
+                    _mm256_loadu_ps(p)
+                };
             }
         }
-        for i in 0..d_in {
-            let wrow = &w[i * d_out..i * d_out + 8 * V];
+        for i in 0..k {
             let mut wv = [_mm256_setzero_ps(); V];
-            for v in 0..V {
-                wv[v] = _mm256_loadu_ps(wrow[8 * v..].as_ptr());
+            for (v, wvv) in wv.iter_mut().enumerate() {
+                let p = w.add(v * vs + i * ldw);
+                *wvv = if MASKED {
+                    _mm256_maskload_ps(p, mask)
+                } else {
+                    _mm256_loadu_ps(p)
+                };
             }
-            for r in 0..R {
-                let xv = _mm256_broadcast_ss(&xs[r * d_in + i]);
-                for v in 0..V {
-                    acc[r][v] = _mm256_add_ps(acc[r][v], _mm256_mul_ps(xv, wv[v]));
+            for (r, accr) in acc.iter_mut().enumerate() {
+                let xv = _mm256_broadcast_ss(&*x.add(r * rs + i * cs));
+                for (a, &wvv) in accr.iter_mut().zip(&wv) {
+                    *a = _mm256_add_ps(*a, _mm256_mul_ps(xv, wvv));
                 }
             }
         }
-        for r in 0..R {
-            let y = &mut ys[r * d_out..r * d_out + 8 * V];
-            for v in 0..V {
-                _mm256_storeu_ps(y[8 * v..].as_mut_ptr(), acc[r][v]);
+        for (r, accr) in acc.iter().enumerate() {
+            for (v, &a) in accr.iter().enumerate() {
+                let p = c.add(r * ldc + LANES * v);
+                if MASKED {
+                    _mm256_maskstore_ps(p, mask, a);
+                } else {
+                    _mm256_storeu_ps(p, a);
+                }
             }
         }
     }
-
-    /// `R` rows (`xs`, `d_in` wide; `ys`, `d_out` apart) against the first
-    /// `cols` columns of `w`, a multiple of 16: `R`×`V` tiles while they
-    /// fit, 16-column tiles for the rest. Callers pick `V` so that `R * V`
-    /// is 6 to 8: that many independent chains hide the add latency, which
-    /// two — one row in a 16-column tile — do not.
-    ///
-    /// # Safety
-    /// Caller must ensure the CPU supports AVX ([`usable`]).
-    #[target_feature(enable = "avx")]
-    pub unsafe fn vec_matmul_group<const R: usize, const V: usize>(
-        xs: &[f32],
-        d_in: usize,
-        w: &[f32],
-        d_out: usize,
-        ys: &mut [f32],
-        cols: usize,
-    ) {
-        let mut c = 0;
-        while c + 8 * V <= cols {
-            vec_matmul_tile::<R, V>(xs, d_in, &w[c..], d_out, &mut ys[c..]);
-            c += 8 * V;
-        }
-        while c + 16 <= cols {
-            vec_matmul_tile::<R, 2>(xs, d_in, &w[c..], d_out, &mut ys[c..]);
-            c += 16;
-        }
-    }
 }
 
-/// The MR×NR register microkernel: `out[r][j] = Σ_p a[r][p] * panel[p][j]`
-/// for `MR` full rows, `p` ascending with one accumulator per output
-/// element. Only the first `nr` columns are stored (padding lanes compute
-/// on zeros and are discarded).
-#[inline]
-fn mk_nn_full(
-    a: &[f32],
-    lda: usize,
-    k: usize,
-    panel: &[f32],
-    out: &mut [f32],
-    ldc: usize,
-    nr: usize,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if avx::usable() {
-        // SAFETY: AVX support was just checked.
-        unsafe { avx::mk_nn_full(a, lda, k, panel, out, ldc, nr) };
-        return;
-    }
-    let a0 = &a[..k];
-    let a1 = &a[lda..lda + k];
-    let a2 = &a[2 * lda..2 * lda + k];
-    let a3 = &a[3 * lda..3 * lda + k];
-    let mut acc = [[0.0f32; NR]; MR];
-    for (p, brow) in panel.chunks_exact(NR).enumerate() {
-        let av = [a0[p], a1[p], a2[p], a3[p]];
-        for r in 0..MR {
-            let ar = av[r];
-            let accr = &mut acc[r];
-            for j in 0..NR {
-                accr[j] += ar * brow[j];
-            }
-        }
-    }
-    for (r, accr) in acc.iter().enumerate() {
-        out[r * ldc..r * ldc + nr].copy_from_slice(&accr[..nr]);
-    }
-}
-
-/// Single-row edge of [`mk_nn_full`] for the `rows % MR` remainder.
-#[inline]
-fn mk_nn_row(a_row: &[f32], panel: &[f32], out: &mut [f32], nr: usize) {
-    let mut acc = [0.0f32; NR];
-    for (brow, &av) in panel.chunks_exact(NR).zip(a_row.iter()) {
-        for j in 0..NR {
-            acc[j] += av * brow[j];
-        }
-    }
-    out[..nr].copy_from_slice(&acc[..nr]);
-}
-
-/// Multiplies `rows` rows of `a` (`[rows][k]`, leading stride `k`) against
-/// pre-packed panels of a `[k][n]` matrix, writing `out` (`[rows][n]`).
-fn gemm_packed(a: &[f32], out: &mut [f32], panels: &[f32], rows: usize, k: usize, n: usize) {
-    let np = n.div_ceil(NR);
-    let mut i = 0;
-    while i < rows {
-        let mr = MR.min(rows - i);
-        for jp in 0..np {
-            let j0 = jp * NR;
-            let nr = NR.min(n - j0);
-            let panel = &panels[jp * k * NR..(jp + 1) * k * NR];
-            if mr == MR {
-                mk_nn_full(&a[i * k..], k, k, panel, &mut out[i * n + j0..], n, nr);
+/// Splits output rows `first..first + rows` of a product batched over
+/// groups of `m` rows into runs that stay inside one batch — or one run,
+/// when every batch `shared`s the right-hand side — as
+/// `(offset in the chunk, length, batch of the first row)`.
+fn batch_runs(
+    first: usize,
+    rows: usize,
+    m: usize,
+    shared: bool,
+) -> impl Iterator<Item = (usize, usize, usize)> {
+    let mut r0 = 0;
+    std::iter::from_fn(move || {
+        (r0 < rows).then(|| {
+            let row = first + r0;
+            let run = if shared {
+                rows - r0
             } else {
-                for r in i..i + mr {
-                    mk_nn_row(&a[r * k..r * k + k], panel, &mut out[r * n + j0..], nr);
-                }
-            }
-        }
-        i += mr;
-    }
+                (m - row % m).min(rows - r0)
+            };
+            let item = (r0, run, row / m);
+            r0 += run;
+            item
+        })
+    })
 }
 
-/// One parallel chunk of batched `A x B`: computes output rows
-/// `first..first + block.len()/n` (global over `batch * m`), packing each
-/// batch's B once per run of rows. With a broadcast (2-D) right-hand side
-/// the whole chunk shares one packing.
+/// One parallel chunk of batched `A x B`: accumulates output rows
+/// `first..first + block.len()/n` (global over `batch * m`) into `block`,
+/// which `Tensor::matmul` passes zeroed. Row-major B is read in place.
 pub fn gemm_nn_block(
     first: usize,
     block: &mut [f32],
@@ -384,40 +392,20 @@ pub fn gemm_nn_block(
     n: usize,
     broadcast_rhs: bool,
 ) {
-    if n == 0 || k == 0 {
-        block.fill(0.0);
+    if n == 0 {
         return;
     }
-    let rows = block.len() / n;
-    let mut panels = vec![0.0f32; k * n.div_ceil(NR) * NR];
-    let mut r0 = 0;
-    while r0 < rows {
-        let batch = (first + r0) / m;
-        // Tiles never cross a batch boundary: each run of rows shares one
-        // right-hand side (the whole chunk, when B is broadcast).
-        let run = if broadcast_rhs {
-            rows - r0
-        } else {
-            ((batch + 1) * m - (first + r0)).min(rows - r0)
-        };
+    for (r0, run, batch) in batch_runs(first, block.len() / n, m, broadcast_rhs) {
         let b_off = if broadcast_rhs { 0 } else { batch * k * n };
-        pack_row_major(&b[b_off..b_off + k * n], k, n, &mut panels);
-        gemm_packed(
-            &a[(first + r0) * k..(first + r0 + run) * k],
-            &mut block[r0 * n..(r0 + run) * n],
-            &panels,
-            run,
-            k,
-            n,
-        );
-        r0 += run;
+        let (a, b) = (&a[(first + r0) * k..], &b[b_off..b_off + k * n]);
+        gemm_acc(a, k, 1, run, k, b, n, LANES, n, &mut block[r0 * n..], n);
     }
 }
 
-/// One parallel chunk of batched `A x B^T` (`b` is `[n][k]` row-major).
-/// Packing transposes the panel, after which the chunk runs through the
-/// exact same microkernel — and the exact same per-element `p`-ascending
-/// order — as [`gemm_nn_block`].
+/// One parallel chunk of batched `A x B^T` (`b` is `[n][k]` row-major),
+/// accumulated into `block` like [`gemm_nn_block`]. Each run's B is
+/// transposed into column blocks first, so the tile reads the same
+/// contiguous 8-lane rows as for `A x B`, in the same `k`-ascending order.
 pub fn gemm_bt_block(
     first: usize,
     block: &mut [f32],
@@ -429,128 +417,33 @@ pub fn gemm_bt_block(
     broadcast_rhs: bool,
 ) {
     if n == 0 || k == 0 {
-        block.fill(0.0);
         return;
     }
-    let rows = block.len() / n;
-    let mut panels = vec![0.0f32; k * n.div_ceil(NR) * NR];
-    let mut r0 = 0;
-    while r0 < rows {
-        let batch = (first + r0) / m;
-        let run = if broadcast_rhs {
-            rows - r0
-        } else {
-            ((batch + 1) * m - (first + r0)).min(rows - r0)
-        };
+    let mut panels = vec![0.0f32; k * n.div_ceil(LANES) * LANES];
+    for (r0, run, batch) in batch_runs(first, block.len() / n, m, broadcast_rhs) {
         let b_off = if broadcast_rhs { 0 } else { batch * n * k };
         pack_transposed(&b[b_off..b_off + n * k], k, n, &mut panels);
-        gemm_packed(
-            &a[(first + r0) * k..(first + r0 + run) * k],
-            &mut block[r0 * n..(r0 + run) * n],
-            &panels,
+        let a = &a[(first + r0) * k..];
+        gemm_acc(
+            a,
+            k,
+            1,
             run,
             k,
+            &panels,
+            LANES,
+            LANES * k,
+            n,
+            &mut block[r0 * n..],
             n,
         );
-        r0 += run;
     }
 }
 
-/// Rank-1-update microkernel for the `A^T` variants:
-/// `out[r][j] = Σ_i a[i][p0 + r] * b[i][j0 + j]`, `i` ascending. Both loads
-/// are contiguous (`MR` consecutive columns of a row of A, `NR` consecutive
-/// columns of a row of B), so no packing is needed.
-#[inline]
-fn mk_tn(
-    a: &[f32],
-    b: &[f32],
-    red: usize,
-    lda: usize,
-    ldb: usize,
-    p0: usize,
-    j0: usize,
-    mr: usize,
-    nr: usize,
-    out: &mut [f32],
-    ldc: usize,
-) {
-    if mr == MR && nr == NR {
-        #[cfg(target_arch = "x86_64")]
-        if avx::usable() {
-            // SAFETY: AVX support was just checked.
-            unsafe { avx::mk_tn_full(a, b, red, lda, ldb, p0, j0, out, ldc) };
-            return;
-        }
-    }
-    let mut acc = [[0.0f32; NR]; MR];
-    if mr == MR && nr == NR {
-        for i in 0..red {
-            let av = &a[i * lda + p0..i * lda + p0 + MR];
-            let bv = &b[i * ldb + j0..i * ldb + j0 + NR];
-            for r in 0..MR {
-                let ar = av[r];
-                let accr = &mut acc[r];
-                for j in 0..NR {
-                    accr[j] += ar * bv[j];
-                }
-            }
-        }
-    } else {
-        for i in 0..red {
-            let bv = &b[i * ldb + j0..i * ldb + j0 + nr];
-            for (r, accr) in acc.iter_mut().enumerate().take(mr) {
-                let ar = a[i * lda + p0 + r];
-                for (acc_j, &bj) in accr.iter_mut().zip(bv.iter()) {
-                    *acc_j += ar * bj;
-                }
-            }
-        }
-    }
-    for (r, accr) in acc.iter().enumerate().take(mr) {
-        out[r * ldc..r * ldc + nr].copy_from_slice(&accr[..nr]);
-    }
-}
-
-/// Tiles `rows` consecutive output rows (starting at column-of-A `p0`) of
-/// one `A^T x B` product: `a` is `[red][lda]`, `b` is `[red][ldb]`, `out`
-/// is `[rows][n]` with `n <= ldb` columns taken from `b[:, j0=0..n]`.
-fn tn_run(
-    a: &[f32],
-    b: &[f32],
-    red: usize,
-    lda: usize,
-    n: usize,
-    p0: usize,
-    rows: usize,
-    out: &mut [f32],
-) {
-    let mut r = 0;
-    while r < rows {
-        let mr = MR.min(rows - r);
-        let mut j0 = 0;
-        while j0 < n {
-            let nr = NR.min(n - j0);
-            mk_tn(
-                a,
-                b,
-                red,
-                lda,
-                n,
-                p0 + r,
-                j0,
-                mr,
-                nr,
-                &mut out[r * n + j0..],
-                n,
-            );
-            j0 += NR;
-        }
-        r += mr;
-    }
-}
-
-/// One parallel chunk of batched `A^T x B`: output rows `first..` are
-/// global over `batch * k`; runs are split at batch boundaries.
+/// One parallel chunk of batched `A^T x B`, accumulated into `block`:
+/// output rows `first..` are global over `batch * k`, and output row `p`
+/// reduces over column `p` of A — the tile's left operand with `rs = 1`,
+/// `cs = k` — against row-major B, `i` ascending.
 pub fn gemm_tn_block(
     first: usize,
     block: &mut [f32],
@@ -560,34 +453,22 @@ pub fn gemm_tn_block(
     k: usize,
     n: usize,
 ) {
-    if n == 0 {
+    if n == 0 || m == 0 {
         return;
     }
-    let rows = block.len() / n;
-    let mut r0 = 0;
-    while r0 < rows {
-        let row = first + r0;
-        let (batch, p0) = (row / k, row % k);
-        let run = (k - p0).min(rows - r0);
-        tn_run(
-            &a[batch * m * k..(batch + 1) * m * k],
-            &b[batch * m * n..(batch + 1) * m * n],
-            m,
-            k,
-            n,
-            p0,
-            run,
-            &mut block[r0 * n..(r0 + run) * n],
-        );
-        r0 += run;
+    for (r0, run, batch) in batch_runs(first, block.len() / n, k, false) {
+        let p0 = (first + r0) % k;
+        let a = &a[batch * m * k + p0..(batch + 1) * m * k];
+        let b = &b[batch * m * n..(batch + 1) * m * n];
+        gemm_acc(a, 1, k, run, m, b, n, LANES, n, &mut block[r0 * n..], n);
     }
 }
 
 /// One parallel chunk of `A^T x B` summed over every batch: `a` is
 /// `[red][k]` (`red = batch * m` flattened), `b` is `[red][n]`, and the
-/// chunk covers output rows `first..first + block.len()/n` of the `[k][n]`
-/// result. The reduction walks `(batch, i)` ascending, exactly like a
-/// serial accumulation over batches then rows.
+/// chunk accumulates output rows `first..first + block.len()/n` of the
+/// `[k][n]` result. The reduction walks `(batch, i)` ascending, exactly
+/// like a serial accumulation over batches then rows.
 pub fn gemm_tn_acc_block(
     first: usize,
     block: &mut [f32],
@@ -597,11 +478,22 @@ pub fn gemm_tn_acc_block(
     k: usize,
     n: usize,
 ) {
-    if n == 0 {
+    if n == 0 || red == 0 {
         return;
     }
-    let rows = block.len() / n;
-    tn_run(a, b, red, k, n, first, rows, block);
+    gemm_acc(
+        &a[first..],
+        1,
+        k,
+        block.len() / n,
+        red,
+        b,
+        n,
+        LANES,
+        n,
+        block,
+        n,
+    );
 }
 
 /// Numerically stabilized softmax of one row, in place: max-fold, then a
@@ -810,115 +702,41 @@ pub fn attn_head(
 /// One parallel chunk of a vector-matrix product `y = x W + b`:
 /// `y_block` covers output columns `first..first + y_block.len()` of a
 /// `[d_in, d_out]` weight and must already hold the matching bias slice.
-/// Columns are register-tiled so each tile stays in registers across the
-/// whole `i`-ascending input sweep instead of streaming `y` through the
-/// cache once per input element. Per-column accumulation order is
-/// unchanged from the scalar loop.
+/// [`gemm_acc`] for one row; the benchmark's mat·vec probe calls it, the
+/// model's layers call [`vec_matmul_rows`].
 pub fn vec_matmul_block(x: &[f32], w: &[f32], d_out: usize, first: usize, y_block: &mut [f32]) {
-    /// Columns per register tile (one tile = one cache line of `f32`).
-    const CT: usize = 16;
-    let cols = y_block.len();
-    let mut c0 = 0;
-    #[cfg(target_arch = "x86_64")]
-    if avx::usable() {
-        // Whole tiles, four at a time while they last; ragged columns are
-        // left to the scalar loop.
-        c0 = cols / CT * CT;
-        // SAFETY: AVX support was just checked.
-        unsafe { avx::vec_matmul_group::<1, 8>(x, x.len(), &w[first..], d_out, y_block, c0) };
-    }
-    while c0 < cols {
-        let ct = CT.min(cols - c0);
-        let mut acc = [0.0f32; CT];
-        acc[..ct].copy_from_slice(&y_block[c0..c0 + ct]);
-        if ct == CT {
-            for (i, &xi) in x.iter().enumerate() {
-                let wrow = &w[i * d_out + first + c0..i * d_out + first + c0 + CT];
-                for j in 0..CT {
-                    acc[j] += xi * wrow[j];
-                }
-            }
-        } else {
-            for (i, &xi) in x.iter().enumerate() {
-                let wrow = &w[i * d_out + first + c0..i * d_out + first + c0 + ct];
-                for (acc_j, &wj) in acc.iter_mut().zip(wrow.iter()) {
-                    *acc_j += xi * wj;
-                }
-            }
-        }
-        y_block[c0..c0 + ct].copy_from_slice(&acc[..ct]);
-        c0 += ct;
-    }
+    gemm_acc(
+        x,
+        0,
+        1,
+        1,
+        x.len(),
+        &w[first..],
+        d_out,
+        LANES,
+        y_block.len(),
+        y_block,
+        0,
+    );
 }
-
-/// Rows sharing one weight-tile sweep in [`vec_matmul_rows`] (4×2 AVX
-/// accumulators). A caller that splits a stack of rows into groups should
-/// give each group at least this many, so every group fills a tile.
-pub const ROW_TILE: usize = 4;
 
 /// Multi-row vector-matrix product: `rows` input vectors (`xs`, row-major,
 /// `d_in` wide) against one `[d_in, d_out]` weight, into `rows` outputs
 /// (`ys`, row-major, `d_out` wide, pre-filled with the bias row by the
-/// caller). Per output element the accumulation is bit-identical to
-/// [`vec_matmul_block`] — bias-initialized, `i` ascending — so a batched
-/// application equals `rows` single applications byte for byte. The batch
-/// exists for memory locality: the cached-decode matvec is bound on weight
-/// traffic, and here each 16-column weight tile is streamed once per group
-/// of [`ROW_TILE`] rows instead of once per row, which is what makes a
-/// stacked forward — a prefill chunk, or one decode row from each of
-/// several sequences — cheaper than feeding row by row.
+/// caller). This is [`gemm_acc`] with C = the bias rows: per output element
+/// one bias-initialized, `i`-ascending chain, whatever the row count, so a
+/// batched application equals `rows` single applications byte for byte.
+/// The batch exists for memory locality: the cached-decode matvec is bound
+/// on weight traffic, and each weight tile is streamed once per group of
+/// [`ROW_TILE`] rows instead of once per row, which is what makes a stacked
+/// forward — a prefill chunk, or one decode row from each of several
+/// sequences — cheaper than feeding row by row.
 pub fn vec_matmul_rows(xs: &[f32], d_in: usize, w: &[f32], d_out: usize, ys: &mut [f32]) {
-    /// Columns per register tile (matches [`vec_matmul_block`]).
-    const CT: usize = 16;
-    const RT: usize = ROW_TILE;
     assert!(d_in > 0 && d_out > 0, "vec_matmul_rows of empty weight");
     let rows = xs.len() / d_in;
     assert_eq!(xs.len(), rows * d_in, "xs is not a whole number of rows");
     assert_eq!(ys.len(), rows * d_out, "ys shape mismatch");
-    let mut c0 = 0;
-    #[cfg(target_arch = "x86_64")]
-    if avx::usable() {
-        // Whole 16-column tiles, one row group at a time; a short last
-        // group gets a wider tile, so it has as many chains in flight as a
-        // full one and costs its share of one, not more.
-        c0 = d_out / CT * CT;
-        for (x, y) in xs.chunks(RT * d_in).zip(ys.chunks_mut(RT * d_out)) {
-            // SAFETY: AVX support was just checked.
-            unsafe {
-                match x.len() / d_in {
-                    4 => avx::vec_matmul_group::<4, 2>(x, d_in, w, d_out, y, c0),
-                    3 => avx::vec_matmul_group::<3, 2>(x, d_in, w, d_out, y, c0),
-                    2 => avx::vec_matmul_group::<2, 4>(x, d_in, w, d_out, y, c0),
-                    _ => avx::vec_matmul_group::<1, 8>(x, d_in, w, d_out, y, c0),
-                }
-            }
-        }
-    }
-    while c0 < d_out {
-        let ct = CT.min(d_out - c0);
-        let mut r0 = 0;
-        while r0 < rows {
-            let rt = RT.min(rows - r0);
-            let mut acc = [[0.0f32; CT]; RT];
-            for (r, accr) in acc[..rt].iter_mut().enumerate() {
-                accr[..ct].copy_from_slice(&ys[(r0 + r) * d_out + c0..][..ct]);
-            }
-            for i in 0..d_in {
-                let wrow = &w[i * d_out + c0..i * d_out + c0 + ct];
-                for (r, accr) in acc[..rt].iter_mut().enumerate() {
-                    let xi = xs[(r0 + r) * d_in + i];
-                    for (a, &wj) in accr[..ct].iter_mut().zip(wrow.iter()) {
-                        *a += xi * wj;
-                    }
-                }
-            }
-            for (r, accr) in acc[..rt].iter().enumerate() {
-                ys[(r0 + r) * d_out + c0..][..ct].copy_from_slice(&accr[..ct]);
-            }
-            r0 += rt;
-        }
-        c0 += ct;
-    }
+    gemm_acc(xs, d_in, 1, rows, d_in, w, d_out, LANES, d_out, ys, d_out);
 }
 
 #[cfg(test)]
@@ -962,9 +780,9 @@ mod tests {
 
     #[test]
     fn nn_block_matches_naive_at_edge_shapes() {
-        // Shapes straddling every tile edge: rows % MR, cols % NR, and a
-        // chunk split mid-batch; then a transformer-block shape, whole-tile
-        // and ragged, deep enough that k spans several packed panels.
+        // Shapes straddling every tile edge: rows % ROW_TILE, cols % 8, and
+        // a chunk split mid-batch; then a transformer-block shape, whole-tile
+        // and ragged, with a deep k.
         for &(ab, m, k, n, bcast) in &[
             (1usize, 1usize, 1usize, 1usize, false),
             (1, 5, 7, 9, false),
@@ -1086,7 +904,9 @@ mod tests {
         // (rows % 4 ∈ {1, 2, 3}, alone and after a full group) meets full
         // 16-column tiles (a short group in the four-row tile, a lone row
         // in the one-row tile), 80 columns (the lone row's four-tile sweep,
-        // then a single tile) and ragged ones (scalar).
+        // then a single tile) and ragged ones (an 8-column tile and the
+        // masked tail). The reference is each row's own bias-initialized,
+        // `i`-ascending chain.
         let mut shapes = vec![(4usize, 13usize, 48usize), (9, 7, 16)];
         for rows in [1, 2, 3, 5, 6, 7] {
             shapes.extend([(rows, 24, 48), (rows, 24, 80), (rows, 13, 37)]);
@@ -1097,9 +917,13 @@ mod tests {
             let bias = fill(d_out, 23);
             let mut want = Vec::with_capacity(rows * d_out);
             for r in 0..rows {
-                let mut y = bias.clone();
-                vec_matmul_block(&xs[r * d_in..(r + 1) * d_in], &w, d_out, 0, &mut y);
-                want.extend_from_slice(&y);
+                for (j, &b) in bias.iter().enumerate() {
+                    let mut acc = b;
+                    for i in 0..d_in {
+                        acc += xs[r * d_in + i] * w[i * d_out + j];
+                    }
+                    want.push(acc);
+                }
             }
             let mut got = Vec::with_capacity(rows * d_out);
             for _ in 0..rows {
@@ -1107,6 +931,117 @@ mod tests {
             }
             vec_matmul_rows(&xs, d_in, &w, d_out, &mut got);
             assert_eq!(got, want, "rows={rows} d_in={d_in} d_out={d_out}");
+        }
+    }
+
+    /// [`gemm_acc`]'s signature, so the test can run both builds.
+    type Gemm =
+        fn(&[f32], usize, usize, usize, usize, &[f32], usize, usize, usize, &mut [f32], usize);
+
+    /// An operand form: name, `x, rs, cs`, `w, ldw, vs`, and the naive C.
+    type Form<'a> = (
+        &'a str,
+        &'a [f32],
+        usize,
+        usize,
+        &'a [f32],
+        usize,
+        usize,
+        &'a [f32],
+    );
+
+    /// The one oracle for the one tile. Every operand form the kernels use
+    /// — row-major `A x B`, `A^T x B` down a strided column of A, `B^T`
+    /// through packed panels, and decode's bias rows — against the naive
+    /// chain from the same initial C (zero, as training passes it, or not),
+    /// bit for bit: through the public entry points, and through
+    /// [`gemm_acc`] and its scalar fallback with `ldc > n`, where the NaN
+    /// sentinels between rows and after the last one must come back
+    /// untouched. Rows cycle through 0–9 and `n % 8` through every residue,
+    /// so every row group meets every masked tail.
+    #[test]
+    fn gemm_acc_matches_the_naive_chain() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let mut rng = proptest::TestRng::for_test("kernels::gemm_acc_matches_the_naive_chain");
+        for case_no in 0..proptest::cases().max(80) as usize {
+            let rows = case_no % 10;
+            let n = (8 * rng.below(6) as usize + case_no / 10 % 8).min(40);
+            let k = rng.below(71) as usize;
+            // The `A^T` forms read `rows` of A's `lda` columns from `p0`.
+            let lda = rows + rng.below(3) as usize;
+            let p0 = if k == 0 {
+                0
+            } else {
+                rng.below((lda - rows + 1) as u64) as usize
+            };
+            let ldc = n + rng.below(3) as usize;
+            let s = case_no as u32 * 8;
+            let (a, at) = (fill(rows * k, s), fill(k * lda, s + 1));
+            let (b, bt) = (fill(k * n, s + 2), fill(n * k, s + 3));
+            let c0 = if case_no % 2 == 0 {
+                vec![0.0; rows * n]
+            } else {
+                fill(rows * n, s + 4)
+            };
+            let mut panels = vec![0.0; k * n.div_ceil(LANES) * LANES];
+            if k > 0 {
+                pack_transposed(&bt, k, n, &mut panels);
+            }
+            let naive = |x: &dyn Fn(usize, usize) -> f32, w: &dyn Fn(usize, usize) -> f32| {
+                let mut c = c0.clone();
+                for r in 0..rows {
+                    for j in 0..n {
+                        for i in 0..k {
+                            c[r * n + j] += x(r, i) * w(i, j);
+                        }
+                    }
+                }
+                c
+            };
+            let nn = naive(&|r, i| a[r * k + i], &|i, j| b[i * n + j]);
+            let tn = naive(&|r, i| at[i * lda + p0 + r], &|i, j| b[i * n + j]);
+            let nbt = naive(&|r, i| a[r * k + i], &|i, j| bt[j * k + i]);
+            let shape = format!("case {case_no}: rows={rows} k={k} n={n} lda={lda} p0={p0}");
+
+            let forms: [Form; 3] = [
+                ("nn", &a, k, 1, &b, n, LANES, &nn),
+                ("tn", &at[p0..], 1, lda, &b, n, LANES, &tn),
+                ("bt", &a, k, 1, &panels, LANES, LANES * k, &nbt),
+            ];
+            let sentinels = |c: &[f32]| {
+                let mut big = vec![f32::NAN; rows * ldc + LANES];
+                for r in 0..rows {
+                    big[r * ldc..r * ldc + n].copy_from_slice(&c[r * n..(r + 1) * n]);
+                }
+                big
+            };
+            let kernels: [(&str, Gemm); 2] = [("gemm_acc", gemm_acc), ("scalar", gemm_acc_scalar)];
+            for (form, x, rs, cs, w, ldw, vs, want) in forms {
+                for (build, kernel) in kernels {
+                    let mut c = sentinels(&c0);
+                    kernel(x, rs, cs, rows, k, w, ldw, vs, n, &mut c, ldc);
+                    let want = bits(&sentinels(want));
+                    assert_eq!(bits(&c), want, "{form} {build} ldc={ldc} {shape}");
+                }
+            }
+
+            let run = |f: &dyn Fn(&mut [f32])| {
+                let mut c = c0.clone();
+                f(&mut c);
+                bits(&c)
+            };
+            let nn_got = run(&|c| gemm_nn_block(0, c, &a, &b, rows, k, n, false));
+            assert_eq!(nn_got, bits(&nn), "nn {shape}");
+            let tn_got = run(&|c| gemm_tn_block(p0, c, &at, &b, k, lda, n));
+            assert_eq!(tn_got, bits(&tn), "tn {shape}");
+            let acc_got = run(&|c| gemm_tn_acc_block(p0, c, &at, &b, k, lda, n));
+            assert_eq!(acc_got, bits(&tn), "tn_acc {shape}");
+            let bt_got = run(&|c| gemm_bt_block(0, c, &a, &bt, rows, k, n, false));
+            assert_eq!(bt_got, bits(&nbt), "bt {shape}");
+            if k > 0 && n > 0 {
+                let rows_got = run(&|c| vec_matmul_rows(&a, k, &b, n, c));
+                assert_eq!(rows_got, bits(&nn), "vec_matmul_rows {shape}");
+            }
         }
     }
 

@@ -12,14 +12,14 @@ use std::sync::Arc;
 
 use crate::shape::{assert_same_shape, batch_dims, numel};
 
-/// Minimum rows per parallel chunk so a chunk amortizes both dispatch
-/// overhead and the per-chunk panel packing of the tiled kernels: roughly
-/// 128k multiply-adds of work per chunk (the register-tiled microkernel
-/// retires madds ~4x faster than the old scalar loop did, so the work
-/// floor scales up with it), and never fewer rows than one register tile
-/// so packed panels are reused at least [`crate::kernels::MR`] times.
+/// Minimum rows per parallel chunk so a chunk amortizes dispatch
+/// overhead: roughly 128k multiply-adds of work per chunk (the
+/// register-tiled kernel retires madds ~4x faster than the old scalar loop
+/// did, so the work floor scales up with it), and never fewer rows than
+/// one register tile, so every sweep of the right-hand side is shared by
+/// [`crate::kernels::ROW_TILE`] rows.
 fn matmul_min_rows(_m: usize, n: usize, k: usize) -> usize {
-    (131_072 / (n * k).max(1)).max(crate::kernels::MR)
+    (131_072 / (n * k).max(1)).max(crate::kernels::ROW_TILE)
 }
 
 /// Minimum elements per chunk for cheap elementwise kernels.
@@ -352,8 +352,8 @@ impl Tensor {
         // result is bit-identical at any thread count — and bit-identical
         // to a naive triple loop, since the register-tiled kernel only
         // changes which *elements* are in flight, never the order within
-        // an element's chain. See `crate::kernels` for the MR x NR
-        // microkernel and packed-panel layout.
+        // an element's chain. See `crate::kernels` for the register tile
+        // and its operand strides.
         crate::pool::parallel_rows_mut(
             &mut out,
             ab * m,
@@ -393,8 +393,8 @@ impl Tensor {
         let b = &other.data;
         // Packing transposes B panels up front, turning what used to be a
         // latency-bound scalar dot per output element into the same
-        // register-tiled microkernel as `matmul` — with the identical
-        // per-element k-ascending accumulation order.
+        // register tile as `matmul` — with the identical per-element
+        // k-ascending accumulation order.
         crate::pool::parallel_rows_mut(
             &mut out,
             ab * m,
@@ -429,8 +429,8 @@ impl Tensor {
         let b = &other.data;
         // out[batch, p, :] = sum_i a[batch, i, p] * b[batch, i, :], i
         // ascending — identical to the serial ikj order on a materialized
-        // transpose. The reduction walks rows of both operands, so the
-        // rank-1-update microkernel gets contiguous loads with no packing.
+        // transpose. The register tile reads A's columns through its
+        // strided left operand, so nothing is packed.
         crate::pool::parallel_rows_mut(
             &mut out,
             ab * k,
@@ -465,9 +465,9 @@ impl Tensor {
         let b = &other.data;
         // out[p, :] = sum over (batch, i) of a[batch, i, p] * b[batch, i, :]
         // in ascending (batch, i) order — the same order a serial
-        // accumulation over batches and rows would use. Same
-        // rank-1-update microkernel as `matmul_tn`, with the batch
-        // dimension flattened into the reduction.
+        // accumulation over batches and rows would use. Same register
+        // tile as `matmul_tn`, with the batch dimension flattened into the
+        // reduction.
         crate::pool::parallel_rows_mut(
             &mut out,
             k,
