@@ -3,11 +3,15 @@
 
 use lm4db::codegen::{enumerate_programs, generate_tasks, run_pipeline, Synthesizer};
 use lm4db::corpus::{facts_from_table, make_domain, DomainKind};
+use lm4db::fault::fnv64;
 use lm4db::neuraldb::{AllTemplatesExtractor, ExactExtractor, NeuralDb};
 use lm4db::sql::run_sql;
 use lm4db::tensor::Rand;
 use lm4db::text2sql::{generate, DecodeMode, SemanticParser, SqlTrie};
 use lm4db::transformer::ModelConfig;
+
+/// [`front_ends_fingerprint`]'s value.
+const FRONT_ENDS_FP: u64 = 0xf1ad_fc6e_6a9e_4fad;
 
 fn tiny_seq_cfg() -> ModelConfig {
     ModelConfig {
@@ -44,6 +48,85 @@ fn constrained_codegen_always_produces_runnable_programs() {
         let p = s.pipeline.expect("constrained synthesis must complete");
         assert!(run_pipeline(&p, &cat).is_ok());
     }
+}
+
+/// FNV-1a over every output of the two fine-tuned front-ends: the tiny
+/// parser (Students) and synthesizer (Flights) above, fine-tuned the same
+/// way. It covers the `fit` loss bits; `predict_batch` in both decode
+/// modes at beam width 1 and 3, plus int8 constrained, plus beams cut
+/// mid-word by the context window; and
+/// `synthesize_constrained` and `synthesize_with_retries(.., 3)` over six
+/// instructions each (raw text, attempts, whether a pipeline came back).
+/// The constant is the value the two front-ends produced when each kept
+/// its own copy of the fine-tune → prompt → beam → read-back path; a
+/// refactor of that path must keep it.
+#[test]
+fn front_ends_fingerprint() {
+    use std::fmt::Write;
+    let mut s = String::new();
+
+    let d = make_domain(DomainKind::Students, 20, 21);
+    let train = generate(&d, 24, 1);
+    let trie = SqlTrie::for_domain(&d);
+    let mut parser = SemanticParser::new(tiny_seq_cfg(), &train, trie, 5, 700);
+    let loss = parser.fit(&train, 3, 8, 3e-3);
+    writeln!(s, "parser loss {:08x}", loss.to_bits()).unwrap();
+    let questions = generate(&d, 6, 99);
+    let questions: Vec<&str> = questions.iter().map(|ex| ex.question.as_str()).collect();
+    let mut legs = Vec::new();
+    for width in [1, 3] {
+        for mode in [DecodeMode::Constrained, DecodeMode::Unconstrained] {
+            legs.push((width, mode, false));
+        }
+    }
+    legs.push((3, DecodeMode::Constrained, true));
+    for (width, mode, quantized) in legs {
+        parser.set_beam_width(width);
+        parser.set_quantized(quantized);
+        for p in parser.predict_batch(&questions, mode) {
+            writeln!(s, "w{width} {mode:?} q{quantized}: {:?} | {}", p.sql, p.raw).unwrap();
+        }
+    }
+    // Beams the 96-token window cuts mid-word: an untrained parser with a
+    // 200-token vocabulary (words in several pieces), greedy under the
+    // mask, on questions left-padded towards the window's edge. Some cuts
+    // land after a complete query plus part of its next word, which must
+    // read back as no SQL.
+    let trie = SqlTrie::for_domain(&d);
+    let mut cut = SemanticParser::new(tiny_seq_cfg(), &train, trie, 5, 200);
+    cut.set_beam_width(1);
+    let padded: Vec<String> = (60..76)
+        .flat_map(|k| {
+            questions
+                .iter()
+                .map(move |q| format!("{}{q}", "a ".repeat(k)))
+        })
+        .collect();
+    let padded: Vec<&str> = padded.iter().map(String::as_str).collect();
+    for p in cut.predict_batch(&padded, DecodeMode::Constrained) {
+        writeln!(s, "cut: {:?} | {}", p.sql, p.raw).unwrap();
+    }
+
+    let d = make_domain(DomainKind::Flights, 20, 22);
+    let cat = d.catalog();
+    let tasks = generate_tasks(&d, 18, 1);
+    let programs = enumerate_programs(&d);
+    let mut synth = Synthesizer::new(tiny_seq_cfg(), &tasks, &programs, 6);
+    let loss = synth.fit(&tasks, 3, 8, 3e-3);
+    writeln!(s, "synth loss {:08x}", loss.to_bits()).unwrap();
+    for t in tasks.iter().take(6) {
+        let c = synth.synthesize_constrained(&t.instruction, &cat);
+        let r = synth.synthesize_with_retries(&t.instruction, &cat, 3);
+        for (leg, syn) in [("constrained", c), ("retries", r)] {
+            let ok = syn.pipeline.is_some();
+            writeln!(s, "{leg}: {ok} {} | {}", syn.attempts, syn.raw).unwrap();
+        }
+    }
+    assert_eq!(
+        fnv64(&s),
+        FRONT_ENDS_FP,
+        "front-end outputs moved; they were:\n{s}"
+    );
 }
 
 #[test]
