@@ -15,12 +15,10 @@
 //! retries the normal loop, closing the breaker on success.
 
 use lm4db_fault::Breaker;
-use lm4db_serve::Engine;
 use lm4db_sql::Catalog;
 use lm4db_tensor::Rand;
-use lm4db_text2sql::{decode_units, Spellings, SqlTrie, TrieConstraint};
-use lm4db_tokenize::{Bpe, Tokenizer, BOS, EOS};
-use lm4db_transformer::{sample, GptModel, ModelConfig, SampleOptions};
+use lm4db_text2sql::{SqlTrie, TrieLm};
+use lm4db_transformer::{ModelConfig, SampleOptions};
 
 use crate::dsl::{parse_pipeline, Pipeline};
 use crate::instructions::Task;
@@ -68,12 +66,13 @@ impl BreakerOptions {
     }
 }
 
-/// GPT-based program synthesizer for one domain.
+/// GPT-based program synthesizer for one domain: a [`TrieLm`] with the
+/// `i` / `p` tags, plus CodexDB's retry loop, validation and breaker.
 pub struct Synthesizer {
-    gpt: GptModel,
-    bpe: Bpe,
-    trie: SqlTrie,
-    spellings: Spellings,
+    lm: TrieLm,
+    /// Constrained decoding's budget: 2 plus the longest program's length,
+    /// so a beam can finish any program even spelled a character per token.
+    constrained_max_new: usize,
     rng: Rand,
     breaker: Breaker,
     /// The breaker's tick: `synthesize_resilient` calls so far.
@@ -84,27 +83,21 @@ pub struct Synthesizer {
 }
 
 impl Synthesizer {
+    const TAGS: (&'static str, &'static str) = ("i", "p");
+
     /// Builds the synthesizer: BPE over instruction/program texts plus the
     /// enumerated program space, and a trie for constrained decoding.
     pub fn new(cfg: ModelConfig, tasks: &[Task], programs: &[String], seed: u64) -> Self {
         let mut texts: Vec<String> = tasks.iter().map(Self::serialize).collect();
         texts.extend(programs.iter().cloned());
-        let bpe = Bpe::train(texts.iter().map(String::as_str), 700);
         let mut trie = SqlTrie::default();
         for p in programs {
             trie.insert(p);
         }
-        let cfg = ModelConfig {
-            vocab_size: bpe.vocab().len(),
-            ..cfg
-        };
-        let gpt = GptModel::new(cfg, seed);
-        let spellings = Spellings::new(&bpe, &trie);
+        let constrained_max_new = trie.all_queries().iter().map(|q| q.len() + 2).max();
         Synthesizer {
-            gpt,
-            bpe,
-            trie,
-            spellings,
+            lm: TrieLm::new(cfg, Self::TAGS, &texts, trie, 700, seed),
+            constrained_max_new: constrained_max_new.unwrap_or(48),
             rng: Rand::seeded(seed ^ 0x5eed),
             breaker: BreakerOptions::default().breaker(),
             breaker_tick: 0,
@@ -127,46 +120,13 @@ impl Synthesizer {
 
     /// Serializes a task into the fine-tuning text format.
     pub fn serialize(task: &Task) -> String {
-        format!("i : {} p : {}", task.instruction, task.program)
+        TrieLm::line(Self::TAGS, &task.instruction, &task.program)
     }
 
     /// Fine-tunes on tasks; returns the final-epoch mean loss.
     pub fn fit(&mut self, tasks: &[Task], epochs: usize, batch_size: usize, lr: f32) -> f32 {
-        let encoded: Vec<Vec<usize>> = tasks
-            .iter()
-            .map(|t| {
-                let mut ids = self.bpe.encode_causal(&Self::serialize(t));
-                ids.truncate(self.gpt.config().max_seq_len);
-                ids
-            })
-            .collect();
-        let mut opt = self.gpt.optimizer(lr);
-        let mut last = 0.0;
-        for _ in 0..epochs {
-            let mut losses = Vec::new();
-            for chunk in encoded.chunks(batch_size.max(1)) {
-                losses.push(self.gpt.train_step(chunk, &mut opt));
-            }
-            last = losses.iter().sum::<f32>() / losses.len().max(1) as f32;
-        }
-        last
-    }
-
-    fn prompt_ids(&self, instruction: &str) -> Vec<usize> {
-        let mut ids = vec![BOS];
-        ids.extend(self.bpe.encode(&format!("i : {instruction} p :")));
-        ids
-    }
-
-    fn decode_generated(&self, prompt_len: usize, ids: &[usize]) -> (Vec<String>, String) {
-        let generated = &ids[prompt_len.min(ids.len())..];
-        let (units, partial) = decode_units(&self.bpe, generated);
-        let mut parts = units.clone();
-        if let Some(p) = partial {
-            parts.push(p);
-        }
-        let raw = parts.join(" ");
-        (units, raw)
+        let lines: Vec<String> = tasks.iter().map(Self::serialize).collect();
+        self.lm.fit(&lines, epochs, batch_size, lr)
     }
 
     /// Constrained synthesis: one beam-search pass over the program trie.
@@ -175,22 +135,11 @@ impl Synthesizer {
     pub fn synthesize_constrained(&mut self, instruction: &str, catalog: &Catalog) -> Synthesis {
         let _span = lm4db_obs::span("codegen_constrained");
         lm4db_obs::counter_add("codegen/attempts", 1);
-        let prompt = self.prompt_ids(instruction);
-        let constraint = TrieConstraint::new(&self.bpe, &self.trie, &self.spellings, prompt.len());
-        // Budget enough steps to reach a leaf of the deepest trie path, so
-        // constrained decoding is complete: every beam can finish a program.
-        // Worst case the model spells a program one character per token, so
-        // size the budget by character count, not compact tokenization.
-        let max_new = self
-            .trie
-            .all_queries()
-            .iter()
-            .map(|q| q.len() + 2)
-            .max()
-            .unwrap_or(48);
-        let hyps = Engine::new(&self.gpt).beam(&prompt, 3, max_new, EOS, Some(&constraint));
-        let best = hyps.iter().find(|h| h.finished).or_else(|| hyps.first());
-        let Some(best) = best else {
+        let prompt = [self.lm.prompt_ids(instruction)];
+        let (hyps, _) = self
+            .lm
+            .beams(&prompt, 3, self.constrained_max_new, true, false);
+        let Some((raw, program)) = self.lm.best(&hyps[0], prompt[0].len()) else {
             return Synthesis {
                 pipeline: None,
                 raw: String::new(),
@@ -198,12 +147,10 @@ impl Synthesizer {
                 fallback: false,
             };
         };
-        let (units, raw) = self.decode_generated(prompt.len(), &best.ids);
         // Validation (parse + execute) timed separately from decoding: in
         // the CodexDB loop that split is the whole story.
         let pipeline = lm4db_obs::time("codegen_validate", || {
-            self.trie
-                .lookup(&units)
+            program
                 .and_then(|p| parse_pipeline(p).ok())
                 .filter(|p| run_pipeline(p, catalog).is_ok())
         });
@@ -254,7 +201,7 @@ impl Synthesizer {
         max_retries: usize,
     ) -> Synthesis {
         let _span = lm4db_obs::span("codegen_retries");
-        let prompt = self.prompt_ids(instruction);
+        let prompt = [self.lm.prompt_ids(instruction)];
         let mut last_raw = String::new();
         for attempt in 1..=max_retries.max(1) {
             // Each generate→validate round is its own span, and the instant
@@ -263,10 +210,10 @@ impl Synthesizer {
             let _attempt_span = lm4db_obs::span("codegen_attempt");
             lm4db_obs::instant_arg("codegen/attempt", attempt as u64);
             lm4db_obs::counter_add("codegen/attempts", 1);
-            let ids = if attempt == 1 {
-                let hyps = Engine::new(&self.gpt).beam(&prompt, 3, 48, EOS, None);
-                match hyps.iter().find(|h| h.finished).or_else(|| hyps.first()) {
-                    Some(h) => h.ids.clone(),
+            let raw = if attempt == 1 {
+                let (hyps, _) = self.lm.beams(&prompt, 3, 48, false, false);
+                match self.lm.best(&hyps[0], prompt[0].len()) {
+                    Some((raw, _)) => raw,
                     None => continue,
                 }
             } else {
@@ -275,12 +222,9 @@ impl Synthesizer {
                     top_k: 8,
                     top_p: 1.0,
                 };
-                let generated = sample(&mut self.gpt, &prompt, 48, EOS, &opts, None, &mut self.rng);
-                let mut ids = prompt.clone();
-                ids.extend(generated);
-                ids
+                let ids = self.lm.sample(&prompt[0], 48, &opts, &mut self.rng);
+                self.lm.read(&ids, 0).0
             };
-            let (_units, raw) = self.decode_generated(prompt.len(), &ids);
             last_raw = raw.clone();
             let validated = self.guarded_validate(&raw, catalog);
             if let Some(pipeline) = validated {

@@ -6,7 +6,8 @@
 //! * a **Spider-style workload generator** over the cross-domain tables of
 //!   `lm4db-corpus`, stratified into four complexity tiers ([`workload`]);
 //! * a **neural semantic parser**: a GPT-style LM fine-tuned on
-//!   `question → SQL` pairs, decoded by beam search ([`SemanticParser`]);
+//!   `question → SQL` pairs, decoded by beam search ([`SemanticParser`],
+//!   over the [`TrieLm`] generator CodexDB's synthesizer shares);
 //! * **PICARD-style constrained decoding**: a word-trie of the full
 //!   candidate query space vetoes every token that cannot extend to valid
 //!   SQL ([`SqlTrie`], [`TrieConstraint`] over the words' [`Spellings`]);
@@ -30,6 +31,7 @@ pub use lm4db_tokenize::bpe::EOW;
 pub use baseline::TemplateBaseline;
 pub use eval::{evaluate, score_one, Metrics};
 pub use paraphrase::{paraphrase_examples, paraphrase_question};
-pub use parser::{decode_units, DecodeMode, Prediction, SemanticParser, Spellings, TrieConstraint};
+pub use parser::{decode_units, DecodeMode, Prediction, SemanticParser, Spellings};
+pub use parser::{TrieConstraint, TrieLm};
 pub use trie::{enumerate_queries, SqlTrie};
 pub use workload::{generate, Example, Tier, THRESHOLDS};

@@ -1,5 +1,7 @@
 //! The neural semantic parser: a GPT-style causal LM fine-tuned on
 //! `question → SQL` pairs, decoded with or without the grammar constraint.
+//! The fine-tune → prompt → beam → read-back path is [`TrieLm`], which
+//! CodexDB's program synthesizer runs on too.
 //!
 //! The constrained mode is the PICARD recipe (Scholak et al., EMNLP 2021):
 //! beam search in which, at every step, the tokens that would leave the
@@ -9,8 +11,9 @@
 use std::collections::HashMap;
 
 use lm4db_serve::{Engine, EngineOptions, Request};
+use lm4db_tensor::Rand;
 use lm4db_tokenize::{vocab::SPECIAL_TOKENS, Bpe, Tokenizer, BOS, EOS};
-use lm4db_transformer::{GptModel, Hypothesis, ModelConfig, TokenMask};
+use lm4db_transformer::{sample, GptModel, Hypothesis, ModelConfig, SampleOptions, TokenMask};
 
 use crate::trie::SqlTrie;
 use crate::workload::Example;
@@ -115,8 +118,8 @@ pub struct TrieConstraint<'a> {
 }
 
 impl<'a> TrieConstraint<'a> {
-    /// Builds a constraint over any word trie (reused by the CodexDB-style
-    /// synthesizer for its pipeline DSL). `spellings` must be
+    /// Builds a constraint over any word trie (the SQL trie, or the
+    /// pipeline-DSL trie of CodexDB's synthesizer). `spellings` must be
     /// [`Spellings::new`] of the same `bpe` and `trie`.
     pub fn new(
         bpe: &'a Bpe,
@@ -158,6 +161,131 @@ impl TokenMask for TrieConstraint<'_> {
     }
 }
 
+/// The generator behind both Codex-era front-ends: a GPT fine-tuned on
+/// `tag : input tag : output` lines, beam-decoded through the engine with
+/// or without the word-trie mask, and read back as word units. The
+/// text-to-SQL [`SemanticParser`] (tags `q` / `a`) and CodexDB's program
+/// synthesizer (`i` / `p`) are front-ends over it.
+pub struct TrieLm {
+    gpt: GptModel,
+    bpe: Bpe,
+    trie: SqlTrie,
+    spellings: Spellings,
+    tags: (&'static str, &'static str),
+}
+
+impl TrieLm {
+    /// Trains a BPE of `bpe_vocab` tokens on `texts` (the serialized pairs,
+    /// then every trie entry) and a GPT from `seed` over its vocabulary.
+    pub fn new(
+        cfg: ModelConfig,
+        tags: (&'static str, &'static str),
+        texts: &[String],
+        trie: SqlTrie,
+        bpe_vocab: usize,
+        seed: u64,
+    ) -> Self {
+        let bpe = Bpe::train(texts.iter().map(String::as_str), bpe_vocab);
+        let vocab_size = bpe.vocab().len();
+        let gpt = GptModel::new(ModelConfig { vocab_size, ..cfg }, seed);
+        let spellings = Spellings::new(&bpe, &trie);
+        TrieLm {
+            gpt,
+            bpe,
+            trie,
+            spellings,
+            tags,
+        }
+    }
+
+    /// One fine-tuning line: `{in} : {input} {out} : {output}`.
+    pub fn line(tags: (&str, &str), input: &str, output: &str) -> String {
+        format!("{} : {input} {} : {output}", tags.0, tags.1)
+    }
+
+    /// Fine-tunes on `lines` for `epochs` passes of `batch_size`-line
+    /// steps; returns the mean loss of the final epoch.
+    pub fn fit(&mut self, lines: &[String], epochs: usize, batch_size: usize, lr: f32) -> f32 {
+        let max_len = self.gpt.config().max_seq_len;
+        let mut encoded: Vec<_> = lines.iter().map(|l| self.bpe.encode_causal(l)).collect();
+        encoded.iter_mut().for_each(|ids| ids.truncate(max_len));
+        let mut opt = self.gpt.optimizer(lr);
+        let mut last = 0.0;
+        for _ in 0..epochs {
+            let mut losses = Vec::new();
+            for chunk in encoded.chunks(batch_size.max(1)) {
+                losses.push(self.gpt.train_step(chunk, &mut opt));
+            }
+            last = losses.iter().sum::<f32>() / losses.len().max(1) as f32;
+        }
+        last
+    }
+
+    /// `[BOS]` and the prompt `{in} : {input} {out} :`.
+    pub fn prompt_ids(&self, input: &str) -> Vec<usize> {
+        let text = format!("{} : {input} {} :", self.tags.0, self.tags.1);
+        [vec![BOS], self.bpe.encode(&text)].concat()
+    }
+
+    /// Beam-decodes every prompt through one engine, `width` hypotheses of
+    /// at most `max_new` tokens each, under the trie mask when
+    /// `constrained`, on int8 weights when `quantized`. Returns each
+    /// prompt's hypotheses, best first, and the engine's scheduler steps.
+    pub fn beams(
+        &self,
+        prompts: &[Vec<usize>],
+        width: usize,
+        max_new: usize,
+        constrained: bool,
+        quantized: bool,
+    ) -> (Vec<Vec<Hypothesis>>, u64) {
+        let masks: Vec<TrieConstraint> = prompts
+            .iter()
+            .map(|p| TrieConstraint::new(&self.bpe, &self.trie, &self.spellings, p.len()))
+            .collect();
+        let opts = EngineOptions {
+            quantized,
+            ..EngineOptions::default()
+        };
+        let mut engine = Engine::with_options(&self.gpt, opts);
+        let reqs = prompts.iter().zip(&masks).map(|(p, mask)| Request {
+            mask: constrained.then_some(mask as &dyn TokenMask),
+            ..Request::beam(p.clone(), width, max_new, EOS)
+        });
+        let hyps = engine.generate_batch(reqs.collect()).into_iter();
+        (hyps.map(|r| r.hyps).collect(), engine.stats().steps)
+    }
+
+    /// [`TrieLm::read`] of the best of `hyps`: the first finished one,
+    /// else the highest-scoring. `None` when there is no hypothesis.
+    pub fn best(&self, hyps: &[Hypothesis], prompt_len: usize) -> Option<(String, Option<&str>)> {
+        let best = hyps.iter().find(|h| h.finished).or_else(|| hyps.first())?;
+        Some(self.read(&best.ids, prompt_len))
+    }
+
+    /// Reads the tokens after the prompt back: the raw text (word units
+    /// and any trailing partial word, joined with spaces) and the trie
+    /// entry the units spell, looked up only when no partial word trails.
+    pub fn read(&self, ids: &[usize], prompt_len: usize) -> (String, Option<&str>) {
+        let (mut units, partial) = decode_units(&self.bpe, &ids[prompt_len.min(ids.len())..]);
+        let entry = self.trie.lookup(&units).filter(|_| partial.is_none());
+        units.extend(partial);
+        (units.join(" "), entry)
+    }
+
+    /// Samples a continuation of `prompt` from the fine-tuned model with
+    /// the reference sampler, unmasked (read it back from offset 0).
+    pub fn sample(
+        &mut self,
+        prompt: &[usize],
+        max_new: usize,
+        opts: &SampleOptions,
+        rng: &mut Rand,
+    ) -> Vec<usize> {
+        sample(&mut self.gpt, prompt, max_new, EOS, opts, None, rng)
+    }
+}
+
 /// Decoding mode for [`SemanticParser::predict`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecodeMode {
@@ -177,22 +305,28 @@ pub struct Prediction {
     pub raw: String,
 }
 
-/// GPT fine-tuned for text-to-SQL over one domain.
+/// GPT fine-tuned for text-to-SQL over one domain: a [`TrieLm`] with the
+/// `q` / `a` tags, which it dereferences to, plus the decode settings.
 pub struct SemanticParser {
-    gpt: GptModel,
-    bpe: Bpe,
-    trie: SqlTrie,
-    spellings: Spellings,
+    lm: TrieLm,
     beam_width: usize,
     max_new: usize,
     /// Decode through the int8 quantized engine path.
     quantized: bool,
 }
 
+impl std::ops::Deref for SemanticParser {
+    type Target = TrieLm;
+    fn deref(&self) -> &TrieLm {
+        &self.lm
+    }
+}
+
 impl SemanticParser {
+    const TAGS: (&'static str, &'static str) = ("q", "a");
+
     /// Builds tokenizer + model from training examples and the candidate
-    /// trie. The BPE vocabulary is trained on both the pair texts and the
-    /// full candidate space so constrained decoding can reach every query.
+    /// trie; the BPE also sees every candidate query, lower-cased.
     pub fn new(
         cfg: ModelConfig,
         train_examples: &[Example],
@@ -201,21 +335,9 @@ impl SemanticParser {
         bpe_vocab: usize,
     ) -> Self {
         let mut texts: Vec<String> = train_examples.iter().map(Self::serialize).collect();
-        for sql in trie.all_queries() {
-            texts.push(sql.to_lowercase());
-        }
-        let bpe = Bpe::train(texts.iter().map(String::as_str), bpe_vocab);
-        let cfg = ModelConfig {
-            vocab_size: bpe.vocab().len(),
-            ..cfg
-        };
-        let gpt = GptModel::new(cfg, seed);
-        let spellings = Spellings::new(&bpe, &trie);
+        texts.extend(trie.all_queries().iter().map(|sql| sql.to_lowercase()));
         SemanticParser {
-            gpt,
-            bpe,
-            trie,
-            spellings,
+            lm: TrieLm::new(cfg, Self::TAGS, &texts, trie, bpe_vocab, seed),
             beam_width: 3,
             max_new: 48,
             quantized: false,
@@ -224,17 +346,7 @@ impl SemanticParser {
 
     /// Serializes a training pair into the fine-tuning text format.
     pub fn serialize(ex: &Example) -> String {
-        format!("q : {} a : {}", ex.question, ex.sql.to_lowercase())
-    }
-
-    /// The tokenizer (for inspection).
-    pub fn tokenizer(&self) -> &Bpe {
-        &self.bpe
-    }
-
-    /// The candidate trie.
-    pub fn trie(&self) -> &SqlTrie {
-        &self.trie
+        TrieLm::line(Self::TAGS, &ex.question, &ex.sql.to_lowercase())
     }
 
     /// Sets the beam width used at decode time.
@@ -252,30 +364,8 @@ impl SemanticParser {
     /// Fine-tunes on the training pairs for `epochs` passes; returns the
     /// mean loss of the final epoch.
     pub fn fit(&mut self, examples: &[Example], epochs: usize, batch_size: usize, lr: f32) -> f32 {
-        let encoded: Vec<Vec<usize>> = examples
-            .iter()
-            .map(|ex| {
-                let mut ids = self.bpe.encode_causal(&Self::serialize(ex));
-                ids.truncate(self.gpt.config().max_seq_len);
-                ids
-            })
-            .collect();
-        let mut opt = self.gpt.optimizer(lr);
-        let mut last = 0.0;
-        for _ in 0..epochs {
-            let mut losses = Vec::new();
-            for chunk in encoded.chunks(batch_size.max(1)) {
-                losses.push(self.gpt.train_step(chunk, &mut opt));
-            }
-            last = losses.iter().sum::<f32>() / losses.len().max(1) as f32;
-        }
-        last
-    }
-
-    fn prompt_ids(&self, question: &str) -> Vec<usize> {
-        let mut ids = vec![BOS];
-        ids.extend(self.bpe.encode(&format!("q : {question} a :")));
-        ids
+        let lines: Vec<String> = examples.iter().map(Self::serialize).collect();
+        self.lm.fit(&lines, epochs, batch_size, lr)
     }
 
     /// Translates a question into SQL.
@@ -295,36 +385,16 @@ impl SemanticParser {
         // the engine's submit/admit/retire instants attribute the beam
         // work inside it to individual requests.
         lm4db_obs::instant_arg("text2sql/batch", questions.len() as u64);
-        let prompts: Vec<Vec<usize>> = questions.iter().map(|q| self.prompt_ids(q)).collect();
-        let constraints: Vec<TrieConstraint> = prompts
-            .iter()
-            .map(|p| TrieConstraint::new(&self.bpe, &self.trie, &self.spellings, p.len()))
-            .collect();
-        let mut engine = Engine::with_options(
-            &self.gpt,
-            EngineOptions {
-                quantized: self.quantized,
-                ..EngineOptions::default()
-            },
-        );
-        let reqs = prompts
-            .iter()
-            .zip(&constraints)
-            .map(|(p, c)| {
-                let req = Request::beam(p.clone(), self.beam_width, self.max_new, EOS);
-                match mode {
-                    DecodeMode::Constrained => req.with_mask(c),
-                    DecodeMode::Unconstrained => req,
-                }
-            })
-            .collect();
-        let responses = engine.generate_batch(reqs);
+        let prompts: Vec<Vec<usize>> = questions.iter().map(|q| self.lm.prompt_ids(q)).collect();
+        let constrained = mode == DecodeMode::Constrained;
+        let (width, max_new, int8) = (self.beam_width, self.max_new, self.quantized);
+        let (hyps, steps) = self.lm.beams(&prompts, width, max_new, constrained, int8);
         // The engine's scheduler steps are this pipeline's beam steps.
-        lm4db_obs::counter_add("text2sql/beam_steps", engine.stats().steps);
-        let predictions: Vec<Prediction> = responses
-            .into_iter()
+        lm4db_obs::counter_add("text2sql/beam_steps", steps);
+        let predictions: Vec<Prediction> = hyps
+            .iter()
             .zip(&prompts)
-            .map(|(resp, prompt)| self.prediction_from_hyps(&resp.hyps, prompt.len()))
+            .map(|(hyps, prompt)| self.prediction_from_hyps(hyps, prompt.len()))
             .collect();
         lm4db_obs::counter_add(
             "text2sql/sql_resolved",
@@ -334,29 +404,11 @@ impl SemanticParser {
     }
 
     fn prediction_from_hyps(&self, hyps: &[Hypothesis], prompt_len: usize) -> Prediction {
-        // Prefer finished hypotheses; the engine already sorts by score.
-        let best = hyps.iter().find(|h| h.finished).or_else(|| hyps.first());
-        let Some(best) = best else {
-            return Prediction {
-                sql: None,
-                raw: String::new(),
-            };
-        };
-        let generated = &best.ids[prompt_len.min(best.ids.len())..];
-        let (units, partial) = decode_units(&self.bpe, generated);
-        let raw = {
-            let mut parts = units.clone();
-            if let Some(p) = &partial {
-                parts.push(p.clone());
-            }
-            parts.join(" ")
-        };
-        let sql = if partial.is_none() {
-            self.trie.lookup(&units).map(str::to_string)
-        } else {
-            None
-        };
-        Prediction { sql, raw }
+        let (raw, sql) = self.lm.best(hyps, prompt_len).unwrap_or_default();
+        Prediction {
+            sql: sql.map(str::to_string),
+            raw,
+        }
     }
 }
 
