@@ -128,11 +128,11 @@ pub fn to_html(snap: &Snapshot, series: &[(String, Series)]) -> String {
                 "<tr><td>{}</td><td class=\"num\">{}</td><td class=\"num\">{}</td>\
                  <td class=\"num\">{}</td><td class=\"num\">{}</td><td class=\"num\">{}</td></tr>",
                 esc(k),
-                t.count,
-                t.mean_ns(),
-                t.quantile_ns(0.50),
-                t.quantile_ns(0.99),
-                t.max_ns,
+                t.count(),
+                t.mean(),
+                t.quantile(0.50),
+                t.quantile(0.99),
+                t.max(),
             );
         }
         h.push_str("</table>");

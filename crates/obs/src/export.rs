@@ -3,67 +3,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::hist::{Histogram, BUCKETS};
-
-/// Aggregated statistics of one timer, merged across all thread shards.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimerStat {
-    /// Number of recorded observations.
-    pub count: u64,
-    /// Sum of all observed durations, nanoseconds.
-    pub total_ns: u64,
-    /// Smallest observation, nanoseconds (0 when `count == 0`).
-    pub min_ns: u64,
-    /// Largest observation, nanoseconds.
-    pub max_ns: u64,
-    /// Log₂ histogram: `buckets[i]` counts durations in `[2^i, 2^(i+1))`
-    /// ns; the final bucket absorbs everything larger.
-    pub buckets: Vec<u64>,
-}
-
-impl TimerStat {
-    pub(crate) fn from_hist(t: &Histogram) -> Self {
-        TimerStat {
-            count: t.count(),
-            total_ns: t.total(),
-            min_ns: t.min(),
-            max_ns: t.max(),
-            buckets: t.buckets().to_vec(),
-        }
-    }
-
-    /// Mean observation in nanoseconds (0 when empty).
-    pub fn mean_ns(&self) -> u64 {
-        self.total_ns.checked_div(self.count).unwrap_or(0)
-    }
-
-    /// Approximate quantile from the log₂ histogram: the upper bound of
-    /// the bucket where the cumulative count crosses `q * count`. `q` is
-    /// clamped to `[0, 1]`; returns 0 when empty.
-    pub fn quantile_ns(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= target {
-                return upper_bound_ns(i).min(self.max_ns);
-            }
-        }
-        self.max_ns
-    }
-}
-
-/// Upper bound (exclusive) of bucket `i` in nanoseconds.
-fn upper_bound_ns(i: usize) -> u64 {
-    if i + 1 >= BUCKETS {
-        u64::MAX
-    } else {
-        1u64 << (i + 1)
-    }
-}
+use crate::hist::Histogram;
 
 /// A merged, point-in-time view of the whole registry, produced by
 /// [`crate::snapshot`]. Maps are sorted by name so renderings are stable.
@@ -73,8 +13,9 @@ pub struct Snapshot {
     pub counters: BTreeMap<String, u64>,
     /// Last-write-wins gauges.
     pub gauges: BTreeMap<String, f64>,
-    /// Timers (from spans, leaves, and direct duration records).
-    pub timers: BTreeMap<String, TimerStat>,
+    /// Timers (from spans, leaves, and direct duration records), merged
+    /// across thread shards; observations are nanoseconds.
+    pub timers: BTreeMap<String, Histogram>,
     /// Number of thread shards that contributed data.
     pub threads: usize,
 }
@@ -130,13 +71,13 @@ impl Snapshot {
                     s,
                     "{:<w$}  {:>9}  {:>10}  {:>10}  {:>10}  {:>10}  {:>10}  {:>10}",
                     k,
-                    t.count,
-                    fmt_ns(t.total_ns),
-                    fmt_ns(t.mean_ns()),
-                    fmt_ns(t.quantile_ns(0.50)),
-                    fmt_ns(t.quantile_ns(0.95)),
-                    fmt_ns(t.quantile_ns(0.99)),
-                    fmt_ns(t.max_ns),
+                    t.count(),
+                    fmt_ns(t.total()),
+                    fmt_ns(t.mean()),
+                    fmt_ns(t.quantile(0.50)),
+                    fmt_ns(t.quantile(0.95)),
+                    fmt_ns(t.quantile(0.99)),
+                    fmt_ns(t.max()),
                 );
             }
         }
@@ -171,13 +112,13 @@ impl Snapshot {
                 s,
                 "{}:{{\"count\":{},\"total_ns\":{},\"mean_ns\":{},\"min_ns\":{},\"max_ns\":{},\"buckets\":[",
                 json_str(k),
-                t.count,
-                t.total_ns,
-                t.mean_ns(),
-                t.min_ns,
-                t.max_ns,
+                t.count(),
+                t.total(),
+                t.mean(),
+                t.min(),
+                t.max(),
             );
-            for (j, b) in t.buckets.iter().enumerate() {
+            for (j, b) in t.buckets().iter().enumerate() {
                 if j > 0 {
                     s.push(',');
                 }
@@ -223,7 +164,7 @@ fn json_f64(v: f64) -> String {
 mod tests {
     use super::*;
 
-    fn stat(observations: &[u64]) -> TimerStat {
+    fn stat(observations: &[u64]) -> Histogram {
         // Exercise the production record + merge paths: each observation
         // lands in its own single-shot histogram that is folded into `t`.
         let mut t = Histogram::new();
@@ -232,26 +173,26 @@ mod tests {
             one.record(ns);
             t.merge(&one);
         }
-        TimerStat::from_hist(&t)
+        t
     }
 
     #[test]
     fn quantiles_track_buckets() {
         let s = stat(&[100, 100, 100, 100_000]);
         // p50 falls in the [64, 128) bucket → upper bound 128.
-        assert_eq!(s.quantile_ns(0.5), 128);
+        assert_eq!(s.quantile(0.5), 128);
         // p100 lands in the slow observation's bucket, clamped to max.
-        assert_eq!(s.quantile_ns(1.0), 100_000);
-        assert_eq!(s.mean_ns(), (100 * 3 + 100_000) / 4);
+        assert_eq!(s.quantile(1.0), 100_000);
+        assert_eq!(s.mean(), (100 * 3 + 100_000) / 4);
     }
 
     #[test]
     fn empty_stat_is_all_zero() {
         let s = stat(&[]);
-        assert_eq!(s.count, 0);
-        assert_eq!(s.mean_ns(), 0);
-        assert_eq!(s.quantile_ns(0.99), 0);
-        assert_eq!(s.min_ns, 0);
+        assert_eq!(s.count(), 0);
+        assert_eq!(s.mean(), 0);
+        assert_eq!(s.quantile(0.99), 0);
+        assert_eq!(s.min(), 0);
     }
 
     #[test]

@@ -46,7 +46,7 @@
 //! **Telemetry over time.** Point-in-time snapshots compose with a
 //! step-clock telemetry layer: [`timeseries`] keeps bounded per-series
 //! ring buffers (sampled on the serve engine's scheduler cadence,
-//! `LM4DB_SAMPLE_STEPS`) with `rate()`/`delta()`/window views; [`slo`]
+//! `LM4DB_SAMPLE_STEPS`) with windowed `rate()`/`delta()` views; [`slo`]
 //! runs multi-window burn-rate rules over those samples through a
 //! deterministic pending→firing→resolved alert state machine; and the
 //! [`prom`]/[`dashboard`]/[`endpoint`] exporters publish everything as
@@ -69,7 +69,7 @@
 //!
 //! let snap = lm4db_obs::snapshot();
 //! assert_eq!(snap.counters["requests"], 3);
-//! assert_eq!(snap.timers["compute"].count, 1);
+//! assert_eq!(snap.timers["compute"].count(), 1);
 //! assert!(snap.to_text().contains("requests"));
 //! assert!(snap.to_json().starts_with('{'));
 //! lm4db_obs::set_enabled(false);
@@ -110,7 +110,7 @@ pub use event::{
     complete_for, current_request, instant, instant_arg, instant_for, instant_for_arg,
     request_scope, Event, EventKind, RequestScope,
 };
-pub use export::{Snapshot, TimerStat};
+pub use export::Snapshot;
 pub use flight::{
     crash_dump_path, flight_reset, flight_snapshot, install_panic_hook, write_crash_dump,
     FlightTrace, PhaseTotal, Ring, ShardTrace,
@@ -121,7 +121,7 @@ pub use registry::{counter_add, gauge_set, record_duration_ns, reset, snapshot};
 pub use slo::{AlertConfig, AlertState, AlertTransition, SloMonitor};
 pub use span::{leaf, span, time, Span};
 pub use timeseries::{
-    env_sample_steps, sample_registry, series_record, series_reset, series_snapshot, Point, Series,
+    env_sample_steps, series_record, series_reset, series_snapshot, Point, Series,
 };
 
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -253,11 +253,11 @@ mod tests {
         assert_eq!(snap.counters["hits"], 5);
         assert_eq!(snap.gauges["depth"], 4.5);
         let t = &snap.timers["work"];
-        assert_eq!(t.count, 1);
+        assert_eq!(t.count(), 1);
         assert!(
-            t.total_ns >= 50_000,
+            t.total() >= 50_000,
             "slept 50µs but recorded {}ns",
-            t.total_ns
+            t.total()
         );
     }
 
@@ -280,8 +280,8 @@ mod tests {
         drop(g);
         let snap = snapshot();
         set_enabled(false);
-        assert_eq!(snap.timers["worker_job"].count, 3);
-        assert_eq!(snap.timers["main_job"].count, 1);
+        assert_eq!(snap.timers["worker_job"].count(), 3);
+        assert_eq!(snap.timers["main_job"].count(), 1);
         assert!(snap.threads >= 2, "expected shards from multiple threads");
     }
 

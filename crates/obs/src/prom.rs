@@ -162,7 +162,7 @@ pub fn to_prometheus(snap: &Snapshot, series: &[(String, Series)]) -> String {
                 labels.push(("tenant", tn.as_str()));
             }
             labels.push(("quantile", qs));
-            write_sample(&mut out, &fam, &labels, &t.quantile_ns(q).to_string());
+            write_sample(&mut out, &fam, &labels, &t.quantile(q).to_string());
         }
         let labels: Vec<(&str, &str)> = match &tenant {
             Some(tn) => vec![("tenant", tn.as_str())],
@@ -172,13 +172,13 @@ pub fn to_prometheus(snap: &Snapshot, series: &[(String, Series)]) -> String {
             &mut out,
             &format!("{fam}_sum"),
             &labels,
-            &t.total_ns.to_string(),
+            &t.total().to_string(),
         );
         write_sample(
             &mut out,
             &format!("{fam}_count"),
             &labels,
-            &t.count.to_string(),
+            &t.count().to_string(),
         );
     }
 
@@ -354,8 +354,7 @@ fn validate_labels(body: &str) -> Result<(), &'static str> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::export::TimerStat;
-    use crate::hist::BUCKETS;
+    use crate::hist::Histogram;
 
     fn snap() -> Snapshot {
         let mut s = Snapshot::default();
@@ -364,16 +363,10 @@ mod tests {
             .insert("serve/tenant/interactive/completed".into(), 7);
         s.counters.insert("serve/tenant/batch/completed".into(), 9);
         s.gauges.insert("serve/queued".into(), 3.0);
-        s.timers.insert(
-            "decode".into(),
-            TimerStat {
-                count: 2,
-                total_ns: 3000,
-                min_ns: 1000,
-                max_ns: 2000,
-                buckets: vec![0; BUCKETS],
-            },
-        );
+        let mut decode = Histogram::new();
+        decode.record(1000);
+        decode.record(2000);
+        s.timers.insert("decode".into(), decode);
         s.threads = 1;
         s
     }

@@ -14,7 +14,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::export::{Snapshot, TimerStat};
+use crate::export::Snapshot;
 use crate::hist::Histogram;
 
 pub use crate::hist::BUCKETS;
@@ -144,10 +144,7 @@ pub fn snapshot() -> Snapshot {
     Snapshot {
         counters,
         gauges: gauges().lock().unwrap().clone(),
-        timers: timers
-            .into_iter()
-            .map(|(k, t)| (k, TimerStat::from_hist(&t)))
-            .collect(),
+        timers,
         threads,
     }
 }

@@ -1,5 +1,5 @@
-//! Step-clock time series: bounded per-series ring buffers with derived
-//! rate/delta/window views.
+//! Step-clock time series: bounded per-series ring buffers with windowed
+//! rate/delta views.
 //!
 //! Snapshots ([`crate::snapshot`]) answer "what is the counter *now*";
 //! this module answers "how did it move over the last N samples". A
@@ -13,8 +13,8 @@
 //! only step-based quantities (queue depths, outcome counters, step-
 //! latency quantiles), so its series are pure functions of the request
 //! schedule: byte-identical across thread counts, trace levels, and
-//! replays. Wall-clock quantities (registry timers) can be sampled too —
-//! [`sample_registry`] does — but they are *not* part of any fingerprint.
+//! replays. A wall-clock quantity recorded into a series would not be
+//! part of any fingerprint.
 //!
 //! The global [`series_record`] store is keyed by name, sorted, and
 //! snapshotted with [`series_snapshot`]; the Prometheus and dashboard
@@ -175,22 +175,6 @@ impl Series {
             newest.step.saturating_sub(base.step),
         )
     }
-
-    /// Largest value among the last `window` samples (0 when empty).
-    pub fn window_max(&self, window: usize) -> u64 {
-        self.window_iter(window).map(|p| p.value).max().unwrap_or(0)
-    }
-
-    /// Smallest value among the last `window` samples (0 when empty).
-    pub fn window_min(&self, window: usize) -> u64 {
-        self.window_iter(window).map(|p| p.value).min().unwrap_or(0)
-    }
-
-    fn window_iter(&self, window: usize) -> impl Iterator<Item = Point> + '_ {
-        let n = self.buf.len();
-        let start = n.saturating_sub(window.max(1));
-        (start..n).filter_map(move |i| self.get(i))
-    }
 }
 
 /// Default per-series ring capacity of the global store: enough for the
@@ -246,33 +230,6 @@ pub fn env_sample_steps() -> u64 {
         .unwrap_or(0)
 }
 
-/// Samples the whole metrics registry into the global series store at
-/// `step`: every counter and gauge under its own name, and each timer's
-/// p50/p99 under `<name>/p50_ns` / `<name>/p99_ns`. Counter samples are
-/// deterministic wherever the underlying counters are; timer quantiles
-/// are wall-clock and therefore excluded from any fingerprint claim.
-pub fn sample_registry(step: u64) {
-    let snap = crate::snapshot();
-    for (k, v) in &snap.counters {
-        series_record(k, step, *v);
-    }
-    for (k, v) in &snap.gauges {
-        series_record(
-            k,
-            step,
-            if v.is_finite() && *v >= 0.0 {
-                *v as u64
-            } else {
-                0
-            },
-        );
-    }
-    for (k, t) in &snap.timers {
-        series_record(&format!("{k}/p50_ns"), step, t.quantile_ns(0.50));
-        series_record(&format!("{k}/p99_ns"), step, t.quantile_ns(0.99));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,8 +270,6 @@ mod tests {
         assert_eq!(s.delta(100), 25); // clamps to everything retained
         assert_eq!(s.rate(1), (5, 2));
         assert_eq!(s.rate(5), (25, 10));
-        assert_eq!(s.window_max(3), 25);
-        assert_eq!(s.window_min(3), 15);
     }
 
     #[test]
@@ -322,11 +277,9 @@ mod tests {
         let mut s = Series::with_capacity(4);
         assert_eq!(s.delta(3), 0);
         assert_eq!(s.rate(3), (0, 0));
-        assert_eq!(s.window_max(3), 0);
         assert_eq!(s.latest(), None);
         s.push(1, 7);
         assert_eq!(s.delta(3), 0, "one point spans no interval");
-        assert_eq!(s.window_max(3), 7);
     }
 
     #[test]

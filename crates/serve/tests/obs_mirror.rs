@@ -97,7 +97,7 @@ fn registry_counters_match_engine_stats() {
             .timers
             .get(phase)
             .unwrap_or_else(|| panic!("missing timer {phase}"));
-        assert!(t.count > 0, "timer {phase} recorded nothing");
+        assert!(t.count() > 0, "timer {phase} recorded nothing");
     }
     // Every prefilled or decoded token was one row of a stacked KV-cached
     // forward, which counts its rows and carries its own flat timer.
@@ -106,7 +106,7 @@ fn registry_counters_match_engine_stats() {
         stats.prefill_tokens + stats.decoded_tokens
     );
     let stacks = snap.timers.get("kv/feed_stack").expect("stack timer");
-    assert!(stacks.count > 0, "stack timer recorded nothing");
+    assert!(stacks.count() > 0, "stack timer recorded nothing");
 
     // Per-request latency accounting: one queue-wait observation per
     // admitted request, one end-to-end latency per retired request —
@@ -117,9 +117,9 @@ fn registry_counters_match_engine_stats() {
         .timers
         .get("serve/queue_wait")
         .expect("queue_wait timer");
-    assert_eq!(qw.count, stats.queue_wait.count());
+    assert_eq!(qw.count(), stats.queue_wait.count());
     let lat = snap.timers.get("serve/latency").expect("latency timer");
-    assert_eq!(lat.count, stats.latency.count());
+    assert_eq!(lat.count(), stats.latency.count());
     // Quantiles are monotone and bounded by the observed extremes.
     let p50 = stats.latency.quantile(0.50);
     let p99 = stats.latency.quantile(0.99);
