@@ -166,6 +166,32 @@ mod tests {
         assert_eq!(m.predict_masked(&probe), restored.predict_masked(&probe));
     }
 
+    /// FNV-1a over a checkpoint's JSON bytes.
+    fn fnv1a(s: &str) -> u64 {
+        s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
+        })
+    }
+
+    /// The bytes `to_json` writes, fresh and after three optimizer steps,
+    /// pinned to constants: however the model holds its weights in memory,
+    /// a checkpoint is the same row-major JSON it always was.
+    #[test]
+    fn checkpoint_bytes_fingerprint() {
+        let mut m = GptModel::new(ModelConfig::test(), 7);
+        let fresh = fnv1a(&m.to_json());
+        let mut opt = m.optimizer(3e-3);
+        let batch = vec![vec![BOS, 10, 11, 12, 13], vec![BOS, 20, 21]];
+        for _ in 0..3 {
+            m.train_step(&batch, &mut opt);
+        }
+        let trained = fnv1a(&m.to_json());
+        assert_eq!(
+            (fresh, trained),
+            (0x42c8_d25e_9a82_7e21, 0xbbbf_ed1f_7833_9f7b)
+        );
+    }
+
     #[test]
     fn checkpoint_preserves_config() {
         let m = GptModel::new(ModelConfig::tiny(100), 3);
