@@ -26,6 +26,14 @@
 //! columns — eight 8-lane chains in flight — and the last `n % 8` columns
 //! run the same arithmetic with masked loads and stores.
 //!
+//! Decode's weights are stored in the order the tile reads them
+//! ([`pack_panels`]): `d_out / 8` column blocks of `[d_in][8]`, then the
+//! `d_out % 8` tail as `[d_in][t]`, no padding. [`vec_matmul_rows`] reads
+//! that order (`ldw = 8`, `vs = 8·d_in`, and a second call for the tail),
+//! so a tile's weight rows are 32 bytes apart instead of `4·d_out`: a
+//! stream the hardware prefetchers follow from L3 when the weights
+//! outgrow L2, with the same chains and so the same bits as row-major.
+//!
 //! On x86-64 the tile is a runtime-detected AVX function built from
 //! lane-wise `mul_ps`/`add_ps` only — **never** fused multiply-adds. Each
 //! SIMD lane performs exactly the scalar fallback's `acc += x * w` chain
@@ -720,23 +728,114 @@ pub fn vec_matmul_block(x: &[f32], w: &[f32], d_out: usize, first: usize, y_bloc
     );
 }
 
+/// The contiguous runs that map a row-major `[d_in][d_out]` weight onto
+/// its decode panel order, as `(row-major start, panel start, length)`:
+/// `d_out / 8` column blocks of `[d_in][8]`, then the `d_out % 8` tail
+/// columns as `[d_in][t]`. No padding, so both orders have `d_in · d_out`
+/// elements.
+fn panel_runs(d_in: usize, d_out: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+    let full = d_out / LANES * LANES;
+    let t = d_out - full;
+    let blocks = (0..full / LANES).flat_map(move |v| {
+        (0..d_in).map(move |i| (i * d_out + v * LANES, (v * d_in + i) * LANES, LANES))
+    });
+    let tail = (0..d_in).map(move |i| (i * d_out + full, full * d_in + i * t, t));
+    blocks.chain(tail.filter(|run| run.2 > 0))
+}
+
+/// Rewrites row-major `w` (`[d_in][d_out]`) into the decode panel order
+/// [`vec_matmul_rows`] reads, in `panels` (same length).
+pub fn pack_panels(w: &[f32], d_in: usize, d_out: usize, panels: &mut [f32]) {
+    assert!(
+        w.len() == d_in * d_out && panels.len() == w.len(),
+        "pack_panels shape mismatch"
+    );
+    for (src, dst, len) in panel_runs(d_in, d_out) {
+        panels[dst..dst + len].copy_from_slice(&w[src..src + len]);
+    }
+}
+
+/// The inverse of [`pack_panels`]: panel order back to row-major `w`.
+pub fn unpack_panels(panels: &[f32], d_in: usize, d_out: usize, w: &mut [f32]) {
+    assert!(
+        w.len() == d_in * d_out && panels.len() == w.len(),
+        "unpack_panels shape mismatch"
+    );
+    for (dst, src, len) in panel_runs(d_in, d_out) {
+        w[dst..dst + len].copy_from_slice(&panels[src..src + len]);
+    }
+}
+
+/// [`gemm_acc`]'s signature: the entry point or its scalar fallback.
+type Gemm = fn(&[f32], usize, usize, usize, usize, &[f32], usize, usize, usize, &mut [f32], usize);
+
 /// Multi-row vector-matrix product: `rows` input vectors (`xs`, row-major,
-/// `d_in` wide) against one `[d_in, d_out]` weight, into `rows` outputs
-/// (`ys`, row-major, `d_out` wide, pre-filled with the bias row by the
-/// caller). This is [`gemm_acc`] with C = the bias rows: per output element
-/// one bias-initialized, `i`-ascending chain, whatever the row count, so a
-/// batched application equals `rows` single applications byte for byte.
+/// `d_in` wide) against one `[d_in, d_out]` weight held in decode panel
+/// order ([`pack_panels`]), into `rows` outputs (`ys`, row-major, `d_out`
+/// wide, pre-filled with the bias row by the caller). This is [`gemm_acc`]
+/// with C = the bias rows, once over the column blocks (`ldw = 8`,
+/// `vs = 8·d_in`) and once over the tail: per output element one
+/// bias-initialized, `i`-ascending chain, whatever the row count, so a
+/// batched application equals `rows` single applications byte for byte,
+/// and equals the row-major product bit for bit.
+///
 /// The batch exists for memory locality: the cached-decode matvec is bound
 /// on weight traffic, and each weight tile is streamed once per group of
 /// [`ROW_TILE`] rows instead of once per row, which is what makes a stacked
 /// forward — a prefill chunk, or one decode row from each of several
-/// sequences — cheaper than feeding row by row.
+/// sequences — cheaper than feeding row by row. Panel order is what keeps
+/// that stream fast once the weights outgrow L2: a tile's 8-lane rows sit
+/// 32 bytes apart instead of `4·d_out`, a stride the hardware prefetchers
+/// follow (DESIGN.md §5g).
 pub fn vec_matmul_rows(xs: &[f32], d_in: usize, w: &[f32], d_out: usize, ys: &mut [f32]) {
+    vec_matmul_rows_with(gemm_acc, xs, d_in, w, d_out, ys);
+}
+
+/// [`vec_matmul_rows`] through either build of the tile.
+fn vec_matmul_rows_with(
+    gemm: Gemm,
+    xs: &[f32],
+    d_in: usize,
+    w: &[f32],
+    d_out: usize,
+    ys: &mut [f32],
+) {
     assert!(d_in > 0 && d_out > 0, "vec_matmul_rows of empty weight");
     let rows = xs.len() / d_in;
     assert_eq!(xs.len(), rows * d_in, "xs is not a whole number of rows");
+    assert_eq!(w.len(), d_in * d_out, "w is not a [d_in, d_out] weight");
     assert_eq!(ys.len(), rows * d_out, "ys shape mismatch");
-    gemm_acc(xs, d_in, 1, rows, d_in, w, d_out, LANES, d_out, ys, d_out);
+    let full = d_out / LANES * LANES;
+    let (blocks, tail) = w.split_at(full * d_in);
+    gemm(
+        xs,
+        d_in,
+        1,
+        rows,
+        d_in,
+        blocks,
+        LANES,
+        LANES * d_in,
+        full,
+        ys,
+        d_out,
+    );
+    if full < d_out && rows > 0 {
+        let t = d_out - full;
+        gemm(
+            xs,
+            d_in,
+            1,
+            rows,
+            d_in,
+            tail,
+            t,
+            LANES,
+            t,
+            &mut ys[full..],
+            d_out,
+        );
+    }
 }
 
 #[cfg(test)]
@@ -929,14 +1028,12 @@ mod tests {
             for _ in 0..rows {
                 got.extend_from_slice(&bias);
             }
-            vec_matmul_rows(&xs, d_in, &w, d_out, &mut got);
+            let mut panels = vec![0.0; w.len()];
+            pack_panels(&w, d_in, d_out, &mut panels);
+            vec_matmul_rows(&xs, d_in, &panels, d_out, &mut got);
             assert_eq!(got, want, "rows={rows} d_in={d_in} d_out={d_out}");
         }
     }
-
-    /// [`gemm_acc`]'s signature, so the test can run both builds.
-    type Gemm =
-        fn(&[f32], usize, usize, usize, usize, &[f32], usize, usize, usize, &mut [f32], usize);
 
     /// An operand form: name, `x, rs, cs`, `w, ldw, vs`, and the naive C.
     type Form<'a> = (
@@ -1039,8 +1136,91 @@ mod tests {
             let bt_got = run(&|c| gemm_bt_block(0, c, &a, &bt, rows, k, n, false));
             assert_eq!(bt_got, bits(&nbt), "bt {shape}");
             if k > 0 && n > 0 {
-                let rows_got = run(&|c| vec_matmul_rows(&a, k, &b, n, c));
+                let mut b_panels = vec![0.0; b.len()];
+                pack_panels(&b, k, n, &mut b_panels);
+                let rows_got = run(&|c| vec_matmul_rows(&a, k, &b_panels, n, c));
                 assert_eq!(rows_got, bits(&nn), "vec_matmul_rows {shape}");
+            }
+        }
+    }
+
+    /// Decode panel order against its definition, and decode against the
+    /// naive chain. [`unpack_panels`] inverts [`pack_panels`], which puts
+    /// `w[i][j]` at `(j/8)·8·d_in + 8i + j%8` for the column blocks and at
+    /// `8⌊d_out/8⌋·d_in + t·i + (j − 8⌊d_out/8⌋)` for the `t = d_out % 8`
+    /// tail. [`vec_matmul_rows`] on the panels — through `gemm_acc` and
+    /// through the scalar fallback — equals each row's bias-initialized,
+    /// `i`-ascending chain over row-major `w`, bit for bit, at 1–9 rows and
+    /// every tail width; NaN sentinels on both sides of every operand
+    /// catch a read or write outside its slice.
+    #[test]
+    fn panel_order_round_trips_and_decodes_like_the_naive_chain() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        const PAD: usize = LANES;
+        let fenced = |v: &[f32]| {
+            let mut big = vec![f32::NAN; v.len() + 2 * PAD];
+            big[PAD..PAD + v.len()].copy_from_slice(v);
+            big
+        };
+        let mut rng = proptest::TestRng::for_test("kernels::panel_order");
+        for case_no in 0..proptest::cases().max(72) as usize {
+            let rows = 1 + case_no % 9;
+            let d_out = 8 * rng.below(5) as usize + case_no / 9 % 8;
+            let d_out = d_out.max(1);
+            let d_in = 1 + rng.below(40) as usize;
+            let s = case_no as u32 * 4;
+            let (w, xs, bias) = (
+                fill(d_in * d_out, s),
+                fill(rows * d_in, s + 1),
+                fill(d_out, s + 2),
+            );
+            let shape = format!("case {case_no}: rows={rows} d_in={d_in} d_out={d_out}");
+
+            let mut panels = vec![0.0; w.len()];
+            pack_panels(&w, d_in, d_out, &mut panels);
+            let full = d_out / LANES * LANES;
+            for i in 0..d_in {
+                for j in 0..d_out {
+                    let at = if j < full {
+                        j / LANES * LANES * d_in + LANES * i + j % LANES
+                    } else {
+                        full * d_in + (d_out - full) * i + (j - full)
+                    };
+                    assert_eq!(
+                        panels[at].to_bits(),
+                        w[i * d_out + j].to_bits(),
+                        "{shape} ({i}, {j})"
+                    );
+                }
+            }
+            let mut back = vec![f32::NAN; w.len()];
+            unpack_panels(&panels, d_in, d_out, &mut back);
+            assert_eq!(bits(&back), bits(&w), "unpack {shape}");
+
+            let mut want = Vec::with_capacity(rows * d_out);
+            for r in 0..rows {
+                for (j, &b) in bias.iter().enumerate() {
+                    let mut acc = b;
+                    for i in 0..d_in {
+                        acc += xs[r * d_in + i] * w[i * d_out + j];
+                    }
+                    want.push(acc);
+                }
+            }
+            let (xs_f, w_f) = (fenced(&xs), fenced(&panels));
+            let kernels: [(&str, Gemm); 2] = [("gemm_acc", gemm_acc), ("scalar", gemm_acc_scalar)];
+            for (build, kernel) in kernels {
+                let mut ys = fenced(&bias.repeat(rows));
+                let n = rows * d_out;
+                vec_matmul_rows_with(
+                    kernel,
+                    &xs_f[PAD..PAD + xs.len()],
+                    d_in,
+                    &w_f[PAD..PAD + panels.len()],
+                    d_out,
+                    &mut ys[PAD..PAD + n],
+                );
+                assert_eq!(bits(&ys), bits(&fenced(&want)), "{build} {shape}");
             }
         }
     }

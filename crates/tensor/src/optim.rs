@@ -19,7 +19,7 @@ pub fn param_id_for_index(i: usize) -> ParamId {
 }
 
 /// A named collection of trainable tensors.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct ParamStore {
     names: Vec<String>,
     values: Vec<Tensor>,

@@ -84,7 +84,7 @@ pub fn restore_store(checkpoint: &Checkpoint, store: &mut ParamStore) -> Result<
 impl GptModel {
     /// Serializes the model to a JSON string.
     pub fn to_json(&self) -> String {
-        serde_json::to_string(&snapshot_store(self.config(), self.params()))
+        serde_json::to_string(&snapshot_store(self.config(), &self.params()))
             .expect("checkpoint serialization cannot fail")
     }
 
@@ -92,9 +92,7 @@ impl GptModel {
     pub fn from_json(json: &str) -> Result<GptModel, String> {
         let ckpt: Checkpoint =
             serde_json::from_str(json).map_err(|e| format!("bad checkpoint JSON: {e}"))?;
-        let mut model = GptModel::new(ckpt.config.clone(), 0);
-        restore_store(&ckpt, &mut model.store)?;
-        Ok(model)
+        GptModel::from_checkpoint(&ckpt)
     }
 }
 
@@ -144,7 +142,7 @@ mod tests {
     #[test]
     fn mismatched_checkpoint_is_rejected() {
         let m = GptModel::new(ModelConfig::test(), 1);
-        let mut ckpt = snapshot_store(m.config(), m.params());
+        let mut ckpt = snapshot_store(m.config(), &m.params());
         ckpt.params.pop();
         let mut fresh = GptModel::new(ModelConfig::test(), 2);
         assert!(restore_store(&ckpt, &mut fresh.store).is_err());

@@ -148,7 +148,7 @@ pub fn feed_stack(
     let (mut normed, mut q, mut k, mut v) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
     let (mut ctx, mut hidden, mut proj) = (Vec::new(), Vec::new(), Vec::new());
     for (l, block) in m.blocks.iter().enumerate() {
-        let [wq, wk, wv, wo, up, down] = projections(&m.store, block, quant.map(|q| q.block(l)));
+        let [wq, wk, wv, wo, up, down] = projections(m, l, quant.map(|q| q.block(l)));
         let (h, hd) = (block.attn.n_heads, block.attn.head_dim);
         block.ln1.apply_rows_into(&m.store, &xs, rows, &mut normed);
         wq.apply_rows_into(&normed, rows, &mut q);
@@ -205,7 +205,8 @@ pub fn feed_stack(
     // directly into argmax/beam comparisons, where int8 noise flips
     // decisions.
     let mut logits = Vec::new();
-    m.head.apply_rows_into(&m.store, &normed, kept, &mut logits);
+    m.head
+        .apply_rows_into(&m.store, m.head_panels(), &normed, kept, &mut logits);
     let mut out = Vec::with_capacity(entries.len());
     let mut next = 0;
     for e in entries.iter_mut() {

@@ -40,25 +40,35 @@ impl Linear {
     /// Inference-only application to `rows` consecutive vectors (row-major
     /// in `xs`), writing the outputs row-major over whatever `ys` held — no
     /// tape, no gradients, and no allocation once `ys` has the capacity:
-    /// the projection of the KV-cache stacked forward. Each output element
-    /// is one bias-initialized, input-ascending accumulation chain, the
-    /// same at any row count, so a row's result does not depend on what it
-    /// is stacked with; the multi-row kernel streams each weight tile once
-    /// per row group instead of once per row (the decode matvec is
-    /// memory-bound on weights), which is where stacking earns its speedup.
-    /// Runs in the calling thread: decode-time parallelism comes from the
-    /// engine fanning row groups of a step's stack across the pool.
-    pub fn apply_rows_into(&self, store: &ParamStore, xs: &[f32], rows: usize, ys: &mut Vec<f32>) {
-        let w = store.get(self.w);
-        let b = store.get(self.b);
-        let (d_in, d_out) = (w.shape()[0], w.shape()[1]);
+    /// the projection of the KV-cache stacked forward. `panels` is this
+    /// layer's weight in decode panel order, as the model hands it out
+    /// (`GptModel` is the one place that knows which order its store
+    /// holds); the bias comes from `store`. Each output element is one
+    /// bias-initialized, input-ascending accumulation chain, the same at any
+    /// row count, so a row's result does not depend on what it is stacked
+    /// with; the multi-row kernel streams each weight tile once per row
+    /// group instead of once per row (the decode matvec is memory-bound on
+    /// weights), which is where stacking earns its speedup. Runs in the
+    /// calling thread: decode-time parallelism comes from the engine
+    /// fanning row groups of a step's stack across the pool.
+    pub fn apply_rows_into(
+        &self,
+        store: &ParamStore,
+        panels: &[f32],
+        xs: &[f32],
+        rows: usize,
+        ys: &mut Vec<f32>,
+    ) {
+        let shape = store.get(self.w).shape();
+        let (d_in, d_out) = (shape[0], shape[1]);
+        let b = store.get(self.b).data();
         assert_eq!(xs.len(), rows * d_in, "apply_rows input shape mismatch");
         ys.clear();
         ys.reserve(rows * d_out);
         for _ in 0..rows {
-            ys.extend_from_slice(b.data());
+            ys.extend_from_slice(b);
         }
-        lm4db_tensor::kernels::vec_matmul_rows(xs, d_in, w.data(), d_out, ys);
+        lm4db_tensor::kernels::vec_matmul_rows(xs, d_in, panels, d_out, ys);
     }
 }
 
@@ -310,6 +320,13 @@ pub struct Block {
 }
 
 impl Block {
+    /// The six projections, in the order decode runs them:
+    /// `[wq, wk, wv, wo, up, down]`.
+    pub(crate) fn projections(&self) -> [Linear; 6] {
+        let (a, f) = (&self.attn, &self.ffn);
+        [a.wq, a.wk, a.wv, a.wo, f.up, f.down]
+    }
+
     /// Registers all block parameters.
     pub fn new(store: &mut ParamStore, name: &str, cfg: &ModelConfig, rng: &mut Rand) -> Self {
         Block {

@@ -99,8 +99,9 @@ impl QuantBlock {
 /// One heavy projection in the weight format a forward runs in, so the
 /// stacked forward has one body for both formats.
 pub(crate) enum Proj<'a> {
-    /// The model's own f32 weights.
-    F32(&'a ParamStore, &'a Linear),
+    /// The model's own f32 weights: the layer, the store holding its bias
+    /// and its weight in decode panel order.
+    F32(Linear, &'a ParamStore, &'a [f32]),
     /// The int8 snapshot.
     Q8(&'a QuantLinear),
 }
@@ -110,25 +111,26 @@ impl Proj<'_> {
     /// row identical to a one-row application in either format.
     pub(crate) fn apply_rows_into(&self, xs: &[f32], rows: usize, ys: &mut Vec<f32>) {
         match self {
-            Proj::F32(store, lin) => lin.apply_rows_into(store, xs, rows, ys),
+            Proj::F32(lin, store, panels) => lin.apply_rows_into(store, panels, xs, rows, ys),
             Proj::Q8(q) => q.apply_rows_into(xs, rows, ys),
         }
     }
 }
 
-/// The six heavy projections of `block` — `[wq, wk, wv, wo, up, down]` —
-/// int8 from `quant` when given, else f32 out of `store`. Layer norms,
-/// residuals, GELU and the fused softmax·V attention stay f32 either way.
+/// The six heavy projections of `model`'s block `l` —
+/// `[wq, wk, wv, wo, up, down]` — int8 from `quant` when given, else the
+/// model's f32 weights. Layer norms, residuals, GELU and the fused
+/// softmax·V attention stay f32 either way.
 pub(crate) fn projections<'a>(
-    store: &'a ParamStore,
-    block: &'a Block,
+    model: &'a GptModel,
+    l: usize,
     quant: Option<&'a QuantBlock>,
 ) -> [Proj<'a>; 6] {
     match quant {
         Some(q) => [&q.wq, &q.wk, &q.wv, &q.wo, &q.up, &q.down].map(Proj::Q8),
         None => {
-            let (a, f) = (&block.attn, &block.ffn);
-            [&a.wq, &a.wk, &a.wv, &a.wo, &f.up, &f.down].map(|lin| Proj::F32(store, lin))
+            let (lins, panels) = (model.blocks[l].projections(), model.block_panels(l));
+            std::array::from_fn(|i| Proj::F32(lins[i], &model.store, panels[i]))
         }
     }
 }
@@ -153,7 +155,7 @@ impl QuantizedGpt {
             blocks: model
                 .blocks
                 .iter()
-                .map(|b| QuantBlock::from_block(store, b))
+                .map(|b| QuantBlock::from_block(&store, b))
                 .collect(),
         }
     }
