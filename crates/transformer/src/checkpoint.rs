@@ -190,6 +190,46 @@ mod tests {
         );
     }
 
+    /// The encoder's twin of [`checkpoint_bytes_fingerprint`]: `to_json`'s
+    /// bytes fresh and after three masked-LM steps, and the bits of a
+    /// classifier's probabilities after three fine-tuning steps, pinned to
+    /// constants — so BERT's training arithmetic cannot move unnoticed
+    /// whatever order its weights are held in.
+    #[test]
+    fn bert_checkpoint_bytes_fingerprint() {
+        use crate::bert::{BertClassifier, BertModel};
+        use lm4db_tokenize::{CLS, SEP};
+        let mut m = BertModel::new(ModelConfig::test(), 9);
+        let fresh = fnv1a(&m.to_json());
+        let mut opt = m.optimizer(2e-3);
+        let batch = vec![vec![CLS, 10, 11, 12, 13, 14, SEP], vec![CLS, 20, 21, SEP]];
+        for _ in 0..3 {
+            m.mlm_train_step(&batch, &mut opt);
+        }
+        let trained = fnv1a(&m.to_json());
+
+        let mut clf = BertClassifier::new(m, 3, 5);
+        let mut opt = clf.optimizer(2e-3);
+        let labels = [2, 0];
+        for _ in 0..3 {
+            clf.train_step(&batch, &labels, &mut opt);
+        }
+        let probs: String = clf
+            .predict_proba(&batch)
+            .iter()
+            .flatten()
+            .map(|p| format!("{:08x}", p.to_bits()))
+            .collect();
+        assert_eq!(
+            (fresh, trained, fnv1a(&probs)),
+            (
+                0xf4df_b63e_7ec9_d288,
+                0xf066_5c98_ebcb_e70f,
+                0xf302_4849_2119_2b7d
+            )
+        );
+    }
+
     #[test]
     fn checkpoint_preserves_config() {
         let m = GptModel::new(ModelConfig::tiny(100), 3);
