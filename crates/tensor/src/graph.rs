@@ -40,6 +40,8 @@ enum Op {
     Scale(Var, f32),
     AddBcast(Var, Var),
     Matmul(Var, Var),
+    /// `x · W`, `W` a `[d_in, d_out]` weight in decode panel order.
+    MatmulPanels(Var, Var),
     Transpose(Var, usize, usize),
     Reshape(Var),
     SoftmaxLast(Var),
@@ -158,6 +160,13 @@ impl Graph {
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
         let value = self.value(a).matmul(self.value(b));
         self.push(value, &[a, b], Op::Matmul(a, b))
+    }
+
+    /// `x · W` for a `[d_in, d_out]` weight `w` in decode panel order
+    /// ([`Tensor::matmul_panels`]); its gradient comes back in that order.
+    pub fn matmul_panels(&mut self, x: Var, w: Var) -> Var {
+        let value = self.value(x).matmul_panels(self.value(w));
+        self.push(value, &[x, w], Op::MatmulPanels(x, w))
     }
 
     /// Swaps two axes.
@@ -397,6 +406,10 @@ impl Graph {
                         }
                     });
                 }
+                Op::MatmulPanels(x, w) => {
+                    to.add(x, || g.matmul_panels_bt(val(w)));
+                    to.add(w, || val(x).matmul_tn_panels(g));
+                }
                 Op::Transpose(a, d0, d1) => to.add(a, || g.transpose(*d0, *d1)),
                 Op::Reshape(a) => to.add(a, || g.reshape(val(a).shape())),
                 Op::SoftmaxLast(a) => to.add(a, || softmax_backward(g, &node.value)),
@@ -583,6 +596,7 @@ mod tests {
             Op::Scale(..) => "Scale",
             Op::AddBcast(..) => "AddBcast",
             Op::Matmul(..) => "Matmul",
+            Op::MatmulPanels(..) => "MatmulPanels",
             Op::Transpose(..) => "Transpose",
             Op::Reshape(..) => "Reshape",
             Op::SoftmaxLast(..) => "SoftmaxLast",
@@ -839,6 +853,15 @@ mod tests {
                 let logits = draw(rng, &[n, vocab]);
                 check(rng, &[logits], |g, v| g.cross_entropy(v[0], &targets))
             }
+            17 => {
+                // Up to two column blocks and every tail width, with
+                // the weight's values drawn straight into panel order.
+                let mut sx = dims(rng, 0, 3);
+                let (d_in, d_out) = (1 + below(rng, 3), 1 + below(rng, 20));
+                sx.push(d_in);
+                let (x, w) = (draw(rng, &sx), draw(rng, &[d_in, d_out]));
+                check(rng, &[x, w], |g, v| g.matmul_panels(v[0], v[1]))
+            }
             _ => unreachable!("no case {kind}"),
         }
     }
@@ -848,7 +871,7 @@ mod tests {
     /// so every `PROPTEST_CASES` run reaches each of them.
     #[test]
     fn every_op_matches_central_differences() {
-        const KINDS: usize = 17;
+        const KINDS: usize = 18;
         let mut rng = TestRng::for_test("graph::every_op_matches_central_differences");
         let mut drawn = BTreeSet::new();
         for case_no in 0..proptest::cases().max(KINDS as u32) {
@@ -923,6 +946,46 @@ mod tests {
         let s = g.sum_all(x);
         g.backward(s);
         assert_eq!(g.grad(x).unwrap().data(), &[1.0; 6]);
+    }
+
+    /// `MatmulPanels` over a panel-order weight is `Matmul` over the
+    /// row-major one, bit for bit: value, input gradient and weight
+    /// gradient (unpacked), with no column block, one and a tail, and two.
+    #[test]
+    fn matmul_panels_is_matmul_on_the_row_major_weight() {
+        use crate::kernels::{pack_panels, unpack_panels};
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for d_out in [5, 11, 16] {
+            let (x0, w0) = (sample(&[2, 3, 7]), sample(&[7, d_out]));
+            let r = sample(&[2, 3, d_out]).scale(-0.3);
+            let run = |panels: bool| {
+                let mut g = Graph::new();
+                let x = g.param(x0.clone());
+                let w = if panels {
+                    let mut p = vec![0.0; w0.len()];
+                    pack_panels(w0.data(), 7, d_out, &mut p);
+                    g.param(Tensor::new(vec![7, d_out], p))
+                } else {
+                    g.param(w0.clone())
+                };
+                let y = if panels {
+                    g.matmul_panels(x, w)
+                } else {
+                    g.matmul(x, w)
+                };
+                let rv = g.input(r.clone());
+                let weighted = g.mul(y, rv);
+                let loss = g.sum_all(weighted);
+                g.backward(loss);
+                let mut dw = g.grad(w).unwrap().data().to_vec();
+                if panels {
+                    unpack_panels(g.grad(w).unwrap().data(), 7, d_out, &mut dw);
+                }
+                let dw = Tensor::new(vec![7, d_out], dw);
+                [g.value(y), g.grad(x).unwrap(), &dw].map(bits)
+            };
+            assert_eq!(run(true), run(false), "d_out {d_out}");
+        }
     }
 
     #[test]

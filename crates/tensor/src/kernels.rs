@@ -13,25 +13,24 @@
 //! the result either).
 //!
 //! Layout of the matmul family (DESIGN.md §5g): one register tile behind
-//! [`gemm_acc`], which every product — `matmul`, `matmul_bt`,
-//! `matmul_tn(_acc)` and decode's [`vec_matmul_rows`] — goes through. It
-//! accumulates *into* C (the zeroed output in training, the bias rows in
-//! decode) and reads both operands through strides: the left one as
-//! `x(r, i) = x[r·rs + i·cs]`, so row-major `A` (`cs = 1`) and the columns
-//! of `A` that `A^T x B` reduces over (`rs = 1`) are the same code; the
-//! right one as 8-column blocks, block `v` starting at `w[v·vs]` with rows
-//! `ldw` apart, so row-major `B` is read in place (`vs = 8`) and `B^T` is
-//! packed once per run into `[n/8][k][8]` panels (`vs = 8k`). A tile holds
-//! [`ROW_TILE`] rows × 16 columns, or a short last row group across more
-//! columns — eight 8-lane chains in flight — and the last `n % 8` columns
-//! run the same arithmetic with masked loads and stores.
+//! [`gemm_acc`], which every product — `matmul(_bt, _tn, _tn_acc)`, the
+//! `matmul_panels` family and decode's [`vec_matmul_rows`] — goes through.
+//! It accumulates *into* C (zeroed in training, the bias rows in decode),
+//! reads the left operand as `x(r, i) = x[r·rs + i·cs]` (row-major `A` is
+//! `cs = 1`, the columns `A^T x B` reduces over `rs = 1`), and the right
+//! one and C as 8-column blocks: block `v` at `w[v·vs]` and `c[v·vc]`, rows
+//! `ldw` and `ldc` apart. Row-major operands are `vs = vc = 8`; `B^T` is
+//! packed into `[n/8][k][8]` panels (`vs = 8k`); a panel-order gradient is
+//! written with `ldc = 8`, `vc = 8·rows`. A tile holds [`ROW_TILE`] rows × 16
+//! columns, or a short last row group across more columns — eight 8-lane
+//! chains in flight — and the last `n % 8` columns are masked.
 //!
-//! Decode's weights are stored in the order the tile reads them
+//! Every model projection weight is stored in the order the tile reads it
 //! ([`pack_panels`]): `d_out / 8` column blocks of `[d_in][8]`, then the
 //! `d_out % 8` tail as `[d_in][t]`, no padding. [`vec_matmul_rows`] reads
-//! that order (`ldw = 8`, `vs = 8·d_in`, and a second call for the tail),
-//! so a tile's weight rows are 32 bytes apart instead of `4·d_out`: a
-//! stream the hardware prefetchers follow from L3 when the weights
+//! it there (`ldw = 8`, `vs = 8·d_in`, a second call for the tail) in
+//! decode and training alike: a tile's weight rows are 32 bytes apart, not
+//! `4·d_out`, a stream the prefetchers follow from L3 once the weights
 //! outgrow L2, with the same chains and so the same bits as row-major.
 //!
 //! On x86-64 the tile is a runtime-detected AVX function built from
@@ -75,14 +74,37 @@ fn pack_transposed(bt: &[f32], k: usize, n: usize, panels: &mut [f32]) {
     }
 }
 
+/// [`pack_transposed`] of a `bt` held in decode panel order
+/// ([`pack_panels`]), read in storage order: row `j`'s runs land 8 apart
+/// in lane `j % 8` of block `j / 8`.
+pub(crate) fn pack_transposed_panels(bt: &[f32], k: usize, n: usize, panels: &mut [f32]) {
+    let full = k / LANES * LANES;
+    let mut place = |j: usize, p0: usize, run: &[f32]| {
+        let at = j / LANES * k * LANES + p0 * LANES + j % LANES;
+        for (p, &v) in run.iter().enumerate() {
+            panels[at + p * LANES] = v;
+        }
+    };
+    for (v, block) in bt[..full * n].chunks_exact((LANES * n).max(1)).enumerate() {
+        for (j, run) in block.chunks_exact(LANES).enumerate() {
+            place(j, v * LANES, run);
+        }
+    }
+    for (j, run) in bt[full * n..].chunks_exact((k - full).max(1)).enumerate() {
+        place(j, full, run);
+    }
+}
+
 /// The one GEMM tile, accumulating into C:
-/// `c[r·ldc + j] += Σ_i x[r·rs + i·cs] · w[(j/8)·vs + i·ldw + j%8]` for
-/// `r < rows`, `j < n`, each element one chain from its initial value with
-/// `i` ascending. Elements of `c` outside those `rows × n` are neither read
-/// nor written.
+/// `c[(j/8)·vc + r·ldc + j%8] += Σ_i x[r·rs + i·cs] · w[(j/8)·vs + i·ldw + j%8]`
+/// for `r < rows`, `j < n`, each element one chain from its initial value
+/// with `i` ascending. C and W are both read as 8-column blocks: `vc = 8`
+/// is a row-major C, and `ldc = 8`, `vc = 8·rows` writes C in decode panel
+/// order. Elements of `c` outside those `rows × n` are neither read nor
+/// written.
 ///
 /// # Panics
-/// If `vs < 8`, or any index the formula touches is out of its slice.
+/// If `vs` or `vc` is under 8, or any index the formula touches is outside.
 pub fn gemm_acc(
     x: &[f32],
     rs: usize,
@@ -95,32 +117,34 @@ pub fn gemm_acc(
     n: usize,
     c: &mut [f32],
     ldc: usize,
+    vc: usize,
 ) {
     if rows == 0 || k == 0 || n == 0 {
         return;
     }
     // The safety argument of the AVX tile: the largest index of each
     // operand, computed without overflow, is inside its slice. With
-    // `vs >= 8` column blocks do not overlap, so the last lane of the last
-    // block is the largest `w` index.
+    // `vs, vc >= 8` column blocks do not overlap, so the last lane of the
+    // last block is the largest `w` and `c` index.
     let last = |a: (usize, usize), b: (usize, usize), lane: usize| {
         a.0 as u128 * a.1 as u128 + b.0 as u128 * b.1 as u128 + lane as u128
     };
     assert!(
         vs >= LANES
+            && vc >= LANES
             && last((rows - 1, rs), (k - 1, cs), 0) < x.len() as u128
             && last(((n - 1) / LANES, vs), (k - 1, ldw), (n - 1) % LANES) < w.len() as u128
-            && last((rows - 1, ldc), (0, 0), n - 1) < c.len() as u128,
+            && last(((n - 1) / LANES, vc), (rows - 1, ldc), (n - 1) % LANES) < c.len() as u128,
         "gemm_acc operands out of bounds"
     );
     #[cfg(target_arch = "x86_64")]
     if avx::usable() {
         // SAFETY: AVX support was just checked, and the assert bounds every
         // index the tiles touch.
-        unsafe { avx::gemm_acc(x, rs, cs, rows, k, w, ldw, vs, n, c, ldc) };
+        unsafe { avx::gemm_acc(x, rs, cs, rows, k, w, ldw, vs, n, c, ldc, vc) };
         return;
     }
-    gemm_acc_scalar(x, rs, cs, rows, k, w, ldw, vs, n, c, ldc);
+    gemm_acc_scalar(x, rs, cs, rows, k, w, ldw, vs, n, c, ldc, vc);
 }
 
 /// [`gemm_acc`] one element at a time: the same chain per element, for
@@ -137,15 +161,17 @@ fn gemm_acc_scalar(
     n: usize,
     c: &mut [f32],
     ldc: usize,
+    vc: usize,
 ) {
     for r in 0..rows {
         for j in 0..n {
             let wj = j / LANES * vs + j % LANES;
-            let mut acc = c[r * ldc + j];
+            let cj = j / LANES * vc + j % LANES + r * ldc;
+            let mut acc = c[cj];
             for i in 0..k {
                 acc += x[r * rs + i * cs] * w[wj + i * ldw];
             }
-            c[r * ldc + j] = acc;
+            c[cj] = acc;
         }
     }
 }
@@ -208,6 +234,7 @@ mod avx {
         vs: usize,
         c: *mut f32,
         ldc: usize,
+        vc: usize,
     }
 
     impl Operands {
@@ -220,7 +247,7 @@ mod avx {
             Operands {
                 x: self.x.add(r * self.rs),
                 w: self.w.add(j / LANES * self.vs),
-                c: self.c.add(r * self.ldc + j),
+                c: self.c.add(r * self.ldc + j / LANES * self.vc),
                 ..self
             }
         }
@@ -247,6 +274,7 @@ mod avx {
         n: usize,
         c: &mut [f32],
         ldc: usize,
+        vc: usize,
     ) {
         let (x, w, c) = (x.as_ptr(), w.as_ptr(), c.as_mut_ptr());
         let o = Operands {
@@ -259,6 +287,7 @@ mod avx {
             vs,
             c,
             ldc,
+            vc,
         };
         for r0 in (0..rows).step_by(ROW_TILE) {
             match rows - r0 {
@@ -319,11 +348,12 @@ mod avx {
             vs,
             c,
             ldc,
+            vc,
         } = o;
         let mut acc = [[_mm256_setzero_ps(); V]; R];
         for (r, accr) in acc.iter_mut().enumerate() {
             for (v, a) in accr.iter_mut().enumerate() {
-                let p = c.add(r * ldc + LANES * v);
+                let p = c.add(r * ldc + v * vc);
                 *a = if MASKED {
                     _mm256_maskload_ps(p, mask)
                 } else {
@@ -350,7 +380,7 @@ mod avx {
         }
         for (r, accr) in acc.iter().enumerate() {
             for (v, &a) in accr.iter().enumerate() {
-                let p = c.add(r * ldc + LANES * v);
+                let p = c.add(r * ldc + v * vc);
                 if MASKED {
                     _mm256_maskstore_ps(p, mask, a);
                 } else {
@@ -406,7 +436,8 @@ pub fn gemm_nn_block(
     for (r0, run, batch) in batch_runs(first, block.len() / n, m, broadcast_rhs) {
         let b_off = if broadcast_rhs { 0 } else { batch * k * n };
         let (a, b) = (&a[(first + r0) * k..], &b[b_off..b_off + k * n]);
-        gemm_acc(a, k, 1, run, k, b, n, LANES, n, &mut block[r0 * n..], n);
+        let c = &mut block[r0 * n..];
+        gemm_acc(a, k, 1, run, k, b, n, LANES, n, c, n, LANES);
     }
 }
 
@@ -444,6 +475,7 @@ pub fn gemm_bt_block(
             n,
             &mut block[r0 * n..],
             n,
+            LANES,
         );
     }
 }
@@ -468,7 +500,8 @@ pub fn gemm_tn_block(
         let p0 = (first + r0) % k;
         let a = &a[batch * m * k + p0..(batch + 1) * m * k];
         let b = &b[batch * m * n..(batch + 1) * m * n];
-        gemm_acc(a, 1, k, run, m, b, n, LANES, n, &mut block[r0 * n..], n);
+        let c = &mut block[r0 * n..];
+        gemm_acc(a, 1, k, run, m, b, n, LANES, n, c, n, LANES);
     }
 }
 
@@ -501,6 +534,7 @@ pub fn gemm_tn_acc_block(
         n,
         block,
         n,
+        LANES,
     );
 }
 
@@ -725,22 +759,26 @@ pub fn vec_matmul_block(x: &[f32], w: &[f32], d_out: usize, first: usize, y_bloc
         y_block.len(),
         y_block,
         0,
+        LANES,
     );
 }
 
-/// The contiguous runs that map a row-major `[d_in][d_out]` weight onto
-/// its decode panel order, as `(row-major start, panel start, length)`:
-/// `d_out / 8` column blocks of `[d_in][8]`, then the `d_out % 8` tail
-/// columns as `[d_in][t]`. No padding, so both orders have `d_in · d_out`
-/// elements.
-fn panel_runs(d_in: usize, d_out: usize) -> impl Iterator<Item = (usize, usize, usize)> {
-    let full = d_out / LANES * LANES;
+/// A contiguous run of a stored `[d_in][d_out]` weight, as `(row-major
+/// start, start in storage, length)`.
+type Run = (usize, usize, usize);
+
+/// The runs of a `[d_in][d_out]` weight, in row-major index order. Stored
+/// in decode panel order (`panels`), that is `d_out / 8` column blocks of
+/// `[d_in][8]`, then the `d_out % 8` tail columns as `[d_in][t]`, with no
+/// padding; stored row-major, it is one run per row.
+pub(crate) fn storage_runs(d_in: usize, d_out: usize, panels: bool) -> impl Iterator<Item = Run> {
+    let full = d_out / LANES * LANES * usize::from(panels);
     let t = d_out - full;
-    let blocks = (0..full / LANES).flat_map(move |v| {
-        (0..d_in).map(move |i| (i * d_out + v * LANES, (v * d_in + i) * LANES, LANES))
-    });
-    let tail = (0..d_in).map(move |i| (i * d_out + full, full * d_in + i * t, t));
-    blocks.chain(tail.filter(|run| run.2 > 0))
+    (0..d_in).flat_map(move |i| {
+        let blocks =
+            (0..full / LANES).map(move |v| (i * d_out + v * LANES, (v * d_in + i) * LANES, LANES));
+        blocks.chain((t > 0).then_some((i * d_out + full, full * d_in + i * t, t)))
+    })
 }
 
 /// Rewrites row-major `w` (`[d_in][d_out]`) into the decode panel order
@@ -750,7 +788,7 @@ pub fn pack_panels(w: &[f32], d_in: usize, d_out: usize, panels: &mut [f32]) {
         w.len() == d_in * d_out && panels.len() == w.len(),
         "pack_panels shape mismatch"
     );
-    for (src, dst, len) in panel_runs(d_in, d_out) {
+    for (src, dst, len) in storage_runs(d_in, d_out, true) {
         panels[dst..dst + len].copy_from_slice(&w[src..src + len]);
     }
 }
@@ -761,13 +799,14 @@ pub fn unpack_panels(panels: &[f32], d_in: usize, d_out: usize, w: &mut [f32]) {
         w.len() == d_in * d_out && panels.len() == w.len(),
         "unpack_panels shape mismatch"
     );
-    for (dst, src, len) in panel_runs(d_in, d_out) {
+    for (dst, src, len) in storage_runs(d_in, d_out, true) {
         w[dst..dst + len].copy_from_slice(&panels[src..src + len]);
     }
 }
 
 /// [`gemm_acc`]'s signature: the entry point or its scalar fallback.
-type Gemm = fn(&[f32], usize, usize, usize, usize, &[f32], usize, usize, usize, &mut [f32], usize);
+type Gemm =
+    fn(&[f32], usize, usize, usize, usize, &[f32], usize, usize, usize, &mut [f32], usize, usize);
 
 /// Multi-row vector-matrix product: `rows` input vectors (`xs`, row-major,
 /// `d_in` wide) against one `[d_in, d_out]` weight held in decode panel
@@ -819,6 +858,7 @@ fn vec_matmul_rows_with(
         full,
         ys,
         d_out,
+        LANES,
     );
     if full < d_out && rows > 0 {
         let t = d_out - full;
@@ -834,6 +874,7 @@ fn vec_matmul_rows_with(
             t,
             &mut ys[full..],
             d_out,
+            LANES,
         );
     }
 }
@@ -1052,10 +1093,12 @@ mod tests {
     /// through packed panels, and decode's bias rows — against the naive
     /// chain from the same initial C (zero, as training passes it, or not),
     /// bit for bit: through the public entry points, and through
-    /// [`gemm_acc`] and its scalar fallback with `ldc > n`, where the NaN
-    /// sentinels between rows and after the last one must come back
-    /// untouched. Rows cycle through 0–9 and `n % 8` through every residue,
-    /// so every row group meets every masked tail.
+    /// [`gemm_acc`] and its scalar fallback into a row-major C with
+    /// `ldc > n` and into a panel-order C (`ldc = 8`, `vc = 8·rows`, as a
+    /// panel-order weight's gradient is written), where the NaN sentinels
+    /// around every element must come back untouched. Rows cycle through
+    /// 0–9 and `n % 8` through every residue, so every row group meets
+    /// every masked tail.
     #[test]
     fn gemm_acc_matches_the_naive_chain() {
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
@@ -1105,20 +1148,35 @@ mod tests {
                 ("tn", &at[p0..], 1, lda, &b, n, LANES, &tn),
                 ("bt", &a, k, 1, &panels, LANES, LANES * k, &nbt),
             ];
-            let sentinels = |c: &[f32]| {
-                let mut big = vec![f32::NAN; rows * ldc + LANES];
+            // C row-major with `ldc > n`, and in panel order (`ldc = 8`,
+            // `vc = 8·rows`, the last block padded), each element at
+            // `(j/8)·vc + r·ldc + j%8` among NaN sentinels.
+            let c_forms = [
+                ("row-major", ldc, LANES),
+                ("panels", LANES, LANES * rows.max(1)),
+            ];
+            let sentinels = |c: &[f32], ldc: usize, vc: usize| {
+                let mut big = vec![f32::NAN; n.div_ceil(LANES) * vc + rows * ldc + LANES];
                 for r in 0..rows {
-                    big[r * ldc..r * ldc + n].copy_from_slice(&c[r * n..(r + 1) * n]);
+                    for j in 0..n {
+                        big[j / LANES * vc + r * ldc + j % LANES] = c[r * n + j];
+                    }
                 }
                 big
             };
             let kernels: [(&str, Gemm); 2] = [("gemm_acc", gemm_acc), ("scalar", gemm_acc_scalar)];
             for (form, x, rs, cs, w, ldw, vs, want) in forms {
                 for (build, kernel) in kernels {
-                    let mut c = sentinels(&c0);
-                    kernel(x, rs, cs, rows, k, w, ldw, vs, n, &mut c, ldc);
-                    let want = bits(&sentinels(want));
-                    assert_eq!(bits(&c), want, "{form} {build} ldc={ldc} {shape}");
+                    for (c_form, ldc, vc) in c_forms {
+                        let mut c = sentinels(&c0, ldc, vc);
+                        kernel(x, rs, cs, rows, k, w, ldw, vs, n, &mut c, ldc, vc);
+                        let want = bits(&sentinels(want, ldc, vc));
+                        assert_eq!(
+                            bits(&c),
+                            want,
+                            "{form} {build} C {c_form} ldc={ldc} {shape}"
+                        );
+                    }
                 }
             }
 

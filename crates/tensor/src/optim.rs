@@ -18,11 +18,22 @@ pub fn param_id_for_index(i: usize) -> ParamId {
     ParamId(i)
 }
 
-/// A named collection of trainable tensors.
+/// A named collection of trainable tensors, each row-major or (registered
+/// by [`ParamStore::add_panels`]) in the decode panel order
+/// [`Graph::matmul_panels`] reads. Tape and optimizer keep each order; the
+/// store is the one place that knows it, and translates.
 #[derive(Clone, Default)]
 pub struct ParamStore {
     names: Vec<String>,
     values: Vec<Tensor>,
+    panels: Vec<bool>,
+}
+
+/// A row-major `[d_in, d_out]` weight in decode panel order.
+fn packed(w: &Tensor) -> Tensor {
+    let mut out = vec![0.0; w.len()];
+    crate::kernels::pack_panels(w.data(), w.shape()[0], w.shape()[1], &mut out);
+    Tensor::new(w.shape().to_vec(), out)
 }
 
 impl ParamStore {
@@ -31,11 +42,25 @@ impl ParamStore {
         ParamStore::default()
     }
 
-    /// Adds a parameter and returns its handle.
+    /// Adds a parameter, held row-major, and returns its handle.
     pub fn add(&mut self, name: impl Into<String>, value: Tensor) -> ParamId {
         self.names.push(name.into());
         self.values.push(value);
+        self.panels.push(false);
         ParamId(self.values.len() - 1)
+    }
+
+    /// Adds a row-major `[d_in, d_out]` weight, held in decode panel order.
+    pub fn add_panels(&mut self, name: impl Into<String>, value: Tensor) -> ParamId {
+        assert_eq!(value.rank(), 2, "add_panels expects a [d_in, d_out] weight");
+        let id = self.add(name, packed(&value));
+        self.panels[id.0] = true;
+        id
+    }
+
+    /// True when parameter `id` is held in decode panel order.
+    pub fn is_panels(&self, id: ParamId) -> bool {
+        self.panels[id.0]
     }
 
     /// Number of parameters (tensors, not scalar elements).
@@ -53,12 +78,13 @@ impl ParamStore {
         self.values.iter().map(Tensor::len).sum()
     }
 
-    /// Current value of a parameter.
+    /// Current value of a parameter, in the order the store holds it.
     pub fn get(&self, id: ParamId) -> &Tensor {
         &self.values[id.0]
     }
 
-    /// Overwrites a parameter value (e.g. when loading a checkpoint).
+    /// Overwrites a parameter with a row-major `value` of its shape (e.g.
+    /// when loading a checkpoint), packed if the store holds it in panels.
     pub fn set(&mut self, id: ParamId, value: Tensor) {
         assert_eq!(
             self.values[id.0].shape(),
@@ -66,7 +92,23 @@ impl ParamStore {
             "set() must preserve the shape of {}",
             self.names[id.0]
         );
-        self.values[id.0] = value;
+        let panels = self.panels[id.0];
+        self.values[id.0] = if panels { packed(&value) } else { value };
+    }
+
+    /// A copy holding every parameter row-major (for checkpoints,
+    /// quantization and inspection): panel-order weights unpacked into new
+    /// buffers, the rest shared.
+    pub fn to_row_major(&self) -> ParamStore {
+        let mut copy = self.clone();
+        for (t, panels) in copy.values.iter_mut().zip(&mut copy.panels) {
+            if std::mem::take(panels) {
+                let mut w = vec![0.0; t.len()];
+                crate::kernels::unpack_panels(t.data(), t.shape()[0], t.shape()[1], &mut w);
+                *t = Tensor::new(t.shape().to_vec(), w);
+            }
+        }
+        copy
     }
 
     /// Name given at registration.
@@ -121,12 +163,22 @@ impl Bound {
     }
 }
 
-/// Rescales gradients in place so their global L2 norm does not exceed
-/// `max_norm`. Returns the pre-clip norm.
-pub fn clip_grad_norm(grads: &mut [Tensor], max_norm: f32) -> f32 {
+/// Rescales gradients (aligned with `store`) in place so their global L2
+/// norm does not exceed `max_norm`. Returns the pre-clip norm, each
+/// parameter's squares folded in row-major index order whatever order
+/// `store` holds it in, so no bit depends on storage order.
+pub fn clip_grad_norm(store: &ParamStore, grads: &mut [Tensor], max_norm: f32) -> f32 {
+    assert_eq!(grads.len(), store.len(), "gradient count mismatch");
     let total: f32 = grads
         .iter()
-        .map(|g| g.data().iter().map(|&x| x * x).sum::<f32>())
+        .zip(&store.panels)
+        .map(|(g, &panels)| {
+            let d_out = if panels { g.shape()[1] } else { g.len() };
+            let runs = crate::kernels::storage_runs(g.len() / d_out.max(1), d_out, panels);
+            runs.flat_map(|(_, at, len)| &g.data()[at..at + len])
+                .map(|&x| x * x)
+                .sum::<f32>()
+        })
         .sum::<f32>()
         .sqrt();
     if total > max_norm && total > 0.0 {
@@ -311,7 +363,9 @@ mod tests {
     #[test]
     fn clip_grad_norm_rescales() {
         let mut grads = vec![Tensor::from_vec(vec![3.0, 4.0])]; // norm 5
-        let pre = clip_grad_norm(&mut grads, 1.0);
+        let mut store = ParamStore::new();
+        store.add("g", Tensor::zeros(&[2]));
+        let pre = clip_grad_norm(&store, &mut grads, 1.0);
         assert!((pre - 5.0).abs() < 1e-6);
         let post: f32 = grads[0].data().iter().map(|&x| x * x).sum::<f32>().sqrt();
         assert!((post - 1.0).abs() < 1e-5);
@@ -320,8 +374,32 @@ mod tests {
     #[test]
     fn clip_grad_norm_leaves_small_gradients() {
         let mut grads = vec![Tensor::from_vec(vec![0.3, 0.4])]; // norm 0.5
-        clip_grad_norm(&mut grads, 1.0);
+        let mut store = ParamStore::new();
+        store.add("g", Tensor::zeros(&[2]));
+        clip_grad_norm(&store, &mut grads, 1.0);
         assert_eq!(grads[0].data(), &[0.3, 0.4]);
+    }
+
+    #[test]
+    fn panel_order_is_invisible_outside_the_store() {
+        // A [3, 11] weight: one 8-column block and a 3-column tail. Its one
+        // large value, (0, 8), is ninth in row-major order but 25th in
+        // panel order, so the two sums of squares round differently.
+        let mut w: Vec<f32> = (0..33).map(|i| 0.05 + (i * 7 % 10) as f32 * 0.3).collect();
+        w[8] = 1000.0;
+        let w = Tensor::new(vec![3, 11], w);
+        let mut store = ParamStore::new();
+        let id = store.add_panels("w", w.clone());
+        assert!(store.is_panels(id));
+        assert_eq!(store.to_row_major().get(id).data(), w.data());
+        store.set(id, w.scale(2.0));
+        assert_eq!(store.to_row_major().get(id).data(), w.scale(2.0).data());
+
+        let norm = |v: &[f32]| v.iter().map(|&x| x * x).sum::<f32>().sqrt();
+        let mut grads = vec![store.get(id).scale(0.5)];
+        assert_ne!(norm(grads[0].data()).to_bits(), norm(w.data()).to_bits());
+        let got = clip_grad_norm(&store, &mut grads, f32::MAX);
+        assert_eq!(got.to_bits(), norm(w.data()).to_bits());
     }
 
     #[test]

@@ -10,6 +10,8 @@
 use std::fmt;
 use std::sync::Arc;
 
+use crate::kernels::{gemm_acc, pack_transposed_panels, vec_matmul_rows};
+use crate::pool::parallel_rows_mut;
 use crate::shape::{assert_same_shape, batch_dims, numel};
 
 /// Minimum rows per parallel chunk so a chunk amortizes dispatch
@@ -362,10 +364,7 @@ impl Tensor {
                 crate::kernels::gemm_nn_block(first, block, a, b, m, k, n, broadcast_rhs);
             },
         );
-        let mut shape = self.shape[..self.rank() - 2].to_vec();
-        shape.push(m);
-        shape.push(n);
-        Tensor::new(shape, out)
+        self.with_last(n, out)
     }
 
     /// Batched `A x B^T` without materializing the transpose: accepts
@@ -403,10 +402,7 @@ impl Tensor {
                 crate::kernels::gemm_bt_block(first, block, a, b, m, k, n, broadcast_rhs);
             },
         );
-        let mut shape = self.shape[..self.rank() - 2].to_vec();
-        shape.push(m);
-        shape.push(n);
-        Tensor::new(shape, out)
+        self.with_last(n, out)
     }
 
     /// Batched `A^T x B` without materializing the transpose: accepts
@@ -477,6 +473,75 @@ impl Tensor {
             },
         );
         Tensor::new(vec![k, n], out)
+    }
+
+    /// `x · W` for `x` of shape `[.., d_in]` and a `[d_in, d_out]` weight
+    /// in decode panel order ([`crate::kernels::pack_panels`]): decode's
+    /// [`crate::kernels::vec_matmul_rows`] over zeroed rows, so each element
+    /// is the chain [`Tensor::matmul`] folds over the row-major weight.
+    pub fn matmul_panels(&self, w: &Tensor) -> Tensor {
+        let _timer = lm4db_obs::leaf("kernel/matmul_panels");
+        let (d_in, d_out) = (w.shape[0], w.shape[1]);
+        let (rows, mut out) = self.rows_into(d_in, d_out);
+        let min = matmul_min_rows(rows, d_out, d_in);
+        parallel_rows_mut(&mut out, rows, min, |r, y| {
+            let x = &self.data[r * d_in..(r + y.len() / d_out) * d_in];
+            vec_matmul_rows(x, d_in, &w.data, d_out, y);
+        });
+        self.with_last(d_out, out)
+    }
+
+    /// `dY · W^T` for `dY` of shape `[.., d_out]` and a panel-order
+    /// `[d_in, d_out]` weight: [`Tensor::matmul_bt`] of the row-major
+    /// weight, bit for bit, its `W^T` panels packed once per product.
+    pub fn matmul_panels_bt(&self, w: &Tensor) -> Tensor {
+        let _timer = lm4db_obs::leaf("kernel/matmul_panels_dx");
+        let (d_in, d_out) = (w.shape[0], w.shape[1]);
+        let mut wt = vec![0.0f32; d_out * d_in.div_ceil(8) * 8];
+        pack_transposed_panels(&w.data, d_out, d_in, &mut wt);
+        let (rows, mut out) = self.rows_into(d_out, d_in);
+        let min = matmul_min_rows(rows, d_in, d_out);
+        parallel_rows_mut(&mut out, rows, min, |r, dx| {
+            let (dy, n) = (&self.data[r * d_out..], dx.len() / d_in);
+            gemm_acc(dy, d_out, 1, n, d_out, &wt, 8, 8 * d_out, d_in, dx, d_in, 8);
+        });
+        self.with_last(d_in, out)
+    }
+
+    /// `X^T · dY` summed over rows (`self` `[.., d_in]`, `dy` `[.., d_out]`),
+    /// written in panel order: [`Tensor::matmul_tn_acc`]'s chains, one
+    /// [`gemm_acc`] call (`ldc = 8`, `vc = 8·d_in`) per chunk of 8-column
+    /// blocks and one for the `d_out % 8` tail.
+    pub fn matmul_tn_panels(&self, dy: &Tensor) -> Tensor {
+        let _timer = lm4db_obs::leaf("kernel/matmul_panels_dw");
+        let (d_in, d_out) = (self.shape[self.rank() - 1], dy.shape[dy.rank() - 1]);
+        let (red, full) = (self.len() / d_in.max(1), d_out / 8 * 8);
+        assert_eq!(dy.len(), red * d_out, "matmul_tn_panels row counts differ");
+        let (x, dy) = (&self.data, &dy.data);
+        let mut out = vec![0.0f32; d_in * d_out];
+        let (blocks, tail) = out.split_at_mut(full * d_in);
+        let min = matmul_min_rows(full / 8, 8 * d_in, red);
+        parallel_rows_mut(blocks, full / 8, min, |v, dw| {
+            let (dy, n) = (&dy[8 * v..], dw.len() / d_in);
+            gemm_acc(x, 1, d_in, d_in, red, dy, d_out, 8, n, dw, 8, 8 * d_in);
+        });
+        let t = d_out - full;
+        gemm_acc(x, 1, d_in, d_in, red, &dy[full..], d_out, 8, t, tail, t, 8);
+        Tensor::new(vec![d_in, d_out], out)
+    }
+
+    /// The row count of this `[.., d]` tensor, and that many zeroed rows `n` wide.
+    fn rows_into(&self, d: usize, n: usize) -> (usize, Vec<f32>) {
+        assert_eq!(self.shape.last(), Some(&d), "not [.., {d}]");
+        let rows = self.len() / d.max(1);
+        (rows, vec![0.0; rows * n])
+    }
+
+    /// `data` shaped like this tensor with last dimension `n`.
+    fn with_last(&self, n: usize, data: Vec<f32>) -> Tensor {
+        let mut shape = self.shape.clone();
+        shape[self.rank() - 1] = n;
+        Tensor::new(shape, data)
     }
 
     /// Softmax over the last dimension, numerically stabilized.

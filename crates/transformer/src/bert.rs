@@ -8,10 +8,10 @@
 use lm4db_tensor::{
     clip_grad_norm, init, Adam, Bound, Graph, ParamId, ParamStore, Rand, Var, IGNORE_INDEX,
 };
-use lm4db_tokenize::{vocab::SPECIAL_TOKENS, MASK, PAD};
+use lm4db_tokenize::{vocab::SPECIAL_TOKENS, MASK};
 
 use crate::config::ModelConfig;
-use crate::layers::{padding_mask, Block, LayerNorm, Linear};
+use crate::layers::{pad_batch, padding_mask, Block, LayerNorm, Linear};
 
 /// A bidirectional transformer encoder with an MLM head.
 pub struct BertModel {
@@ -80,7 +80,8 @@ impl BertModel {
         &mut self.store
     }
 
-    /// Read access to the parameter store.
+    /// Read access to the parameter store, projection weights in decode
+    /// panel order ([`ParamStore::to_row_major`] copies them out).
     pub fn params(&self) -> &ParamStore {
         &self.store
     }
@@ -129,19 +130,6 @@ impl BertModel {
         self.ln_f.forward(g, bound, x)
     }
 
-    fn pad_batch(batch: &[Vec<usize>]) -> (Vec<usize>, usize, usize, Vec<usize>) {
-        assert!(!batch.is_empty(), "empty batch");
-        let b = batch.len();
-        let t = batch.iter().map(Vec::len).max().unwrap();
-        let lengths: Vec<usize> = batch.iter().map(Vec::len).collect();
-        let mut flat = Vec::with_capacity(b * t);
-        for seq in batch {
-            flat.extend_from_slice(seq);
-            flat.extend(std::iter::repeat_n(PAD, t - seq.len()));
-        }
-        (flat, b, t, lengths)
-    }
-
     /// Applies the BERT masking recipe to `ids`: each non-special position
     /// is selected with probability `mask_prob`; a selected position becomes
     /// `[MASK]` 80% of the time, a random token 10%, and stays itself 10%.
@@ -181,7 +169,7 @@ impl BertModel {
         corrupted: &[Vec<usize>],
         targets: &[Vec<usize>],
     ) -> (Graph, Bound, Var) {
-        let (flat, b, t, lengths) = Self::pad_batch(corrupted);
+        let (flat, b, t, lengths) = pad_batch(corrupted);
         let mut flat_targets = Vec::with_capacity(b * t);
         for row in targets {
             flat_targets.extend_from_slice(row);
@@ -214,7 +202,7 @@ impl BertModel {
         let loss_val = g.value(loss).item();
         g.backward(loss);
         let mut grads = bound.grads(&self.store, &g);
-        clip_grad_norm(&mut grads, 1.0);
+        clip_grad_norm(&self.store, &mut grads, 1.0);
         opt.step(&mut self.store, &grads);
         loss_val
     }
@@ -241,7 +229,7 @@ impl BertModel {
 
     /// Pooled `[CLS]`-position representations for a batch: `[b, d]`.
     fn pool_cls(&mut self, g: &mut Graph, bound: &Bound, batch: &[Vec<usize>], train: bool) -> Var {
-        let (flat, b, t, lengths) = Self::pad_batch(batch);
+        let (flat, b, t, lengths) = pad_batch(batch);
         let segments = vec![0usize; flat.len()];
         let h = self.encode(g, bound, &flat, &segments, b, t, &lengths, train);
         g.select_positions(h, &vec![0; b])
@@ -306,7 +294,7 @@ impl BertClassifier {
         let loss_val = g.value(loss).item();
         g.backward(loss);
         let mut grads = bound.grads(&self.model.store, &g);
-        clip_grad_norm(&mut grads, 1.0);
+        clip_grad_norm(&self.model.store, &mut grads, 1.0);
         opt.step(&mut self.model.store, &grads);
         loss_val
     }

@@ -9,6 +9,7 @@ use serde::{Deserialize, Serialize};
 
 use lm4db_tensor::{ParamStore, Tensor};
 
+use crate::bert::BertModel;
 use crate::config::ModelConfig;
 use crate::gpt::GptModel;
 
@@ -32,11 +33,13 @@ pub struct Checkpoint {
     pub params: Vec<ParamSnapshot>,
 }
 
-/// Extracts a checkpoint from any parameter store.
+/// Extracts a checkpoint from any parameter store, every tensor row-major
+/// whatever order the store holds it in.
 pub fn snapshot_store(config: &ModelConfig, store: &ParamStore) -> Checkpoint {
     Checkpoint {
         config: config.clone(),
         params: store
+            .to_row_major()
             .iter()
             .map(|(name, t)| ParamSnapshot {
                 name: name.to_string(),
@@ -47,36 +50,44 @@ pub fn snapshot_store(config: &ModelConfig, store: &ParamStore) -> Checkpoint {
     }
 }
 
-/// Restores parameter values into a freshly constructed store. Names,
-/// order, and shapes must match exactly.
+/// Restores parameter values into a freshly constructed store, each in the
+/// order the store holds it. Names, order, shapes and data lengths must
+/// match exactly; nothing is written unless all of them do.
 pub fn restore_store(checkpoint: &Checkpoint, store: &mut ParamStore) -> Result<(), String> {
-    let names: Vec<String> = store.iter().map(|(n, _)| n.to_string()).collect();
-    if names.len() != checkpoint.params.len() {
+    if store.len() != checkpoint.params.len() {
         return Err(format!(
             "parameter count mismatch: store has {}, checkpoint has {}",
-            names.len(),
+            store.len(),
             checkpoint.params.len()
         ));
     }
-    for (i, (snap, name)) in checkpoint.params.iter().zip(names.iter()).enumerate() {
-        if &snap.name != name {
+    for ((name, t), (i, snap)) in store.iter().zip(checkpoint.params.iter().enumerate()) {
+        if snap.name != name {
             return Err(format!(
                 "parameter {i} name mismatch: store '{name}' vs checkpoint '{}'",
                 snap.name
             ));
         }
+        if snap.shape != t.shape() {
+            return Err(format!(
+                "parameter '{name}' shape mismatch: store {:?} vs checkpoint {:?}",
+                t.shape(),
+                snap.shape
+            ));
+        }
+        if snap.data.len() != t.len() {
+            return Err(format!(
+                "parameter '{name}' holds {} values for shape {:?}",
+                snap.data.len(),
+                snap.shape
+            ));
+        }
     }
-    // Apply after full validation.
-    let ids: Vec<lm4db_tensor::ParamId> = {
-        // ParamStore has no direct id iterator; rebuild via re-registration
-        // order: ids are assigned densely from 0.
-        (0..checkpoint.params.len())
-            .map(lm4db_tensor::optim::param_id_for_index)
-            .collect()
-    };
-    for (id, snap) in ids.into_iter().zip(checkpoint.params.iter()) {
+    // Apply after full validation. Ids are assigned densely from 0 in
+    // registration order.
+    for (i, snap) in checkpoint.params.iter().enumerate() {
         let t = Tensor::new(snap.shape.clone(), snap.data.clone());
-        store.set(id, t);
+        store.set(lm4db_tensor::optim::param_id_for_index(i), t);
     }
     Ok(())
 }
@@ -84,7 +95,7 @@ pub fn restore_store(checkpoint: &Checkpoint, store: &mut ParamStore) -> Result<
 impl GptModel {
     /// Serializes the model to a JSON string.
     pub fn to_json(&self) -> String {
-        serde_json::to_string(&snapshot_store(self.config(), &self.params()))
+        serde_json::to_string(&snapshot_store(self.config(), &self.store))
             .expect("checkpoint serialization cannot fail")
     }
 
@@ -92,22 +103,26 @@ impl GptModel {
     pub fn from_json(json: &str) -> Result<GptModel, String> {
         let ckpt: Checkpoint =
             serde_json::from_str(json).map_err(|e| format!("bad checkpoint JSON: {e}"))?;
-        GptModel::from_checkpoint(&ckpt)
+        ckpt.config.check()?;
+        let mut model = GptModel::new(ckpt.config.clone(), 0);
+        restore_store(&ckpt, &mut model.store)?;
+        Ok(model)
     }
 }
 
-impl crate::bert::BertModel {
+impl BertModel {
     /// Serializes the encoder to a JSON string.
     pub fn to_json(&self) -> String {
         serde_json::to_string(&snapshot_store(self.config(), self.params()))
             .expect("checkpoint serialization cannot fail")
     }
 
-    /// Restores an encoder from [`crate::bert::BertModel::to_json`] output.
-    pub fn from_json(json: &str) -> Result<crate::bert::BertModel, String> {
+    /// Restores an encoder from [`BertModel::to_json`] output.
+    pub fn from_json(json: &str) -> Result<BertModel, String> {
         let ckpt: Checkpoint =
             serde_json::from_str(json).map_err(|e| format!("bad checkpoint JSON: {e}"))?;
-        let mut model = crate::bert::BertModel::new(ckpt.config.clone(), 0);
+        ckpt.config.check()?;
+        let mut model = BertModel::new(ckpt.config.clone(), 0);
         restore_store(&ckpt, model.store_mut())?;
         Ok(model)
     }
@@ -228,6 +243,42 @@ mod tests {
                 0xf302_4849_2119_2b7d
             )
         );
+    }
+
+    /// Tampered checkpoints of either family come back as `Err`, never a
+    /// panic: a parameter one value short, a transposed embedding or
+    /// projection shape, and head counts the constructors would reject.
+    #[test]
+    fn tampered_checkpoints_are_rejected() {
+        use crate::bert::BertModel;
+        type Tamper = fn(&mut Checkpoint);
+        fn transpose(c: &mut Checkpoint, name: &str) {
+            let p = c.params.iter_mut().find(|p| p.name == name).unwrap();
+            p.shape.reverse();
+        }
+        let tampers: [(&str, Tamper); 5] = [
+            ("short data", |c| {
+                c.params[0].data.pop();
+            }),
+            ("transposed tok_emb", |c| transpose(c, "tok_emb")),
+            ("transposed ffn.up.w", |c| transpose(c, "block0.ffn.up.w")),
+            ("n_heads 3 of d_model 16", |c| c.config.n_heads = 3),
+            ("n_heads 0", |c| c.config.n_heads = 0),
+        ];
+        let gpt = GptModel::new(ModelConfig::test(), 1).to_json();
+        let bert = BertModel::new(ModelConfig::test(), 1).to_json();
+        for (what, tamper) in tampers {
+            for (family, json) in [("gpt", &gpt), ("bert", &bert)] {
+                let mut ckpt: Checkpoint = serde_json::from_str(json).unwrap();
+                tamper(&mut ckpt);
+                let json = serde_json::to_string(&ckpt).unwrap();
+                let got = match family {
+                    "gpt" => GptModel::from_json(&json).map(drop),
+                    _ => BertModel::from_json(&json).map(drop),
+                };
+                assert!(got.is_err(), "{family}: {what} was accepted");
+            }
+        }
     }
 
     #[test]

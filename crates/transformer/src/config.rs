@@ -62,6 +62,18 @@ impl ModelConfig {
         }
     }
 
+    /// `Err` for a configuration the model constructors would assert on:
+    /// `n_heads` must be positive and divide `d_model`.
+    pub fn check(&self) -> Result<(), String> {
+        if self.n_heads == 0 || !self.d_model.is_multiple_of(self.n_heads) {
+            return Err(format!(
+                "n_heads {} must be positive and divide d_model {}",
+                self.n_heads, self.d_model
+            ));
+        }
+        Ok(())
+    }
+
     /// Width of one attention head.
     pub fn head_dim(&self) -> usize {
         assert_eq!(

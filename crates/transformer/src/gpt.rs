@@ -6,38 +6,28 @@
 //! laptop-sized.
 //!
 //! A model holds one copy of its projection weights (every block's
-//! `wq, wk, wv, wo, up, down` and the vocabulary head), and this module is
-//! the only one that knows which order that copy is in. [`GptModel::new`]
-//! and [`GptModel::from_json`] leave it in decode panel order
-//! ([`lm4db_tensor::kernels::pack_panels`]), the order the stacked
-//! forward's weight sweep reads fastest, so a model that is only decoded —
-//! every serving model — never holds row-major projections. The first
-//! graph entry (`train_step`, `eval_loss`, `sequence_logits`) rewrites them
-//! row-major in place, once and for good: training, the tape and the
-//! optimizer then see exactly the row-major store they always did, and
-//! decode reads panels derived once per weight version. Both orders hold
-//! the same values, and each decode output is the same chain either way,
-//! so no bit depends on which order the store is in.
+//! `wq, wk, wv, wo, up, down` and the vocabulary head), in the decode panel
+//! order every [`Linear`] registers its weight in
+//! ([`lm4db_tensor::kernels::pack_panels`]), for its whole life: the
+//! stacked forward's weight sweep reads it there, and so do the tape
+//! ([`lm4db_tensor::Graph::matmul_panels`]) and the optimizer. Each
+//! projection output is the same chain in either order, so no bit depends
+//! on it; checkpoints and [`GptModel::params`] are row-major.
 
-use std::sync::OnceLock;
-
-use lm4db_tensor::kernels::{pack_panels, unpack_panels};
 use lm4db_tensor::{
     clip_grad_norm, init, Adam, Bound, Graph, ParamId, ParamStore, Rand, Tensor, Var, IGNORE_INDEX,
 };
-use lm4db_tokenize::PAD;
 
-use crate::checkpoint::{restore_store, Checkpoint};
 use crate::config::ModelConfig;
 use crate::generate::NextToken;
-use crate::layers::{causal_mask, combine_masks, padding_mask, Block, LayerNorm, Linear};
+use crate::layers::{
+    causal_mask, combine_masks, pad_batch, padding_mask, Block, LayerNorm, Linear,
+};
 
 /// A decoder-only transformer language model.
 pub struct GptModel {
     pub(crate) cfg: ModelConfig,
-    /// Embeddings, norms and biases row-major; the projection weights in
-    /// the order `layout` names, so decode reads them through
-    /// [`GptModel::block_panels`] and [`GptModel::head_panels`].
+    /// Every parameter; the projection weights in decode panel order.
     pub(crate) store: ParamStore,
     pub(crate) tok_emb: ParamId,
     pub(crate) pos_emb: ParamId,
@@ -45,65 +35,12 @@ pub struct GptModel {
     pub(crate) ln_f: LayerNorm,
     pub(crate) head: Linear,
     rng: Rand,
-    layout: Layout,
-}
-
-/// The order `store` holds the projection weights in.
-enum Layout {
-    /// Decode panel order: the model has never entered a graph.
-    Panels,
-    /// Row-major, as the graph reads them; decode reads panels packed from
-    /// the current weights on first use and dropped when they change.
-    RowMajor(OnceLock<Packed>),
-}
-
-/// Every projection weight of a row-major model, in decode panel order.
-struct Packed {
-    /// Per block, in [`Block::projections`] order.
-    blocks: Vec<[Vec<f32>; 6]>,
-    head: Vec<f32>,
-}
-
-/// [`pack_panels`] or [`unpack_panels`].
-type Reorder = fn(&[f32], usize, usize, &mut [f32]);
-
-/// `f` applied to a `[d_in, d_out]` weight, into a new buffer.
-fn reordered(w: &Tensor, f: Reorder) -> Vec<f32> {
-    let mut out = vec![0.0; w.len()];
-    f(w.data(), w.shape()[0], w.shape()[1], &mut out);
-    out
-}
-
-/// Rewrites weights `ids` of `store` through `f`, one weight at a time, so
-/// no second copy of them all is ever alive.
-fn reorder_all(store: &mut ParamStore, ids: &[ParamId], f: Reorder) {
-    for &id in ids {
-        let w = store.get(id);
-        let t = Tensor::new(w.shape().to_vec(), reordered(w, f));
-        store.set(id, t);
-    }
 }
 
 impl GptModel {
     /// Builds a freshly initialized model (GPT-2 style normal init with
-    /// `std = 0.02` for embeddings, Xavier for projections), its
-    /// projection weights in decode panel order.
+    /// `std = 0.02` for embeddings, Xavier for projections).
     pub fn new(cfg: ModelConfig, seed: u64) -> Self {
-        GptModel::row_major(cfg, seed).into_panels()
-    }
-
-    /// Restores a checkpoint's parameters into a model of its
-    /// configuration, projections in decode panel order like
-    /// [`GptModel::new`].
-    pub(crate) fn from_checkpoint(ckpt: &Checkpoint) -> Result<Self, String> {
-        let mut model = GptModel::row_major(ckpt.config.clone(), 0);
-        restore_store(ckpt, &mut model.store)?;
-        Ok(model.into_panels())
-    }
-
-    /// A freshly initialized model with its projections row-major, as
-    /// initialization and checkpoints write them.
-    fn row_major(cfg: ModelConfig, seed: u64) -> Self {
         let mut rng = Rand::seeded(seed);
         let mut store = ParamStore::new();
         let tok_emb = store.add(
@@ -128,70 +65,6 @@ impl GptModel {
             ln_f,
             head,
             rng,
-            layout: Layout::RowMajor(OnceLock::new()),
-        }
-    }
-
-    /// Every projection weight: each block's six, then the head's.
-    fn projection_weights(&self) -> Vec<ParamId> {
-        let blocks = self.blocks.iter().flat_map(Block::projections);
-        blocks.chain([self.head]).map(|lin| lin.w).collect()
-    }
-
-    /// Puts a row-major store into decode panel order: the last step of
-    /// construction.
-    fn into_panels(mut self) -> Self {
-        let ids = self.projection_weights();
-        reorder_all(&mut self.store, &ids, pack_panels);
-        self.layout = Layout::Panels;
-        self
-    }
-
-    /// Puts a panel-order store into row-major order, for good: every graph
-    /// entry calls this first.
-    fn enter_graph(&mut self) {
-        if let Layout::Panels = self.layout {
-            let ids = self.projection_weights();
-            reorder_all(&mut self.store, &ids, unpack_panels);
-            self.layout = Layout::RowMajor(OnceLock::new());
-        }
-    }
-
-    /// The row-major model's panels, packed on first use.
-    fn packed(&self) -> Option<&Packed> {
-        let Layout::RowMajor(cell) = &self.layout else {
-            return None;
-        };
-        Some(cell.get_or_init(|| {
-            let _timer = lm4db_obs::leaf("kv/pack_panels");
-            let pack = |lin: Linear| reordered(self.store.get(lin.w), pack_panels);
-            Packed {
-                blocks: self
-                    .blocks
-                    .iter()
-                    .map(|b| b.projections().map(pack))
-                    .collect(),
-                head: pack(self.head),
-            }
-        }))
-    }
-
-    /// Block `l`'s projection weights in decode panel order, in
-    /// [`Block::projections`] order.
-    pub(crate) fn block_panels(&self, l: usize) -> [&[f32]; 6] {
-        match self.packed() {
-            Some(p) => p.blocks[l].each_ref().map(Vec::as_slice),
-            None => self.blocks[l]
-                .projections()
-                .map(|lin| self.store.get(lin.w).data()),
-        }
-    }
-
-    /// The vocabulary head's weight in decode panel order.
-    pub(crate) fn head_panels(&self) -> &[f32] {
-        match self.packed() {
-            Some(p) => &p.head,
-            None => self.store.get(self.head.w).data(),
         }
     }
 
@@ -206,13 +79,9 @@ impl GptModel {
     }
 
     /// A row-major copy of every parameter (for checkpoints, quantization
-    /// and inspection), whatever order the model holds them in.
+    /// and inspection).
     pub fn params(&self) -> ParamStore {
-        let mut store = self.store.clone();
-        if let Layout::Panels = self.layout {
-            reorder_all(&mut store, &self.projection_weights(), unpack_panels);
-        }
-        store
+        self.store.to_row_major()
     }
 
     /// Forward pass over a padded batch, returning the logits node
@@ -233,10 +102,6 @@ impl GptModel {
             t <= self.cfg.max_seq_len,
             "sequence length {t} exceeds max_seq_len {}",
             self.cfg.max_seq_len
-        );
-        assert!(
-            matches!(self.layout, Layout::RowMajor(_)),
-            "graph over a panel-order store"
         );
         let tok = g.embedding(bound.var(self.tok_emb), ids);
         let tok = g.reshape(tok, &[b, t, self.cfg.d_model]);
@@ -261,21 +126,6 @@ impl GptModel {
         self.head.forward(g, bound, x)
     }
 
-    /// Pads a batch to a common length with `[PAD]`, returning
-    /// `(flat_ids, b, t, lengths)`.
-    fn pad_batch(batch: &[Vec<usize>]) -> (Vec<usize>, usize, usize, Vec<usize>) {
-        assert!(!batch.is_empty(), "empty batch");
-        let b = batch.len();
-        let t = batch.iter().map(Vec::len).max().unwrap();
-        let lengths: Vec<usize> = batch.iter().map(Vec::len).collect();
-        let mut flat = Vec::with_capacity(b * t);
-        for seq in batch {
-            flat.extend_from_slice(seq);
-            flat.extend(std::iter::repeat_n(PAD, t - seq.len()));
-        }
-        (flat, b, t, lengths)
-    }
-
     /// Shifted next-token targets: `target[i] = ids[i+1]`, with padding and
     /// each row's final position ignored.
     fn causal_targets(flat: &[usize], b: usize, t: usize, lengths: &[usize]) -> Vec<usize> {
@@ -295,7 +145,7 @@ impl GptModel {
         train: bool,
         rng: Option<&mut Rand>,
     ) -> (Graph, Bound, Var) {
-        let (flat, b, t, lengths) = Self::pad_batch(batch);
+        let (flat, b, t, lengths) = pad_batch(batch);
         let targets = Self::causal_targets(&flat, b, t, &lengths);
         let mut g = Graph::new();
         let bound = Bound::bind(&self.store, &mut g);
@@ -319,7 +169,6 @@ impl GptModel {
     /// when a shard runs, never what it computes or the order it is summed.
     pub fn train_step(&mut self, batch: &[Vec<usize>], opt: &mut Adam) -> f32 {
         assert!(!batch.is_empty(), "empty batch");
-        self.enter_graph();
         let _step_timer = lm4db_obs::span("train_step");
         let seeds: Vec<u64> = batch.iter().map(|_| self.rng.next_u64()).collect();
         let n = batch.len();
@@ -380,22 +229,19 @@ impl GptModel {
         });
         drop(reduce);
         let _optim = lm4db_obs::leaf("train/optim");
-        clip_grad_norm(&mut grads, 1.0);
+        clip_grad_norm(&self.store, &mut grads, 1.0);
         opt.step(&mut self.store, &grads);
-        // New weights: panels packed from the old ones are stale.
-        self.layout = Layout::RowMajor(OnceLock::new());
         loss_val
     }
 
     /// Mean causal-LM loss on a batch without updating parameters.
-    pub fn eval_loss(&mut self, batch: &[Vec<usize>]) -> f32 {
-        self.enter_graph();
+    pub fn eval_loss(&self, batch: &[Vec<usize>]) -> f32 {
         let (g, _bound, loss) = self.loss_graph(batch, false, None);
         g.value(loss).item()
     }
 
     /// Perplexity (`exp(loss)`) on a batch.
-    pub fn perplexity(&mut self, batch: &[Vec<usize>]) -> f32 {
+    pub fn perplexity(&self, batch: &[Vec<usize>]) -> f32 {
         self.eval_loss(batch).exp()
     }
 
@@ -405,9 +251,8 @@ impl GptModel {
     }
 
     /// Logits for every position of a single sequence: `[t, vocab]`.
-    pub fn sequence_logits(&mut self, ids: &[usize]) -> Tensor {
+    pub fn sequence_logits(&self, ids: &[usize]) -> Tensor {
         assert!(!ids.is_empty(), "sequence_logits on empty sequence");
-        self.enter_graph();
         let mut g = Graph::new();
         let bound = Bound::bind(&self.store, &mut g);
         let t = ids.len();
@@ -417,7 +262,7 @@ impl GptModel {
 
     /// Total log-probability of `ids` under the model (sum over next-token
     /// log-probs; the first token is conditioned on, not scored).
-    pub fn log_prob(&mut self, ids: &[usize]) -> f32 {
+    pub fn log_prob(&self, ids: &[usize]) -> f32 {
         if ids.len() < 2 {
             return 0.0;
         }
@@ -468,7 +313,7 @@ mod tests {
 
     #[test]
     fn initial_loss_is_near_uniform() {
-        let mut m = tiny();
+        let m = tiny();
         let batch = vec![vec![BOS, 10, 11, 12, 13]];
         let loss = m.eval_loss(&batch);
         let uniform = (m.config().vocab_size as f32).ln();
@@ -502,7 +347,7 @@ mod tests {
     fn padded_batches_match_unpadded_loss() {
         // The loss of a short sequence must be unaffected by batching it
         // with a longer one (padding must be fully masked).
-        let mut m = tiny();
+        let m = tiny();
         let short = vec![BOS, 10, 11, 12];
         let long = vec![BOS, 20, 21, 22, 23, 24, 25, 26];
         let solo = m.eval_loss(std::slice::from_ref(&short));
@@ -568,7 +413,6 @@ mod tests {
         // Reference: a twin model (same seed, so its RNG starts where `m`'s
         // did) runs every shard serially in index order.
         let mut r = GptModel::new(cfg, 13);
-        r.enter_graph();
         let mut r_opt = r.optimizer(3e-3);
         let seeds: Vec<u64> = batch.iter().map(|_| r.rng.next_u64()).collect();
         let mut shards = Vec::new();
@@ -595,7 +439,7 @@ mod tests {
                 }
             }
         }
-        clip_grad_norm(&mut grads, 1.0);
+        clip_grad_norm(&r.store, &mut grads, 1.0);
         r_opt.step(&mut r.store, &grads);
 
         assert_eq!(loss.to_bits(), r_loss.to_bits());
@@ -607,8 +451,8 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let mut a = GptModel::new(ModelConfig::test(), 3);
-        let mut b = GptModel::new(ModelConfig::test(), 3);
+        let a = GptModel::new(ModelConfig::test(), 3);
+        let b = GptModel::new(ModelConfig::test(), 3);
         let batch = vec![vec![BOS, 9, 8, 7]];
         assert_eq!(a.eval_loss(&batch), b.eval_loss(&batch));
     }

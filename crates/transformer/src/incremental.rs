@@ -205,8 +205,7 @@ pub fn feed_stack(
     // directly into argmax/beam comparisons, where int8 noise flips
     // decisions.
     let mut logits = Vec::new();
-    m.head
-        .apply_rows_into(&m.store, m.head_panels(), &normed, kept, &mut logits);
+    m.head.apply_rows_into(&m.store, &normed, kept, &mut logits);
     let mut out = Vec::with_capacity(entries.len());
     let mut next = 0;
     for e in entries.iter_mut() {

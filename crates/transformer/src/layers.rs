@@ -3,13 +3,18 @@
 //!
 //! Each struct owns [`ParamId`]s into a shared [`ParamStore`]; the `forward`
 //! methods take the per-step [`Graph`] and [`Bound`] binding and build the
-//! computation.
+//! computation; `apply_rows_into` is the tape-free form the KV-cache stacked
+//! forward runs. A [`Linear`] weight is held in decode panel order for life,
+//! read there by [`Graph::matmul_panels`] and decode alike.
 
 use lm4db_tensor::{init, Bound, Graph, ParamId, ParamStore, Rand, Tensor, Var};
+use lm4db_tokenize::PAD;
 
 use crate::config::ModelConfig;
 
-/// A dense layer `y = x W + b`.
+/// A dense layer `y = x W + b`, its weight held in decode panel order
+/// from registration on, so training and decode read one copy of it
+/// through one projection call.
 #[derive(Debug, Clone, Copy)]
 pub struct Linear {
     pub(crate) w: ParamId,
@@ -17,7 +22,8 @@ pub struct Linear {
 }
 
 impl Linear {
-    /// Registers a `[d_in, d_out]` weight (Xavier) and zero bias.
+    /// Registers a `[d_in, d_out]` weight (Xavier, in panel order) and zero
+    /// bias.
     pub fn new(
         store: &mut ParamStore,
         name: &str,
@@ -26,41 +32,32 @@ impl Linear {
         rng: &mut Rand,
     ) -> Self {
         Linear {
-            w: store.add(format!("{name}.w"), init::xavier(&[d_in, d_out], rng)),
+            w: store.add_panels(format!("{name}.w"), init::xavier(&[d_in, d_out], rng)),
             b: store.add(format!("{name}.b"), Tensor::zeros(&[d_out])),
         }
     }
 
     /// Applies the layer to `x` of shape `[.., d_in]`.
     pub fn forward(&self, g: &mut Graph, bound: &Bound, x: Var) -> Var {
-        let y = g.matmul(x, bound.var(self.w));
+        let y = g.matmul_panels(x, bound.var(self.w));
         g.add_bcast(y, bound.var(self.b))
     }
 
     /// Inference-only application to `rows` consecutive vectors (row-major
     /// in `xs`), writing the outputs row-major over whatever `ys` held — no
     /// tape, no gradients, and no allocation once `ys` has the capacity:
-    /// the projection of the KV-cache stacked forward. `panels` is this
-    /// layer's weight in decode panel order, as the model hands it out
-    /// (`GptModel` is the one place that knows which order its store
-    /// holds); the bias comes from `store`. Each output element is one
-    /// bias-initialized, input-ascending accumulation chain, the same at any
-    /// row count, so a row's result does not depend on what it is stacked
-    /// with; the multi-row kernel streams each weight tile once per row
-    /// group instead of once per row (the decode matvec is memory-bound on
-    /// weights), which is where stacking earns its speedup. Runs in the
-    /// calling thread: decode-time parallelism comes from the engine
-    /// fanning row groups of a step's stack across the pool.
-    pub fn apply_rows_into(
-        &self,
-        store: &ParamStore,
-        panels: &[f32],
-        xs: &[f32],
-        rows: usize,
-        ys: &mut Vec<f32>,
-    ) {
-        let shape = store.get(self.w).shape();
-        let (d_in, d_out) = (shape[0], shape[1]);
+    /// the projection of the KV-cache stacked forward. Each output element
+    /// is one bias-initialized, input-ascending accumulation chain, the
+    /// same at any row count, so a row's result does not depend on what it
+    /// is stacked with; the multi-row kernel streams each weight tile once
+    /// per row group instead of once per row (the decode matvec is
+    /// memory-bound on weights), which is where stacking earns its speedup.
+    /// Runs in the calling thread: decode-time parallelism comes from the
+    /// engine fanning row groups of a step's stack across the pool.
+    pub fn apply_rows_into(&self, store: &ParamStore, xs: &[f32], rows: usize, ys: &mut Vec<f32>) {
+        assert!(store.is_panels(self.w), "apply_rows over a row-major copy");
+        let w = store.get(self.w);
+        let (d_in, d_out) = (w.shape()[0], w.shape()[1]);
         let b = store.get(self.b).data();
         assert_eq!(xs.len(), rows * d_in, "apply_rows input shape mismatch");
         ys.clear();
@@ -68,7 +65,7 @@ impl Linear {
         for _ in 0..rows {
             ys.extend_from_slice(b);
         }
-        lm4db_tensor::kernels::vec_matmul_rows(xs, d_in, panels, d_out, ys);
+        lm4db_tensor::kernels::vec_matmul_rows(xs, d_in, w.data(), d_out, ys);
     }
 }
 
@@ -361,6 +358,21 @@ impl Block {
         }
         g.add(x, ffn_out)
     }
+}
+
+/// Pads a batch to a common length with `[PAD]`, returning
+/// `(flat_ids, b, t, lengths)`.
+pub(crate) fn pad_batch(batch: &[Vec<usize>]) -> (Vec<usize>, usize, usize, Vec<usize>) {
+    assert!(!batch.is_empty(), "empty batch");
+    let b = batch.len();
+    let t = batch.iter().map(Vec::len).max().unwrap();
+    let lengths: Vec<usize> = batch.iter().map(Vec::len).collect();
+    let mut flat = Vec::with_capacity(b * t);
+    for seq in batch {
+        flat.extend_from_slice(seq);
+        flat.extend(std::iter::repeat_n(PAD, t - seq.len()));
+    }
+    (flat, b, t, lengths)
 }
 
 /// Additive causal mask of shape `[b, h, t, t]`: position `i` may attend to

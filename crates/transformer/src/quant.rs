@@ -63,45 +63,30 @@ impl QuantLinear {
     }
 }
 
-/// The int8 projections of one transformer block.
+/// The int8 projections of one transformer block, in the order decode
+/// runs them: `wq, wk, wv, wo, up, down`.
 #[derive(Debug, Clone)]
-pub struct QuantBlock {
-    wq: QuantLinear,
-    wk: QuantLinear,
-    wv: QuantLinear,
-    wo: QuantLinear,
-    up: QuantLinear,
-    down: QuantLinear,
-}
+pub struct QuantBlock([QuantLinear; 6]);
 
 impl QuantBlock {
     fn from_block(store: &ParamStore, block: &Block) -> Self {
-        QuantBlock {
-            wq: QuantLinear::from_linear(store, &block.attn.wq),
-            wk: QuantLinear::from_linear(store, &block.attn.wk),
-            wv: QuantLinear::from_linear(store, &block.attn.wv),
-            wo: QuantLinear::from_linear(store, &block.attn.wo),
-            up: QuantLinear::from_linear(store, &block.ffn.up),
-            down: QuantLinear::from_linear(store, &block.ffn.down),
-        }
+        QuantBlock(
+            block
+                .projections()
+                .map(|lin| QuantLinear::from_linear(store, &lin)),
+        )
     }
 
     fn memory_bytes(&self) -> usize {
-        self.wq.memory_bytes()
-            + self.wk.memory_bytes()
-            + self.wv.memory_bytes()
-            + self.wo.memory_bytes()
-            + self.up.memory_bytes()
-            + self.down.memory_bytes()
+        self.0.iter().map(QuantLinear::memory_bytes).sum()
     }
 }
 
 /// One heavy projection in the weight format a forward runs in, so the
 /// stacked forward has one body for both formats.
 pub(crate) enum Proj<'a> {
-    /// The model's own f32 weights: the layer, the store holding its bias
-    /// and its weight in decode panel order.
-    F32(Linear, &'a ParamStore, &'a [f32]),
+    /// The model's own f32 weights: the layer and the store holding them.
+    F32(Linear, &'a ParamStore),
     /// The int8 snapshot.
     Q8(&'a QuantLinear),
 }
@@ -111,7 +96,7 @@ impl Proj<'_> {
     /// row identical to a one-row application in either format.
     pub(crate) fn apply_rows_into(&self, xs: &[f32], rows: usize, ys: &mut Vec<f32>) {
         match self {
-            Proj::F32(lin, store, panels) => lin.apply_rows_into(store, panels, xs, rows, ys),
+            Proj::F32(lin, store) => lin.apply_rows_into(store, xs, rows, ys),
             Proj::Q8(q) => q.apply_rows_into(xs, rows, ys),
         }
     }
@@ -127,11 +112,10 @@ pub(crate) fn projections<'a>(
     quant: Option<&'a QuantBlock>,
 ) -> [Proj<'a>; 6] {
     match quant {
-        Some(q) => [&q.wq, &q.wk, &q.wv, &q.wo, &q.up, &q.down].map(Proj::Q8),
-        None => {
-            let (lins, panels) = (model.blocks[l].projections(), model.block_panels(l));
-            std::array::from_fn(|i| Proj::F32(lins[i], &model.store, panels[i]))
-        }
+        Some(q) => q.0.each_ref().map(Proj::Q8),
+        None => model.blocks[l]
+            .projections()
+            .map(|lin| Proj::F32(lin, &model.store)),
     }
 }
 

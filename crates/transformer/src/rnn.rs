@@ -138,7 +138,7 @@ impl RnnLm {
         let loss_val = g.value(loss).item();
         g.backward(loss);
         let mut grads = bound.grads(&self.store, &g);
-        clip_grad_norm(&mut grads, 1.0);
+        clip_grad_norm(&self.store, &mut grads, 1.0);
         opt.step(&mut self.store, &grads);
         loss_val
     }

@@ -1,14 +1,14 @@
-//! A model's projection weights are held in decode panel order until its
-//! first graph entry and row-major after it; nothing a caller can observe
-//! may depend on which.
+//! A model's projection weights are held in decode panel order for its
+//! whole life, and running the tape over them leaves nothing a caller can
+//! observe changed.
 //!
-//! Twin A decodes straight from a fresh, panel-order store. Twin B, built
-//! from the same seed, first runs `eval_loss` — so its store is row-major
-//! and its decode reads panels packed from it — and then decodes. Logits,
-//! key/value rows, the row-major parameter copy, the checkpoint and the
-//! int8 snapshot must agree bit for bit, before and after one identical
-//! optimizer step. Every width of the model leaves a tail past the last
-//! 8-column block, so both halves of the panel order are read.
+//! Twin A decodes straight from a fresh model. Twin B, built from the same
+//! seed, first runs `eval_loss` — a graph over the same panel-order store —
+//! and then decodes. Logits, key/value rows, the row-major parameter copy,
+//! the checkpoint and the int8 snapshot must agree bit for bit, before and
+//! after one identical optimizer step. Every width of the model leaves a
+//! tail past the last 8-column block, so both halves of the panel order
+//! are read.
 
 use lm4db_transformer::{GptModel, KvCache, ModelConfig, QuantizedGpt};
 

@@ -1,15 +1,16 @@
-//! Regression test: a model that is only decoded holds one copy of its
-//! projection weights.
+//! Regression test: a model holds one copy of its projection weights,
+//! whether it is only decoded or also evaluated and trained.
 //!
-//! A fresh [`GptModel`] keeps its projections in decode panel order, and
-//! decode reads them there: neither construction nor the first feed may
-//! leave a second copy alive. A global allocator counts live heap bytes;
-//! a serving-size model (3.4 MB of projections, more than one core's L2)
-//! must grow the live heap by less than half its projection bytes beyond
-//! its parameters and its cache's own reservation. The last step is the
-//! control that shows the counter sees such a copy: once the model has
-//! entered a graph its store is row-major, and decode packs the panels it
-//! reads next to it.
+//! Every [`GptModel`] keeps its projections in decode panel order for its
+//! whole life, and decode, the tape and the optimizer all read them there:
+//! neither construction, nor the first feed of a fresh model, nor a feed
+//! after `eval_loss` or after a `train_step` may leave a second copy alive.
+//! A global allocator counts live heap bytes; a serving-size model (3.4 MB
+//! of projections, more than one core's L2) must grow the live heap by
+//! less than half its projection bytes beyond its parameters and its
+//! cache's own reservation. The last step is the control that shows the
+//! counter sees such a copy: holding the row-major `params()` copy grows
+//! the live heap by at least the projection bytes.
 //!
 //! This file intentionally holds a single test: the counter is
 //! process-global, and a lone test in its own integration binary is the
@@ -87,10 +88,28 @@ fn a_decoded_model_holds_one_copy_of_its_projections() {
         "the first feed left {grown} more bytes live ({proj_bytes} bytes of projections)"
     );
 
-    model.eval_loss(&[vec![1, 2, 3]]);
+    let batch = [vec![1, 2, 3]];
+    model.eval_loss(&batch);
     let grown = fed(&model);
     assert!(
-        grown >= proj_bytes,
-        "a row-major model's first feed packed only {grown} bytes of panels"
+        grown < half,
+        "a feed after eval_loss left {grown} more bytes live ({proj_bytes} bytes of projections)"
     );
+
+    let mut opt = model.optimizer(1e-3);
+    model.train_step(&batch, &mut opt);
+    let grown = fed(&model);
+    assert!(
+        grown < half,
+        "a feed after train_step left {grown} more bytes live ({proj_bytes} bytes of projections)"
+    );
+
+    let before = live();
+    let copy = model.params();
+    let held = live() - before;
+    assert!(
+        held >= proj_bytes,
+        "a row-major params() copy held only {held} bytes ({proj_bytes} bytes of projections)"
+    );
+    drop(copy);
 }
