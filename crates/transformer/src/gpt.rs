@@ -449,6 +449,48 @@ mod tests {
         }
     }
 
+    /// Train steps that clip, pinned: every step's pre-clip gradient norm
+    /// (each above `train_step`'s `max_norm` of 1, so every step rescales)
+    /// and the checkpoint bytes after the last step are constants, so
+    /// neither the threshold nor the order `clip_grad_norm` folds in can
+    /// move unnoticed.
+    #[test]
+    fn clipped_train_steps_are_pinned() {
+        let seq = vec![BOS, 10, 11, 12, 13, 14, 15, 16, 17];
+        let batch = std::slice::from_ref(&seq);
+        let mut m = GptModel::new(ModelConfig::test(), 1);
+        let mut opt = m.optimizer(1e-2);
+        let mut norms = Vec::new();
+        for _ in 0..6 {
+            // One sequence: `train_step`'s reduction scales its gradient by
+            // exactly 1, so this is the norm the step clips by.
+            let (mut g, bound, loss) = m.loss_graph(batch, true, None);
+            g.backward(loss);
+            let mut grads = bound.grads(&m.store, &g);
+            let norm = clip_grad_norm(&m.store, &mut grads, f32::INFINITY);
+            assert!(norm > 1.0, "step does not clip: norm {norm}");
+            norms.push(norm.to_bits());
+            m.train_step(batch, &mut opt);
+        }
+        let fnv1a = m.to_json().bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
+        });
+        assert_eq!(
+            (norms, fnv1a),
+            (
+                vec![
+                    0x41c0_7f8b,
+                    0x411a_f474,
+                    0x408b_9640,
+                    0x40de_6483,
+                    0x404e_b4fb,
+                    0x4018_b4f3,
+                ],
+                0x1178_0b80_7929_de37
+            )
+        );
+    }
+
     #[test]
     fn deterministic_given_seed() {
         let a = GptModel::new(ModelConfig::test(), 3);
