@@ -951,6 +951,8 @@ mod tests {
     /// `MatmulPanels` over a panel-order weight is `Matmul` over the
     /// row-major one, bit for bit: value, input gradient and weight
     /// gradient (unpacked), with no column block, one and a tail, and two.
+    /// The row-major reference runs twice: broadcast over `x`'s batch, and
+    /// 2-D on `x` reshaped to rows.
     #[test]
     fn matmul_panels_is_matmul_on_the_row_major_weight() {
         use crate::kernels::{pack_panels, unpack_panels};
@@ -958,33 +960,46 @@ mod tests {
         for d_out in [5, 11, 16] {
             let (x0, w0) = (sample(&[2, 3, 7]), sample(&[7, d_out]));
             let r = sample(&[2, 3, d_out]).scale(-0.3);
-            let run = |panels: bool| {
+            #[derive(Clone, Copy, Debug)]
+            enum Form {
+                Panels,
+                Broadcast,
+                Rows,
+            }
+            let run = |form: Form| {
                 let mut g = Graph::new();
                 let x = g.param(x0.clone());
-                let w = if panels {
+                let w = if let Form::Panels = form {
                     let mut p = vec![0.0; w0.len()];
                     pack_panels(w0.data(), 7, d_out, &mut p);
                     g.param(Tensor::new(vec![7, d_out], p))
                 } else {
                     g.param(w0.clone())
                 };
-                let y = if panels {
-                    g.matmul_panels(x, w)
-                } else {
-                    g.matmul(x, w)
+                let y = match form {
+                    Form::Panels => g.matmul_panels(x, w),
+                    Form::Broadcast => g.matmul(x, w),
+                    Form::Rows => {
+                        let rows = g.reshape(x, &[6, 7]);
+                        let y = g.matmul(rows, w);
+                        g.reshape(y, &[2, 3, d_out])
+                    }
                 };
                 let rv = g.input(r.clone());
                 let weighted = g.mul(y, rv);
                 let loss = g.sum_all(weighted);
                 g.backward(loss);
                 let mut dw = g.grad(w).unwrap().data().to_vec();
-                if panels {
+                if let Form::Panels = form {
                     unpack_panels(g.grad(w).unwrap().data(), 7, d_out, &mut dw);
                 }
                 let dw = Tensor::new(vec![7, d_out], dw);
                 [g.value(y), g.grad(x).unwrap(), &dw].map(bits)
             };
-            assert_eq!(run(true), run(false), "d_out {d_out}");
+            let want = run(Form::Panels);
+            for form in [Form::Broadcast, Form::Rows] {
+                assert_eq!(run(form), want, "d_out {d_out}, {form:?}");
+            }
         }
     }
 
