@@ -136,9 +136,7 @@ impl Synthesizer {
         let _span = lm4db_obs::span("codegen_constrained");
         lm4db_obs::counter_add("codegen/attempts", 1);
         let prompt = [self.lm.prompt_ids(instruction)];
-        let (hyps, _) = self
-            .lm
-            .beams(&prompt, 3, self.constrained_max_new, true, false);
+        let (hyps, _) = self.lm.beams(&prompt, 3, self.constrained_max_new, true);
         let Some((raw, program)) = self.lm.best(&hyps[0], prompt[0].len()) else {
             return Synthesis {
                 pipeline: None,
@@ -211,7 +209,7 @@ impl Synthesizer {
             lm4db_obs::instant_arg("codegen/attempt", attempt as u64);
             lm4db_obs::counter_add("codegen/attempts", 1);
             let raw = if attempt == 1 {
-                let (hyps, _) = self.lm.beams(&prompt, 3, 48, false, false);
+                let (hyps, _) = self.lm.beams(&prompt, 3, 48, false);
                 match self.lm.best(&hyps[0], prompt[0].len()) {
                     Some((raw, _)) => raw,
                     None => continue,

@@ -7,7 +7,7 @@
 //! * **Fine-tuning** ([`FineTunedClassifier`]): wrap a BERT encoder with a
 //!   classification head and train on labeled examples.
 
-use lm4db_serve::{Engine, EngineOptions, Request};
+use lm4db_serve::{Engine, Request};
 use lm4db_tokenize::Tokenizer;
 use lm4db_transformer::{BertClassifier, BertModel, GptModel, ModelConfig, NextToken};
 
@@ -110,14 +110,7 @@ impl<T: Tokenizer> PromptClassifier<GptModel, T> {
     /// label. Scores match [`PromptClassifier::scores`] up to the ~1e-3
     /// float divergence between the incremental and full-forward paths.
     pub fn scores_batch(&self, texts: &[&str]) -> Vec<Vec<f32>> {
-        self.scores_batch_with(texts, EngineOptions::default())
-    }
-
-    /// [`PromptClassifier::scores_batch`] with explicit engine options —
-    /// e.g. `EngineOptions { quantized: true, .. }` scores every label
-    /// continuation through the int8 decode path.
-    pub fn scores_batch_with(&self, texts: &[&str], opts: EngineOptions) -> Vec<Vec<f32>> {
-        let mut engine = Engine::with_options(&self.model, opts);
+        let mut engine = Engine::new(&self.model);
         let mut reqs = Vec::new();
         for text in texts {
             let rendered = self.prompt.render(text);
@@ -254,7 +247,7 @@ impl<T: Tokenizer> FineTunedClassifier<T> {
     }
 
     /// Class probabilities for `text`.
-    pub fn proba(&mut self, text: &str) -> Vec<f32> {
+    pub fn proba(&self, text: &str) -> Vec<f32> {
         let ids = self.encode_clamped(text);
         self.clf.predict_proba(&[ids]).remove(0)
     }
@@ -413,7 +406,7 @@ mod tests {
     #[test]
     fn proba_is_distribution() {
         let bpe = Bpe::train(["alpha beta gamma"], 100);
-        let mut clf = FineTunedClassifier::new(
+        let clf = FineTunedClassifier::new(
             ModelConfig::test(),
             bpe,
             vec!["a".into(), "b".into(), "c".into()],

@@ -7,7 +7,7 @@
 use std::time::Instant;
 
 use lm4db_tensor::kernels::ROW_TILE;
-use lm4db_transformer::{feed_stack, GptModel, QuantizedGpt, StackEntry};
+use lm4db_transformer::{feed_stack, GptModel, StackEntry};
 
 use super::request::Seq;
 use super::retire::finish;
@@ -66,7 +66,7 @@ fn gate(id: RequestId, salt: u64) -> Result<(), String> {
 
 /// One group's stacked forward. Selection reads only each sequence's last
 /// logits, which the stack leaves in its cache.
-fn forward(model: &GptModel, quant: Option<&QuantizedGpt>, group: &mut [Work<'_>]) {
+fn forward(model: &GptModel, group: &mut [Work<'_>]) {
     let started = lm4db_obs::events_enabled().then(Instant::now);
     let mut entries: Vec<StackEntry<'_>> = group
         .iter_mut()
@@ -76,7 +76,7 @@ fn forward(model: &GptModel, quant: Option<&QuantizedGpt>, group: &mut [Work<'_>
             keep_all: false,
         })
         .collect();
-    feed_stack(model, quant, &mut entries);
+    feed_stack(model, None, &mut entries);
     // Each member request books the group's interval as its feed phase of
     // this step: co-stacked requests share the forward, so they share its
     // wall time too (a beam's siblings book it once).
@@ -108,7 +108,6 @@ fn forward(model: &GptModel, quant: Option<&QuantizedGpt>, group: &mut [Work<'_>
 /// from each cache's actual growth, so a poisoned sequence counts nothing.
 pub(super) fn run(eng: &mut Engine<'_>) -> Vec<(RequestId, String)> {
     let model = eng.model;
-    let quant = eng.quant.as_ref();
     let mut poisoned = Vec::new();
     let mut works: Vec<Work<'_>> = Vec::new();
     for job in eng.active.iter_mut() {
@@ -138,8 +137,7 @@ pub(super) fn run(eng: &mut Engine<'_>) -> Vec<(RequestId, String)> {
         groups.push(group);
         rest = tail;
     }
-    let failures =
-        lm4db_tensor::try_parallel_tasks_mut(&mut groups, |_, g| forward(model, quant, g));
+    let failures = lm4db_tensor::try_parallel_tasks_mut(&mut groups, |_, g| forward(model, g));
     for f in failures {
         poisoned.extend(groups[f.index].iter().map(|w| (w.id, f.message.clone())));
     }

@@ -92,8 +92,6 @@ pub use request::{Deadline, Decode, EngineOptions, Outcome, Request, RequestId, 
 /// The batched inference engine. See the [module docs](self).
 pub struct Engine<'a> {
     model: &'a GptModel,
-    /// Int8 weight snapshot, present iff [`EngineOptions::quantized`].
-    quant: Option<lm4db_transformer::QuantizedGpt>,
     opts: EngineOptions,
     /// Per-tenant admission queues (one plain FIFO when no tenant classes
     /// are configured).
@@ -137,9 +135,6 @@ impl<'a> Engine<'a> {
         /// SLO admission's service-step estimate before any completion.
         const SLO_INITIAL_SERVICE_STEPS: u64 = 4;
         assert!(opts.max_batch >= 1, "max_batch must be at least 1");
-        let quant = opts
-            .quantized
-            .then(|| lm4db_transformer::QuantizedGpt::from_model(model));
         let queue = FairQueues::new(opts.tenants.clone());
         let monitor = opts.slo_alerts.map(lm4db_obs::SloMonitor::new);
         // Record each tenant's wall-clock SLO target up front so stats
@@ -152,7 +147,6 @@ impl<'a> Engine<'a> {
         }
         Engine {
             model,
-            quant,
             prefix: PrefixCache::new(opts.prefix_cache_tokens),
             opts,
             queue,

@@ -189,14 +189,6 @@ pub struct EngineOptions {
     /// `retry_backoff_steps << r` steps (capped at 1024) before
     /// re-admission. Step-based, so fault recovery is reproducible.
     pub retry_backoff_steps: u64,
-    /// Serve with int8 quantized weights: the engine snapshots the model's
-    /// heavy matrices to int8 at construction (`QuantizedGpt::from_model`)
-    /// and decodes through the quantized path, trading a bounded logit
-    /// perturbation for ~4x smaller weight reads. The f32 model is left
-    /// untouched. Quantized decode is still deterministic at any thread
-    /// count, but its outputs differ from f32 decode — both paths have
-    /// their own golden sets.
-    pub quantized: bool,
     /// Tenant classes, indexed by [`Request::tenant`]. Empty (the default)
     /// keeps the single global FIFO queue; non-empty switches admission to
     /// per-tenant queues with strict-priority tiers and weighted-fair
@@ -247,7 +239,6 @@ impl Default for EngineOptions {
             max_queue: 0,
             max_retries: 2,
             retry_backoff_steps: 2,
-            quantized: false,
             tenants: Vec::new(),
             slo_admission: false,
             sample_steps: lm4db_obs::env_sample_steps(),

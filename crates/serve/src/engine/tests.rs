@@ -64,76 +64,6 @@ fn engine_greedy_matches_greedy_cached() {
 }
 
 #[test]
-fn quantized_engine_is_independent_of_batch_size_and_prefix_cache() {
-    let m = trained_model();
-    let ps = prompts();
-    let mut reference: Option<Vec<Vec<usize>>> = None;
-    for max_batch in [1, 8] {
-        for cache_tokens in [0, 4096] {
-            let mut engine = Engine::with_options(
-                &m,
-                EngineOptions {
-                    max_batch,
-                    prefix_cache_tokens: cache_tokens,
-                    quantized: true,
-                    ..EngineOptions::default()
-                },
-            );
-            let reqs = ps
-                .iter()
-                .map(|p| Request::greedy(p.clone(), 8, EOS))
-                .collect();
-            let out: Vec<Vec<usize>> = engine
-                .generate_batch(reqs)
-                .into_iter()
-                .map(|r| r.tokens)
-                .collect();
-            match &reference {
-                None => reference = Some(out),
-                Some(want) => assert_eq!(
-                    &out, want,
-                    "quantized batch {max_batch} / cache {cache_tokens} diverged"
-                ),
-            }
-        }
-    }
-}
-
-#[test]
-fn quantized_engine_matches_direct_quantized_decode() {
-    // The engine's quantized serving path must be the same function as
-    // feeding the quantized KV cache directly.
-    let m = trained_model();
-    let q = lm4db_transformer::QuantizedGpt::from_model(&m);
-    for p in prompts() {
-        let mut cache = lm4db_transformer::KvCache::new(&m);
-        let mut logits = cache.feed_all_with(&m, Some(&q), &p).to_vec();
-        let mut want = Vec::new();
-        for _ in 0..8 {
-            let tok = logits
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.total_cmp(b.1))
-                .map(|(i, _)| i)
-                .unwrap();
-            if tok == EOS {
-                break;
-            }
-            want.push(tok);
-            logits = cache.feed_quant(&m, &q, tok).to_vec();
-        }
-        let mut engine = Engine::with_options(
-            &m,
-            EngineOptions {
-                quantized: true,
-                ..EngineOptions::default()
-            },
-        );
-        assert_eq!(engine.greedy(&p, 8, EOS), want, "prompt {p:?}");
-    }
-}
-
-#[test]
 fn engine_output_is_independent_of_batch_size_and_prefix_cache() {
     let m = trained_model();
     let ps = prompts();

@@ -156,7 +156,8 @@ impl Graph {
         self.push(value, &[a, b], Op::AddBcast(a, b))
     }
 
-    /// Batched matrix product (see [`Tensor::matmul`] for accepted shapes).
+    /// Batched product of two activations with the same batch dimensions
+    /// ([`Tensor::matmul`]); a weight goes through [`Graph::matmul_panels`].
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
         let value = self.value(a).matmul(self.value(b));
         self.push(value, &[a, b], Op::Matmul(a, b))
@@ -391,20 +392,10 @@ impl Graph {
                     });
                 }
                 Op::Matmul(a, b) => {
-                    let (va, vb) = (val(a), val(b));
-                    // dA = dC @ B^T, without materializing the transpose.
-                    to.add(a, || g.matmul_bt(vb));
-                    // dB = A^T @ dC, summed over the batch when B was broadcast.
-                    to.add(b, || {
-                        if vb.rank() == 2 && va.rank() > 2 {
-                            let k = *va.shape().last().unwrap();
-                            let n = *g.shape().last().unwrap();
-                            let rows = numel(va.shape()) / k;
-                            va.reshape(&[rows, k]).matmul_tn_acc(&g.reshape(&[rows, n]))
-                        } else {
-                            va.matmul_tn(g)
-                        }
-                    });
+                    // dA = dC @ B^T and dB = A^T @ dC, without materializing
+                    // either transpose.
+                    to.add(a, || g.matmul_bt(val(b)));
+                    to.add(b, || val(a).matmul_tn(g));
                 }
                 Op::MatmulPanels(x, w) => {
                     to.add(x, || g.matmul_panels_bt(val(w)));
@@ -760,14 +751,9 @@ mod tests {
                 let sa = dims(rng, 2, 4);
                 let n = 1 + below(rng, 3);
                 let k = sa[sa.len() - 1];
-                let sb = if below(rng, 2) == 0 {
-                    vec![k, n]
-                } else {
-                    let mut sb = sa.clone();
-                    *sb.last_mut().unwrap() = n;
-                    sb[sa.len() - 2] = k;
-                    sb
-                };
+                let mut sb = sa.clone();
+                *sb.last_mut().unwrap() = n;
+                sb[sa.len() - 2] = k;
                 let (a, b) = (draw(rng, &sa), draw(rng, &sb));
                 check(rng, &[a, b], |g, v| g.matmul(v[0], v[1]))
             }
@@ -948,11 +934,10 @@ mod tests {
         assert_eq!(g.grad(x).unwrap().data(), &[1.0; 6]);
     }
 
-    /// `MatmulPanels` over a panel-order weight is `Matmul` over the
-    /// row-major one, bit for bit: value, input gradient and weight
-    /// gradient (unpacked), with no column block, one and a tail, and two.
-    /// The row-major reference runs twice: broadcast over `x`'s batch, and
-    /// 2-D on `x` reshaped to rows.
+    /// `MatmulPanels` over a panel-order weight is 2-D `Matmul` over the
+    /// row-major one on `x` reshaped to rows, bit for bit: value, input
+    /// gradient and weight gradient (unpacked), with no column block, one
+    /// and a tail, and two.
     #[test]
     fn matmul_panels_is_matmul_on_the_row_major_weight() {
         use crate::kernels::{pack_panels, unpack_panels};
@@ -960,66 +945,36 @@ mod tests {
         for d_out in [5, 11, 16] {
             let (x0, w0) = (sample(&[2, 3, 7]), sample(&[7, d_out]));
             let r = sample(&[2, 3, d_out]).scale(-0.3);
-            #[derive(Clone, Copy, Debug)]
-            enum Form {
-                Panels,
-                Broadcast,
-                Rows,
-            }
-            let run = |form: Form| {
+            let run = |panels: bool| {
                 let mut g = Graph::new();
                 let x = g.param(x0.clone());
-                let w = if let Form::Panels = form {
+                let w = if panels {
                     let mut p = vec![0.0; w0.len()];
                     pack_panels(w0.data(), 7, d_out, &mut p);
                     g.param(Tensor::new(vec![7, d_out], p))
                 } else {
                     g.param(w0.clone())
                 };
-                let y = match form {
-                    Form::Panels => g.matmul_panels(x, w),
-                    Form::Broadcast => g.matmul(x, w),
-                    Form::Rows => {
-                        let rows = g.reshape(x, &[6, 7]);
-                        let y = g.matmul(rows, w);
-                        g.reshape(y, &[2, 3, d_out])
-                    }
+                let y = if panels {
+                    g.matmul_panels(x, w)
+                } else {
+                    let rows = g.reshape(x, &[6, 7]);
+                    let y = g.matmul(rows, w);
+                    g.reshape(y, &[2, 3, d_out])
                 };
                 let rv = g.input(r.clone());
                 let weighted = g.mul(y, rv);
                 let loss = g.sum_all(weighted);
                 g.backward(loss);
                 let mut dw = g.grad(w).unwrap().data().to_vec();
-                if let Form::Panels = form {
+                if panels {
                     unpack_panels(g.grad(w).unwrap().data(), 7, d_out, &mut dw);
                 }
                 let dw = Tensor::new(vec![7, d_out], dw);
                 [g.value(y), g.grad(x).unwrap(), &dw].map(bits)
             };
-            let want = run(Form::Panels);
-            for form in [Form::Broadcast, Form::Rows] {
-                assert_eq!(run(form), want, "d_out {d_out}, {form:?}");
-            }
+            assert_eq!(run(true), run(false), "d_out {d_out}");
         }
-    }
-
-    #[test]
-    fn grad_matmul_broadcast_weight() {
-        let mut g = Graph::new();
-        let x = g.input(sample(&[2, 3, 4]));
-        let w = g.param(sample(&[4, 2]));
-        let y = g.matmul(x, w);
-        let s = g.sum_all(y);
-        g.backward(s);
-        let gw = g.grad(w).unwrap();
-        assert_eq!(gw.shape(), &[4, 2]);
-        // dW[p, j] = sum over all (batch, row) of x[.., p]; check one entry.
-        let vx = g.value(x);
-        let expected: f32 = (0..2)
-            .flat_map(|b| (0..3).map(move |r| (b, r)))
-            .map(|(b, r)| vx.data()[b * 12 + r * 4])
-            .sum();
-        assert!((gw.data()[0] - expected).abs() < 1e-4);
     }
 
     #[test]

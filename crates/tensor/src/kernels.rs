@@ -13,8 +13,9 @@
 //! the result either).
 //!
 //! Layout of the matmul family (DESIGN.md §5g): one register tile behind
-//! [`gemm_acc`], which every product — `matmul(_bt, _tn, _tn_acc)`, the
-//! `matmul_panels` family and decode's [`vec_matmul_rows`] — goes through.
+//! [`gemm_acc`], which every product — `matmul(_bt, _tn)` between
+//! activations, the `matmul_panels` family for weights and decode's
+//! [`vec_matmul_rows`] — goes through.
 //! It accumulates *into* C (zeroed in training, the bias rows in decode),
 //! reads the left operand as `x(r, i) = x[r·rs + i·cs]` (row-major `A` is
 //! `cs = 1`, the columns `A^T x B` reduces over `rs = 1`), and the right
@@ -392,24 +393,14 @@ mod avx {
 }
 
 /// Splits output rows `first..first + rows` of a product batched over
-/// groups of `m` rows into runs that stay inside one batch — or one run,
-/// when every batch `shared`s the right-hand side — as
+/// groups of `m` rows into runs that stay inside one batch, as
 /// `(offset in the chunk, length, batch of the first row)`.
-fn batch_runs(
-    first: usize,
-    rows: usize,
-    m: usize,
-    shared: bool,
-) -> impl Iterator<Item = (usize, usize, usize)> {
+fn batch_runs(first: usize, rows: usize, m: usize) -> impl Iterator<Item = (usize, usize, usize)> {
     let mut r0 = 0;
     std::iter::from_fn(move || {
         (r0 < rows).then(|| {
             let row = first + r0;
-            let run = if shared {
-                rows - r0
-            } else {
-                (m - row % m).min(rows - r0)
-            };
+            let run = (m - row % m).min(rows - r0);
             let item = (r0, run, row / m);
             r0 += run;
             item
@@ -428,14 +419,15 @@ pub fn gemm_nn_block(
     m: usize,
     k: usize,
     n: usize,
-    broadcast_rhs: bool,
 ) {
     if n == 0 {
         return;
     }
-    for (r0, run, batch) in batch_runs(first, block.len() / n, m, broadcast_rhs) {
-        let b_off = if broadcast_rhs { 0 } else { batch * k * n };
-        let (a, b) = (&a[(first + r0) * k..], &b[b_off..b_off + k * n]);
+    for (r0, run, batch) in batch_runs(first, block.len() / n, m) {
+        let (a, b) = (
+            &a[(first + r0) * k..],
+            &b[batch * k * n..(batch + 1) * k * n],
+        );
         let c = &mut block[r0 * n..];
         gemm_acc(a, k, 1, run, k, b, n, LANES, n, c, n, LANES);
     }
@@ -453,15 +445,13 @@ pub fn gemm_bt_block(
     m: usize,
     k: usize,
     n: usize,
-    broadcast_rhs: bool,
 ) {
     if n == 0 || k == 0 {
         return;
     }
     let mut panels = vec![0.0f32; k * n.div_ceil(LANES) * LANES];
-    for (r0, run, batch) in batch_runs(first, block.len() / n, m, broadcast_rhs) {
-        let b_off = if broadcast_rhs { 0 } else { batch * n * k };
-        pack_transposed(&b[b_off..b_off + n * k], k, n, &mut panels);
+    for (r0, run, batch) in batch_runs(first, block.len() / n, m) {
+        pack_transposed(&b[batch * n * k..(batch + 1) * n * k], k, n, &mut panels);
         let a = &a[(first + r0) * k..];
         gemm_acc(
             a,
@@ -496,46 +486,13 @@ pub fn gemm_tn_block(
     if n == 0 || m == 0 {
         return;
     }
-    for (r0, run, batch) in batch_runs(first, block.len() / n, k, false) {
+    for (r0, run, batch) in batch_runs(first, block.len() / n, k) {
         let p0 = (first + r0) % k;
         let a = &a[batch * m * k + p0..(batch + 1) * m * k];
         let b = &b[batch * m * n..(batch + 1) * m * n];
         let c = &mut block[r0 * n..];
         gemm_acc(a, 1, k, run, m, b, n, LANES, n, c, n, LANES);
     }
-}
-
-/// One parallel chunk of `A^T x B` summed over every batch: `a` is
-/// `[red][k]` (`red = batch * m` flattened), `b` is `[red][n]`, and the
-/// chunk accumulates output rows `first..first + block.len()/n` of the
-/// `[k][n]` result. The reduction walks `(batch, i)` ascending, exactly
-/// like a serial accumulation over batches then rows.
-pub fn gemm_tn_acc_block(
-    first: usize,
-    block: &mut [f32],
-    a: &[f32],
-    b: &[f32],
-    red: usize,
-    k: usize,
-    n: usize,
-) {
-    if n == 0 || red == 0 {
-        return;
-    }
-    gemm_acc(
-        &a[first..],
-        1,
-        k,
-        block.len() / n,
-        red,
-        b,
-        n,
-        LANES,
-        n,
-        block,
-        n,
-        LANES,
-    );
 }
 
 /// Numerically stabilized softmax of one row, in place: max-fold, then a
@@ -883,18 +840,10 @@ fn vec_matmul_rows_with(
 mod tests {
     use super::*;
 
-    fn naive_nn(
-        a: &[f32],
-        b: &[f32],
-        ab: usize,
-        m: usize,
-        k: usize,
-        n: usize,
-        bcast: bool,
-    ) -> Vec<f32> {
+    fn naive_nn(a: &[f32], b: &[f32], ab: usize, m: usize, k: usize, n: usize) -> Vec<f32> {
         let mut out = vec![0.0f32; ab * m * n];
         for batch in 0..ab {
-            let b_off = if bcast { 0 } else { batch * k * n };
+            let b_off = batch * k * n;
             for i in 0..m {
                 for j in 0..n {
                     let mut acc = 0.0f32;
@@ -923,29 +872,29 @@ mod tests {
         // Shapes straddling every tile edge: rows % ROW_TILE, cols % 8, and
         // a chunk split mid-batch; then a transformer-block shape, whole-tile
         // and ragged, with a deep k.
-        for &(ab, m, k, n, bcast) in &[
-            (1usize, 1usize, 1usize, 1usize, false),
-            (1, 5, 7, 9, false),
-            (2, 6, 13, 17, false),
-            (3, 4, 8, 8, true),
-            (2, 9, 33, 19, true),
-            (1, 64, 256, 256, false),
-            (1, 61, 200, 130, false),
+        for &(ab, m, k, n) in &[
+            (1usize, 1usize, 1usize, 1usize),
+            (1, 5, 7, 9),
+            (2, 6, 13, 17),
+            (3, 4, 8, 8),
+            (2, 9, 33, 19),
+            (1, 64, 256, 256),
+            (1, 61, 200, 130),
         ] {
             let a = fill(ab * m * k, 1);
-            let b = fill(if bcast { k * n } else { ab * k * n }, 2);
-            let want = naive_nn(&a, &b, ab, m, k, n, bcast);
+            let b = fill(ab * k * n, 2);
+            let want = naive_nn(&a, &b, ab, m, k, n);
             // Run as two chunks split at an arbitrary row to exercise the
             // mid-batch entry path.
             let rows = ab * m;
             let split = (rows / 2).max(1).min(rows);
             let mut got = vec![0.0f32; rows * n];
             let (lo, hi) = got.split_at_mut(split * n);
-            gemm_nn_block(0, lo, &a, &b, m, k, n, bcast);
+            gemm_nn_block(0, lo, &a, &b, m, k, n);
             if !hi.is_empty() {
-                gemm_nn_block(split, hi, &a, &b, m, k, n, bcast);
+                gemm_nn_block(split, hi, &a, &b, m, k, n);
             }
-            assert_eq!(got, want, "shape ab={ab} m={m} k={k} n={n} bcast={bcast}");
+            assert_eq!(got, want, "shape ab={ab} m={m} k={k} n={n}");
         }
     }
 
@@ -971,7 +920,7 @@ mod tests {
                 }
             }
             let mut got = vec![0.0f32; ab * m * n];
-            gemm_bt_block(0, &mut got, &a, &bt, m, k, n, false);
+            gemm_bt_block(0, &mut got, &a, &bt, m, k, n);
             assert_eq!(got, want, "shape ab={ab} m={m} k={k} n={n}");
         }
     }
@@ -997,21 +946,6 @@ mod tests {
         let mut got = vec![0.0f32; ab * k * n];
         gemm_tn_block(0, &mut got, &a, &b, m, k, n);
         assert_eq!(got, want);
-
-        // matmul_tn_acc reference: summed over batches in ascending order.
-        let mut want_acc = vec![0.0f32; k * n];
-        for p in 0..k {
-            for j in 0..n {
-                let mut acc = 0.0f32;
-                for bi in 0..ab * m {
-                    acc += a[bi * k + p] * b[bi * n + j];
-                }
-                want_acc[p * n + j] = acc;
-            }
-        }
-        let mut got_acc = vec![0.0f32; k * n];
-        gemm_tn_acc_block(0, &mut got_acc, &a, &b, ab * m, k, n);
-        assert_eq!(got_acc, want_acc);
     }
 
     #[test]
@@ -1185,13 +1119,11 @@ mod tests {
                 f(&mut c);
                 bits(&c)
             };
-            let nn_got = run(&|c| gemm_nn_block(0, c, &a, &b, rows, k, n, false));
+            let nn_got = run(&|c| gemm_nn_block(0, c, &a, &b, rows, k, n));
             assert_eq!(nn_got, bits(&nn), "nn {shape}");
             let tn_got = run(&|c| gemm_tn_block(p0, c, &at, &b, k, lda, n));
             assert_eq!(tn_got, bits(&tn), "tn {shape}");
-            let acc_got = run(&|c| gemm_tn_acc_block(p0, c, &at, &b, k, lda, n));
-            assert_eq!(acc_got, bits(&tn), "tn_acc {shape}");
-            let bt_got = run(&|c| gemm_bt_block(0, c, &a, &bt, rows, k, n, false));
+            let bt_got = run(&|c| gemm_bt_block(0, c, &a, &bt, rows, k, n));
             assert_eq!(bt_got, bits(&nbt), "bt {shape}");
             if k > 0 && n > 0 {
                 let mut b_panels = vec![0.0; b.len()];

@@ -34,7 +34,7 @@ pub mod tensor;
 
 pub use graph::{Graph, Var, IGNORE_INDEX};
 pub use init::Rand;
-pub use optim::{clip_grad_norm, Adam, Bound, LrSchedule, ParamId, ParamStore, Sgd};
+pub use optim::{clip_grad_norm, Adam, Bound, LrSchedule, ParamId, ParamStore};
 pub use pool::{
     panic_message, parallel_for, parallel_rows_mut, parallel_rows_mut2, set_threads, threads,
     try_parallel_tasks_mut, TaskFailure,

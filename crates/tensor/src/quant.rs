@@ -1,4 +1,8 @@
-//! Int8 weight quantization for the inference fast path.
+//! Int8 weight quantization.
+//!
+//! Nothing serves from it: the engine decodes f32 only. It is kept for the
+//! benchmark's layer probes (`tensor.qmatvec_gops` calls
+//! [`QuantizedMatrix::matvec`] directly) and goes with them.
 //!
 //! Scheme (DESIGN.md §5g): **symmetric per-row weights, asymmetric
 //! activations** — the standard W8A8 recipe. A weight matrix is stored

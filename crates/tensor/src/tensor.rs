@@ -324,11 +324,9 @@ impl Tensor {
         Tensor::new(new_shape, out)
     }
 
-    /// Batched matrix multiply.
-    ///
-    /// Accepts `[.., m, k] x [.., k, n]` where both sides share identical
-    /// leading (batch) dimensions, or `[.., m, k] x [k, n]` where the 2-D
-    /// right-hand side (a weight matrix) is broadcast over the batch.
+    /// Batched matrix multiply of activations: `[.., m, k] x [.., k, n]`,
+    /// both sides with the same leading (batch) dimensions. A weight is
+    /// multiplied by [`Tensor::matmul_panels`].
     pub fn matmul(&self, other: &Tensor) -> Tensor {
         let _timer = lm4db_obs::leaf("kernel/matmul");
         let (ab, m, k) = batch_dims(&self.shape);
@@ -338,12 +336,10 @@ impl Tensor {
             "matmul inner dims differ: {:?} x {:?}",
             self.shape, other.shape
         );
-        let broadcast_rhs = other.rank() == 2 && self.rank() > 2;
-        assert!(
-            ab == bb || broadcast_rhs,
+        assert_eq!(
+            ab, bb,
             "matmul batch dims differ: {:?} x {:?}",
-            self.shape,
-            other.shape
+            self.shape, other.shape
         );
         let mut out = vec![0.0f32; ab * m * n];
         let a = &self.data;
@@ -361,7 +357,7 @@ impl Tensor {
             ab * m,
             matmul_min_rows(m, n, k),
             |first, block| {
-                crate::kernels::gemm_nn_block(first, block, a, b, m, k, n, broadcast_rhs);
+                crate::kernels::gemm_nn_block(first, block, a, b, m, k, n);
             },
         );
         self.with_last(n, out)
@@ -380,12 +376,10 @@ impl Tensor {
             "matmul_bt inner dims differ: {:?} x {:?}",
             self.shape, other.shape
         );
-        let broadcast_rhs = other.rank() == 2 && self.rank() > 2;
-        assert!(
-            ab == bb || broadcast_rhs,
+        assert_eq!(
+            ab, bb,
             "matmul_bt batch dims differ: {:?} x {:?}",
-            self.shape,
-            other.shape
+            self.shape, other.shape
         );
         let mut out = vec![0.0f32; ab * m * n];
         let a = &self.data;
@@ -399,7 +393,7 @@ impl Tensor {
             ab * m,
             matmul_min_rows(m, n, k),
             |first, block| {
-                crate::kernels::gemm_bt_block(first, block, a, b, m, k, n, broadcast_rhs);
+                crate::kernels::gemm_bt_block(first, block, a, b, m, k, n);
             },
         );
         self.with_last(n, out)
@@ -407,8 +401,7 @@ impl Tensor {
 
     /// Batched `A^T x B` without materializing the transpose: accepts
     /// `[.., m, k] x [.., m, n]` and yields `[.., k, n]` per batch. Used by
-    /// the matmul backward pass for batched (non-broadcast) right-hand
-    /// sides.
+    /// the matmul backward pass for the right-hand side's gradient.
     pub fn matmul_tn(&self, other: &Tensor) -> Tensor {
         let _timer = lm4db_obs::leaf("kernel/matmul_tn");
         let (ab, m, k) = batch_dims(&self.shape);
@@ -439,40 +432,6 @@ impl Tensor {
         shape.push(k);
         shape.push(n);
         Tensor::new(shape, out)
-    }
-
-    /// `A^T x B` summed over every batch: accepts `[.., m, k] x [.., m, n]`
-    /// and yields `[k, n]`, i.e. `sum_batch A_b^T B_b`. This is exactly the
-    /// gradient of a broadcast weight in `X x W`, computed without
-    /// materializing any transpose. Parallel over the `k` output rows.
-    pub fn matmul_tn_acc(&self, other: &Tensor) -> Tensor {
-        let _timer = lm4db_obs::leaf("kernel/matmul_tn_acc");
-        let (ab, m, k) = batch_dims(&self.shape);
-        let (bb, m2, n) = batch_dims(&other.shape);
-        assert_eq!(
-            (ab, m),
-            (bb, m2),
-            "matmul_tn_acc leading dims differ: {:?} x {:?}",
-            self.shape,
-            other.shape
-        );
-        let mut out = vec![0.0f32; k * n];
-        let a = &self.data;
-        let b = &other.data;
-        // out[p, :] = sum over (batch, i) of a[batch, i, p] * b[batch, i, :]
-        // in ascending (batch, i) order — the same order a serial
-        // accumulation over batches and rows would use. Same register
-        // tile as `matmul_tn`, with the batch dimension flattened into the
-        // reduction.
-        crate::pool::parallel_rows_mut(
-            &mut out,
-            k,
-            matmul_min_rows(k, n, ab * m),
-            |first, block| {
-                crate::kernels::gemm_tn_acc_block(first, block, a, b, ab * m, k, n);
-            },
-        );
-        Tensor::new(vec![k, n], out)
     }
 
     /// `x · W` for `x` of shape `[.., d_in]` and a `[d_in, d_out]` weight
@@ -509,9 +468,10 @@ impl Tensor {
     }
 
     /// `X^T · dY` summed over rows (`self` `[.., d_in]`, `dy` `[.., d_out]`),
-    /// written in panel order: [`Tensor::matmul_tn_acc`]'s chains, one
-    /// [`gemm_acc`] call (`ldc = 8`, `vc = 8·d_in`) per chunk of 8-column
-    /// blocks and one for the `d_out % 8` tail.
+    /// written in panel order: [`Tensor::matmul_tn`]'s chains over the rows
+    /// flattened into one batch, one [`gemm_acc`] call (`ldc = 8`,
+    /// `vc = 8·d_in`) per chunk of 8-column blocks and one for the
+    /// `d_out % 8` tail.
     pub fn matmul_tn_panels(&self, dy: &Tensor) -> Tensor {
         let _timer = lm4db_obs::leaf("kernel/matmul_panels_dw");
         let (d_in, d_out) = (self.shape[self.rank() - 1], dy.shape[dy.rank() - 1]);
@@ -662,15 +622,8 @@ mod tests {
     }
 
     #[test]
-    fn matmul_batched_and_broadcast() {
-        // Two identical batches against a broadcast weight.
+    fn matmul_batched() {
         let a = t(&[2, 1, 2], &[1.0, 2.0, 3.0, 4.0]);
-        let w = t(&[2, 2], &[1.0, 0.0, 0.0, 1.0]); // identity
-        let c = a.matmul(&w);
-        assert_eq!(c.shape(), &[2, 1, 2]);
-        assert_eq!(c.data(), a.data());
-
-        // Fully batched.
         let b = t(&[2, 2, 1], &[1.0, 1.0, 2.0, 2.0]);
         let d = a.matmul(&b);
         assert_eq!(d.shape(), &[2, 1, 1]);

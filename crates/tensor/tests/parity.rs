@@ -9,6 +9,7 @@
 //!    subprocess under `LM4DB_THREADS` ∈ {1, 2, 7} and asserts the bit
 //!    pattern of a full forward/backward suite is identical.
 
+use lm4db_tensor::kernels::{pack_panels, unpack_panels};
 use lm4db_tensor::{Graph, Rand, Tensor};
 use proptest::prelude::*;
 
@@ -18,10 +19,9 @@ fn naive_matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let (m, k) = (a.shape()[a.rank() - 2], a.shape()[a.rank() - 1]);
     let n = b.shape()[b.rank() - 1];
     let ab: usize = a.shape()[..a.rank() - 2].iter().product();
-    let broadcast = b.rank() == 2 && a.rank() > 2;
     let mut out = vec![0.0f32; ab * m * n];
     for batch in 0..ab {
-        let b_off = if broadcast { 0 } else { batch * k * n };
+        let b_off = batch * k * n;
         for i in 0..m {
             for j in 0..n {
                 let mut acc = 0.0f32;
@@ -49,9 +49,9 @@ fn matmul_matches_naive_reference_exactly() {
     let mut rng = Rand::seeded(99);
     for (sa, sb) in [
         (vec![3usize, 5], vec![5usize, 4]),
-        (vec![2, 7, 65], vec![65, 9]), // broadcast rhs, k > K_BLOCK
-        (vec![2, 3, 6, 70], vec![2, 3, 70, 5]), // batched, k > K_BLOCK
-        (vec![1, 130, 33], vec![33, 64]), // many rows -> many chunks
+        (vec![2, 7, 65], vec![2, 65, 9]),       // k > K_BLOCK
+        (vec![2, 3, 6, 70], vec![2, 3, 70, 5]), // rank 4, k > K_BLOCK
+        (vec![1, 130, 33], vec![1, 33, 64]),    // many rows -> many chunks
     ] {
         let a = rand_tensor(&sa, &mut rng);
         let b = rand_tensor(&sb, &mut rng);
@@ -64,7 +64,7 @@ fn matmul_bt_matches_transposed_reference_exactly() {
     let mut rng = Rand::seeded(7);
     for (sa, sb) in [
         (vec![4usize, 6], vec![5usize, 6]),
-        (vec![3, 8, 70], vec![9, 70]), // broadcast rhs
+        (vec![3, 8, 70], vec![3, 9, 70]),
         (vec![2, 2, 8, 70], vec![2, 2, 9, 70]),
     ] {
         let a = rand_tensor(&sa, &mut rng);
@@ -90,29 +90,6 @@ fn matmul_tn_matches_transposed_reference_exactly() {
     }
 }
 
-#[test]
-fn matmul_tn_acc_matches_batch_summed_reference_exactly() {
-    // out[p][j] folds over (batch, i) ascending — replicate exactly.
-    let mut rng = Rand::seeded(17);
-    let a = rand_tensor(&[3, 70, 6], &mut rng);
-    let b = rand_tensor(&[3, 70, 8], &mut rng);
-    let (bt, m, k, n) = (3, 70, 6, 8);
-    let mut expect = vec![0.0f32; k * n];
-    for p in 0..k {
-        for j in 0..n {
-            let mut acc = 0.0f32;
-            for batch in 0..bt {
-                for i in 0..m {
-                    acc +=
-                        a.data()[batch * m * k + i * k + p] * b.data()[batch * m * n + i * n + j];
-                }
-            }
-            expect[p * n + j] = acc;
-        }
-    }
-    assert_eq!(a.matmul_tn_acc(&b).data(), &expect[..]);
-}
-
 proptest! {
     #[test]
     fn matmul_matches_naive_on_random_shapes(
@@ -120,16 +97,11 @@ proptest! {
         m in 1usize..16,
         k in 1usize..96,
         n in 1usize..12,
-        broadcast in prop::bool::ANY,
         seed in 0u64..1_000_000,
     ) {
         let mut rng = Rand::seeded(seed);
         let a = rand_tensor(&[batch, m, k], &mut rng);
-        let b = if broadcast {
-            rand_tensor(&[k, n], &mut rng)
-        } else {
-            rand_tensor(&[batch, k, n], &mut rng)
-        };
+        let b = rand_tensor(&[batch, k, n], &mut rng);
         let got = a.matmul(&b);
         let want = naive_matmul(&a, &b);
         prop_assert_eq!(got.data(), want.data());
@@ -141,16 +113,11 @@ proptest! {
         m in 1usize..16,
         k in 1usize..96,
         n in 1usize..12,
-        broadcast in prop::bool::ANY,
         seed in 0u64..1_000_000,
     ) {
         let mut rng = Rand::seeded(seed ^ 0xb7);
         let a = rand_tensor(&[batch, m, k], &mut rng);
-        let b = if broadcast {
-            rand_tensor(&[n, k], &mut rng)
-        } else {
-            rand_tensor(&[batch, n, k], &mut rng)
-        };
+        let b = rand_tensor(&[batch, n, k], &mut rng);
         let rb = b.rank();
         let bt = b.transpose(rb - 2, rb - 1);
         let got = a.matmul_bt(&b);
@@ -174,34 +141,6 @@ proptest! {
         let got = a.matmul_tn(&b);
         let want = naive_matmul(&at, &b);
         prop_assert_eq!(got.data(), want.data());
-    }
-
-    #[test]
-    fn matmul_tn_acc_matches_naive_on_random_shapes(
-        batch in 1usize..4,
-        m in 1usize..32,
-        k in 1usize..12,
-        n in 1usize..12,
-        seed in 0u64..1_000_000,
-    ) {
-        let mut rng = Rand::seeded(seed ^ 0xac);
-        let a = rand_tensor(&[batch, m, k], &mut rng);
-        let b = rand_tensor(&[batch, m, n], &mut rng);
-        // out[p][j] folds over (batch, i) ascending.
-        let mut expect = vec![0.0f32; k * n];
-        for (p, row) in expect.chunks_mut(n).enumerate() {
-            for (j, out) in row.iter_mut().enumerate() {
-                let mut acc = 0.0f32;
-                for bt in 0..batch {
-                    for i in 0..m {
-                        acc += a.data()[bt * m * k + i * k + p] * b.data()[bt * m * n + i * n + j];
-                    }
-                }
-                *out = acc;
-            }
-        }
-        let got = a.matmul_tn_acc(&b);
-        prop_assert_eq!(got.data(), &expect[..]);
     }
 
     #[test]
@@ -271,7 +210,7 @@ fn suite_fingerprint() -> u64 {
     let gain = g.param(Tensor::full(&[64], 1.0));
     let bias = g.param(Tensor::zeros(&[64]));
     let b = g.param(rand_tensor(&[64], &mut rng));
-    let h = g.matmul(x, w); // broadcast rhs
+    let h = g.matmul_panels(x, w); // a weight, read as panel order
     let h = g.add_bcast(h, b);
     let h = g.layer_norm(h, gain, bias, 1e-5);
     let h = g.gelu(h);
@@ -364,8 +303,11 @@ fn every_op_suite() -> u64 {
     let h1 = rec(g.gelu(h1));
     let h1 = rec(g.tanh(h1));
     let h1 = rec(g.reshape(h1, &[b, t, 2 * d]));
-    let w2 = rec(g.param(rand_tensor(&[2 * d, d], &mut rng)));
-    let h2 = rec(g.matmul(h1, w2)); // broadcast rhs
+    let w2 = rand_tensor(&[2 * d, d], &mut rng);
+    let mut packed = vec![0.0; w2.len()];
+    pack_panels(w2.data(), 2 * d, d, &mut packed);
+    let w2 = rec(g.param(Tensor::new(vec![2 * d, d], packed)));
+    let h2 = rec(g.matmul_panels(h1, w2)); // panel-order weight
     let gain = rec(g.param(rand_tensor(&[d], &mut rng)));
     let shift = rec(g.param(rand_tensor(&[d], &mut rng)));
     let h2 = rec(g.layer_norm(h2, gain, shift, 1e-5));
@@ -410,7 +352,15 @@ fn every_op_suite() -> u64 {
     };
     eat(g.value(loss));
     for var in vars {
-        eat(g.grad(var).expect("every recorded node requires grad"));
+        let grad = g.grad(var).expect("every recorded node requires grad");
+        if var == w2 {
+            // Hashed row-major, as the row-major weight's gradient was.
+            let mut dw = vec![0.0; grad.len()];
+            unpack_panels(grad.data(), 2 * d, d, &mut dw);
+            eat(&Tensor::new(grad.shape().to_vec(), dw));
+        } else {
+            eat(grad);
+        }
     }
     fp
 }

@@ -10,7 +10,7 @@
 
 use std::collections::HashMap;
 
-use lm4db_serve::{Engine, EngineOptions, Request};
+use lm4db_serve::{Engine, Request};
 use lm4db_tensor::Rand;
 use lm4db_tokenize::{vocab::SPECIAL_TOKENS, Bpe, Tokenizer, BOS, EOS};
 use lm4db_transformer::{sample, GptModel, Hypothesis, ModelConfig, SampleOptions, TokenMask};
@@ -229,25 +229,20 @@ impl TrieLm {
 
     /// Beam-decodes every prompt through one engine, `width` hypotheses of
     /// at most `max_new` tokens each, under the trie mask when
-    /// `constrained`, on int8 weights when `quantized`. Returns each
-    /// prompt's hypotheses, best first, and the engine's scheduler steps.
+    /// `constrained`. Returns each prompt's hypotheses, best first, and
+    /// the engine's scheduler steps.
     pub fn beams(
         &self,
         prompts: &[Vec<usize>],
         width: usize,
         max_new: usize,
         constrained: bool,
-        quantized: bool,
     ) -> (Vec<Vec<Hypothesis>>, u64) {
         let masks: Vec<TrieConstraint> = prompts
             .iter()
             .map(|p| TrieConstraint::new(&self.bpe, &self.trie, &self.spellings, p.len()))
             .collect();
-        let opts = EngineOptions {
-            quantized,
-            ..EngineOptions::default()
-        };
-        let mut engine = Engine::with_options(&self.gpt, opts);
+        let mut engine = Engine::new(&self.gpt);
         let reqs = prompts.iter().zip(&masks).map(|(p, mask)| Request {
             mask: constrained.then_some(mask as &dyn TokenMask),
             ..Request::beam(p.clone(), width, max_new, EOS)
@@ -311,8 +306,6 @@ pub struct SemanticParser {
     lm: TrieLm,
     beam_width: usize,
     max_new: usize,
-    /// Decode through the int8 quantized engine path.
-    quantized: bool,
 }
 
 impl std::ops::Deref for SemanticParser {
@@ -340,7 +333,6 @@ impl SemanticParser {
             lm: TrieLm::new(cfg, Self::TAGS, &texts, trie, bpe_vocab, seed),
             beam_width: 3,
             max_new: 48,
-            quantized: false,
         }
     }
 
@@ -352,13 +344,6 @@ impl SemanticParser {
     /// Sets the beam width used at decode time.
     pub fn set_beam_width(&mut self, width: usize) {
         self.beam_width = width.max(1);
-    }
-
-    /// Switches [`SemanticParser::predict_batch`] between f32 (default) and
-    /// int8 quantized decoding. Quantization perturbs logits within the
-    /// per-row scale bound; Exp C's quantized leg pins the accuracy delta.
-    pub fn set_quantized(&mut self, quantized: bool) {
-        self.quantized = quantized;
     }
 
     /// Fine-tunes on the training pairs for `epochs` passes; returns the
@@ -387,8 +372,8 @@ impl SemanticParser {
         lm4db_obs::instant_arg("text2sql/batch", questions.len() as u64);
         let prompts: Vec<Vec<usize>> = questions.iter().map(|q| self.lm.prompt_ids(q)).collect();
         let constrained = mode == DecodeMode::Constrained;
-        let (width, max_new, int8) = (self.beam_width, self.max_new, self.quantized);
-        let (hyps, steps) = self.lm.beams(&prompts, width, max_new, constrained, int8);
+        let (width, max_new) = (self.beam_width, self.max_new);
+        let (hyps, steps) = self.lm.beams(&prompts, width, max_new, constrained);
         // The engine's scheduler steps are this pipeline's beam steps.
         lm4db_obs::counter_add("text2sql/beam_steps", steps);
         let predictions: Vec<Prediction> = hyps

@@ -89,10 +89,11 @@ impl BertModel {
     /// Encoder forward pass: returns contextual hidden states `[b, t, d]`.
     ///
     /// `segments` assigns each position to segment 0 or 1 (BERT's sentence
-    /// A/B); pass all zeros for single-segment input.
+    /// A/B); pass all zeros for single-segment input. Training passes the
+    /// dropout stream as `rng`; inference passes `None` and draws nothing.
     #[allow(clippy::too_many_arguments)]
     fn encode(
-        &mut self,
+        &self,
         g: &mut Graph,
         bound: &Bound,
         ids: &[usize],
@@ -100,7 +101,7 @@ impl BertModel {
         b: usize,
         t: usize,
         lengths: &[usize],
-        train: bool,
+        mut rng: Option<&mut Rand>,
     ) -> Var {
         assert!(
             t <= self.cfg.max_seq_len,
@@ -123,9 +124,9 @@ impl BertModel {
         } else {
             None
         };
-        let dropout = if train { self.cfg.dropout } else { 0.0 };
+        let dropout = if rng.is_some() { self.cfg.dropout } else { 0.0 };
         for block in &self.blocks {
-            x = block.forward(g, bound, x, mask, dropout, Some(&mut self.rng));
+            x = block.forward(g, bound, x, mask, dropout, rng.as_deref_mut());
         }
         self.ln_f.forward(g, bound, x)
     }
@@ -163,11 +164,12 @@ impl BertModel {
     }
 
     /// Builds the training-mode MLM loss over a batch of already-corrupted
-    /// inputs and their targets.
+    /// inputs and their targets, drawing dropout from `rng`.
     fn mlm_loss_graph(
-        &mut self,
+        &self,
         corrupted: &[Vec<usize>],
         targets: &[Vec<usize>],
+        rng: &mut Rand,
     ) -> (Graph, Bound, Var) {
         let (flat, b, t, lengths) = pad_batch(corrupted);
         let mut flat_targets = Vec::with_capacity(b * t);
@@ -178,7 +180,7 @@ impl BertModel {
         let segments = vec![0usize; flat.len()];
         let mut g = Graph::new();
         let bound = Bound::bind(&self.store, &mut g);
-        let h = self.encode(&mut g, &bound, &flat, &segments, b, t, &lengths, true);
+        let h = self.encode(&mut g, &bound, &flat, &segments, b, t, &lengths, Some(rng));
         let h = self.mlm_dense.forward(&mut g, &bound, h);
         let h = g.gelu(h);
         let h = self.mlm_ln.forward(&mut g, &bound, h);
@@ -192,13 +194,15 @@ impl BertModel {
     /// recipe at 15% and takes an optimizer step. Returns the loss.
     pub fn mlm_train_step(&mut self, batch: &[Vec<usize>], opt: &mut Adam) -> f32 {
         let vocab = self.cfg.vocab_size;
+        let mut rng = self.lend_rng();
         let pairs: Vec<(Vec<usize>, Vec<usize>)> = batch
             .iter()
-            .map(|seq| Self::mask_tokens(seq, vocab, 0.15, &mut self.rng))
+            .map(|seq| Self::mask_tokens(seq, vocab, 0.15, &mut rng))
             .collect();
         let corrupted: Vec<Vec<usize>> = pairs.iter().map(|(c, _)| c.clone()).collect();
         let targets: Vec<Vec<usize>> = pairs.into_iter().map(|(_, t)| t).collect();
-        let (mut g, bound, loss) = self.mlm_loss_graph(&corrupted, &targets);
+        let (mut g, bound, loss) = self.mlm_loss_graph(&corrupted, &targets, &mut rng);
+        self.rng = rng;
         let loss_val = g.value(loss).item();
         g.backward(loss);
         let mut grads = bound.grads(&self.store, &g);
@@ -209,12 +213,12 @@ impl BertModel {
 
     /// Predicts the most likely token at every `[MASK]` position of `ids`.
     /// Returns `(position, predicted_id)` pairs.
-    pub fn predict_masked(&mut self, ids: &[usize]) -> Vec<(usize, usize)> {
+    pub fn predict_masked(&self, ids: &[usize]) -> Vec<(usize, usize)> {
         let t = ids.len();
         let segments = vec![0usize; t];
         let mut g = Graph::new();
         let bound = Bound::bind(&self.store, &mut g);
-        let h = self.encode(&mut g, &bound, ids, &segments, 1, t, &[t], false);
+        let h = self.encode(&mut g, &bound, ids, &segments, 1, t, &[t], None);
         let h = self.mlm_dense.forward(&mut g, &bound, h);
         let h = g.gelu(h);
         let h = self.mlm_ln.forward(&mut g, &bound, h);
@@ -227,12 +231,11 @@ impl BertModel {
             .collect()
     }
 
-    /// Pooled `[CLS]`-position representations for a batch: `[b, d]`.
-    fn pool_cls(&mut self, g: &mut Graph, bound: &Bound, batch: &[Vec<usize>], train: bool) -> Var {
-        let (flat, b, t, lengths) = pad_batch(batch);
-        let segments = vec![0usize; flat.len()];
-        let h = self.encode(g, bound, &flat, &segments, b, t, &lengths, train);
-        g.select_positions(h, &vec![0; b])
+    /// Takes the dropout stream out of the model for one training step, so
+    /// the step's forward can read the model through `&self`; the caller
+    /// puts it back.
+    fn lend_rng(&mut self) -> Rand {
+        std::mem::replace(&mut self.rng, Rand::seeded(0))
     }
 
     /// Creates an Adam optimizer matching this model's parameters. Note:
@@ -278,10 +281,17 @@ impl BertClassifier {
         Adam::new(&self.model.store, lr).with_weight_decay(0.01)
     }
 
-    fn logits_graph(&mut self, batch: &[Vec<usize>], train: bool) -> (Graph, Bound, Var) {
+    /// Class logits `[b, n_classes]` from the `[CLS]` position, with
+    /// dropout from `rng` when training.
+    fn logits_graph(&self, batch: &[Vec<usize>], rng: Option<&mut Rand>) -> (Graph, Bound, Var) {
+        let (flat, b, t, lengths) = pad_batch(batch);
+        let segments = vec![0usize; flat.len()];
         let mut g = Graph::new();
         let bound = Bound::bind(&self.model.store, &mut g);
-        let pooled = self.model.pool_cls(&mut g, &bound, batch, train);
+        let h = self
+            .model
+            .encode(&mut g, &bound, &flat, &segments, b, t, &lengths, rng);
+        let pooled = g.select_positions(h, &vec![0; b]);
         let logits = self.cls_head.forward(&mut g, &bound, pooled);
         (g, bound, logits)
     }
@@ -289,7 +299,9 @@ impl BertClassifier {
     /// One fine-tuning step on `(sequence, label)` pairs; returns the loss.
     pub fn train_step(&mut self, batch: &[Vec<usize>], labels: &[usize], opt: &mut Adam) -> f32 {
         assert_eq!(batch.len(), labels.len(), "one label per sequence");
-        let (mut g, bound, logits) = self.logits_graph(batch, true);
+        let mut rng = self.model.lend_rng();
+        let (mut g, bound, logits) = self.logits_graph(batch, Some(&mut rng));
+        self.model.rng = rng;
         let loss = g.cross_entropy(logits, labels);
         let loss_val = g.value(loss).item();
         g.backward(loss);
@@ -300,14 +312,14 @@ impl BertClassifier {
     }
 
     /// Predicted class per sequence.
-    pub fn predict(&mut self, batch: &[Vec<usize>]) -> Vec<usize> {
-        let (g, _bound, logits) = self.logits_graph(batch, false);
+    pub fn predict(&self, batch: &[Vec<usize>]) -> Vec<usize> {
+        let (g, _bound, logits) = self.logits_graph(batch, None);
         g.value(logits).argmax_last()
     }
 
     /// Class probabilities per sequence (`[b][n_classes]`).
-    pub fn predict_proba(&mut self, batch: &[Vec<usize>]) -> Vec<Vec<f32>> {
-        let (g, _bound, logits) = self.logits_graph(batch, false);
+    pub fn predict_proba(&self, batch: &[Vec<usize>]) -> Vec<Vec<f32>> {
+        let (g, _bound, logits) = self.logits_graph(batch, None);
         let probs = g.value(logits).softmax_last();
         probs
             .data()
@@ -317,7 +329,7 @@ impl BertClassifier {
     }
 
     /// Accuracy on a labeled set.
-    pub fn accuracy(&mut self, batch: &[Vec<usize>], labels: &[usize]) -> f32 {
+    pub fn accuracy(&self, batch: &[Vec<usize>], labels: &[usize]) -> f32 {
         let preds = self.predict(batch);
         let correct = preds
             .iter()
@@ -395,7 +407,7 @@ mod tests {
 
     #[test]
     fn predict_masked_reports_mask_positions() {
-        let mut m = tiny();
+        let m = tiny();
         let ids = vec![CLS, 10, MASK, 12, SEP];
         let preds = m.predict_masked(&ids);
         assert_eq!(preds.len(), 1);
@@ -428,7 +440,7 @@ mod tests {
     #[test]
     fn classifier_proba_sums_to_one() {
         let model = tiny();
-        let mut clf = BertClassifier::new(model, 3, 5);
+        let clf = BertClassifier::new(model, 3, 5);
         let probs = clf.predict_proba(&[vec![CLS, 10, SEP], vec![CLS, 20, SEP]]);
         assert_eq!(probs.len(), 2);
         for row in probs {

@@ -174,7 +174,7 @@ mod tests {
             m.mlm_train_step(&batch, &mut opt);
         }
         let json = m.to_json();
-        let mut restored = BertModel::from_json(&json).unwrap();
+        let restored = BertModel::from_json(&json).unwrap();
         let probe = vec![CLS, 10, MASK, 12, SEP];
         assert_eq!(m.predict_masked(&probe), restored.predict_masked(&probe));
     }

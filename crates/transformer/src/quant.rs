@@ -14,6 +14,11 @@
 //! function of the activation, and the int8 matvec accumulates in exact
 //! i32 arithmetic, so quantized decode is bit-identical at any thread
 //! count — it gets its own golden set next to the f32 one.
+//!
+//! Nothing serves from it: the engine, the parser and the classifiers
+//! decode f32 only. It is kept for the benchmark's `transformer.decode_int8_tok_s`
+//! probe, which decodes through [`crate::KvCache::feed_quant`], and goes
+//! with it.
 
 use lm4db_tensor::{quantize_activation, ParamStore, QuantizedMatrix};
 

@@ -54,8 +54,8 @@ impl RnnLm {
             "emb",
             init::normal(&[cfg.vocab_size, cfg.d_embed], 0.02, &mut rng),
         );
-        let wx = store.add("wx", init::xavier(&[cfg.d_embed, cfg.d_hidden], &mut rng));
-        let wh = store.add("wh", init::xavier(&[cfg.d_hidden, cfg.d_hidden], &mut rng));
+        let wx = store.add_panels("wx", init::xavier(&[cfg.d_embed, cfg.d_hidden], &mut rng));
+        let wh = store.add_panels("wh", init::xavier(&[cfg.d_hidden, cfg.d_hidden], &mut rng));
         let b = store.add("b", Tensor::zeros(&[cfg.d_hidden]));
         let head = Linear::new(&mut store, "head", cfg.d_hidden, cfg.vocab_size, &mut rng);
         RnnLm {
@@ -101,8 +101,8 @@ impl RnnLm {
         let mut logits = Vec::with_capacity(t);
         for step in 0..t {
             let xt = g.select_positions(x, &vec![step; b]);
-            let xw = g.matmul(xt, bound.var(self.wx));
-            let hw = g.matmul(h, bound.var(self.wh));
+            let xw = g.matmul_panels(xt, bound.var(self.wx));
+            let hw = g.matmul_panels(h, bound.var(self.wh));
             let pre = g.add(xw, hw);
             let pre = g.add_bcast(pre, bound.var(self.b));
             h = g.tanh(pre);
@@ -144,7 +144,7 @@ impl RnnLm {
     }
 
     /// Mean causal loss without updating parameters.
-    pub fn eval_loss(&mut self, batch: &[Vec<usize>]) -> f32 {
+    pub fn eval_loss(&self, batch: &[Vec<usize>]) -> f32 {
         let (g, _bound, loss) = self.loss_graph(batch);
         g.value(loss).item()
     }
@@ -211,7 +211,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "equal-length")]
     fn rejects_ragged_batches() {
-        let mut m = RnnLm::new(RnnConfig::test(), 3);
+        let m = RnnLm::new(RnnConfig::test(), 3);
         m.eval_loss(&[vec![BOS, 1, 2], vec![BOS, 1]]);
     }
 }

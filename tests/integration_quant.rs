@@ -7,17 +7,18 @@
 //!
 //! Covered invariants:
 //! * quantized greedy decode matches its golden byte for byte,
-//! * the quantized engine output is independent of batch size,
 //! * a subprocess matrix asserts the quantized fingerprint is identical
 //!   across `LM4DB_THREADS` ∈ {1, 4} — i32 accumulation is exact, so
 //!   quantization must not cost any determinism.
+//!
+//! The serving engine decodes f32 only; this path is reached through
+//! [`KvCache::feed_quant`].
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::process::Command;
 
 use lm4db::fault::fnv64;
-use lm4db::serve::{Engine, EngineOptions, Request};
 use lm4db::tokenize::{BOS, EOS};
 use lm4db::transformer::{GptModel, KvCache, ModelConfig, QuantizedGpt};
 
@@ -104,27 +105,6 @@ fn quant_greedy_direct(m: &GptModel, q: &QuantizedGpt, prefix: &[usize]) -> Vec<
     out
 }
 
-fn quant_engine_greedy_all(m: &GptModel, max_batch: usize) -> String {
-    let mut engine = Engine::with_options(
-        m,
-        EngineOptions {
-            max_batch,
-            quantized: true,
-            ..Default::default()
-        },
-    );
-    let reqs = prompts()
-        .into_iter()
-        .map(|p| Request::greedy(p, MAX_NEW, EOS))
-        .collect();
-    let outs: Vec<Vec<usize>> = engine
-        .generate_batch(reqs)
-        .into_iter()
-        .map(|r| r.tokens)
-        .collect();
-    render_greedy(&outs)
-}
-
 #[test]
 fn quant_greedy_golden_direct_path() {
     let m = golden_model();
@@ -134,14 +114,6 @@ fn quant_greedy_golden_direct_path() {
         .map(|p| quant_greedy_direct(&m, &q, p))
         .collect();
     check_or_bless("quant_greedy.txt", &render_greedy(&outs));
-}
-
-#[test]
-fn quant_engine_reproduces_golden_at_all_batch_sizes() {
-    let m = golden_model();
-    for max_batch in [1, 3, 8] {
-        check_or_bless("quant_greedy.txt", &quant_engine_greedy_all(&m, max_batch));
-    }
 }
 
 #[test]
@@ -166,20 +138,20 @@ fn quant_decode_stays_close_to_f32_decode() {
     );
 }
 
-/// FNV-1a over a rendered output, for cross-process comparison.
-/// Child of the thread matrix below: checks the quantized engine against
-/// the golden under whatever `LM4DB_THREADS` the parent set and prints a
-/// fingerprint of the rendered output.
+/// Child of the thread matrix below: checks direct quantized decode
+/// against the golden under whatever `LM4DB_THREADS` the parent set and
+/// prints a fingerprint of the rendered output.
 #[test]
 fn quant_golden_child_fingerprint() {
     let m = golden_model();
-    let mut all = String::new();
-    for max_batch in [1, 3, 8] {
-        let g = quant_engine_greedy_all(&m, max_batch);
-        check_or_bless("quant_greedy.txt", &g);
-        all.push_str(&g);
-    }
-    println!("QUANT_GOLDEN_FP={:016x}", fnv64(&all));
+    let q = QuantizedGpt::from_model(&m);
+    let outs: Vec<Vec<usize>> = prompts()
+        .iter()
+        .map(|p| quant_greedy_direct(&m, &q, p))
+        .collect();
+    let g = render_greedy(&outs);
+    check_or_bless("quant_greedy.txt", &g);
+    println!("QUANT_GOLDEN_FP={:016x}", fnv64(&g));
 }
 
 #[test]
@@ -211,6 +183,6 @@ fn quant_golden_stable_across_thread_counts() {
     }
     assert_eq!(
         fps[0].1, fps[1].1,
-        "quantized engine output depends on thread count: {fps:?}"
+        "quantized decode depends on thread count: {fps:?}"
     );
 }
