@@ -450,6 +450,41 @@ mod tests {
         }
     }
 
+    /// Masked-LM and classifier steps that clip, pinned: each step's
+    /// gradient norm is above the `max_norm` of 1 both steps clip to, so
+    /// every update is rescaled, and the checkpoint bytes after the last
+    /// step are a constant — neither the threshold nor the order
+    /// `clip_grad_norm` folds in can move unnoticed.
+    #[test]
+    fn clipped_train_steps_are_pinned() {
+        let batch: Vec<Vec<usize>> = (0..4)
+            .map(|i| {
+                let mut s = vec![CLS];
+                s.extend((0..10).map(|j| 10 + (i * 11 + j * 5) % 50));
+                s.push(SEP);
+                s
+            })
+            .collect();
+        let mut m = BertModel::new(ModelConfig::test(), 4);
+        let mut opt = m.optimizer(1e-2);
+        for _ in 0..4 {
+            m.mlm_train_step(&batch, &mut opt);
+        }
+        let mut clf = BertClassifier::new(m, 3, 8);
+        let mut opt = clf.optimizer(1e-2);
+        for _ in 0..4 {
+            clf.train_step(&batch, &[2, 0, 1, 2], &mut opt);
+        }
+        let fnv1a = clf
+            .encoder()
+            .to_json()
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
+            });
+        assert_eq!(fnv1a, 0x8508_2172_a69e_4326);
+    }
+
     #[test]
     fn variable_length_batches_work() {
         let mut m = tiny();
