@@ -67,7 +67,7 @@ fn main() {
     for (name, cfg) in sizes {
         let mut model = GptModel::new(cfg, 5);
         let params = model.num_params();
-        let ppl0 = evaluate_perplexity(&mut model, &held_out, 24, 20, 3);
+        let ppl0 = evaluate_perplexity(&model, &held_out, 24, 20, 3);
         let mut checkpoints = Vec::new();
         for chunk in 0..4 {
             pretrain_gpt(
@@ -81,7 +81,7 @@ fn main() {
                     ..Default::default()
                 },
             );
-            checkpoints.push(evaluate_perplexity(&mut model, &held_out, 24, 20, 3));
+            checkpoints.push(evaluate_perplexity(&model, &held_out, 24, 20, 3));
         }
         rows.push(vec![
             name.to_string(),

@@ -8,7 +8,7 @@
 //! attention can look back directly.
 
 use lm4db::tensor::Rand;
-use lm4db::transformer::{greedy, GptModel, ModelConfig, NextToken, RnnConfig, RnnLm};
+use lm4db::transformer::{greedy, greedy_cached, GptModel, ModelConfig, RnnConfig, RnnLm};
 use lm4db_bench::{pct, print_table};
 
 const QUERY: usize = 8; // token id marking "now answer for this key"
@@ -52,8 +52,7 @@ fn train_and_eval(model: &mut dyn NextTokenTrain, n_pairs: usize, steps: usize) 
     let total = 40;
     for _ in 0..total {
         let (seq, v) = episode(n_pairs, &mut rng);
-        let out = greedy(model.as_next_token(), &seq, 1, usize::MAX, None);
-        if out.first() == Some(&v) {
+        if model.answer(&seq) == Some(v) {
             correct += 1;
         }
     }
@@ -63,7 +62,8 @@ fn train_and_eval(model: &mut dyn NextTokenTrain, n_pairs: usize, steps: usize) 
 /// Minimal trait so the harness treats both models identically.
 trait NextTokenTrain {
     fn step(&mut self, batch: &[Vec<usize>]);
-    fn as_next_token(&mut self) -> &mut dyn NextToken;
+    /// The greedy next token after `seq`.
+    fn answer(&mut self, seq: &[usize]) -> Option<usize>;
 }
 
 struct Gpt {
@@ -75,8 +75,10 @@ impl NextTokenTrain for Gpt {
     fn step(&mut self, batch: &[Vec<usize>]) {
         self.model.train_step(batch, &mut self.opt);
     }
-    fn as_next_token(&mut self) -> &mut dyn NextToken {
-        &mut self.model
+    fn answer(&mut self, seq: &[usize]) -> Option<usize> {
+        greedy_cached(&self.model, seq, 1, usize::MAX)
+            .first()
+            .copied()
     }
 }
 
@@ -89,8 +91,10 @@ impl NextTokenTrain for Rnn {
     fn step(&mut self, batch: &[Vec<usize>]) {
         self.model.train_step(batch, &mut self.opt);
     }
-    fn as_next_token(&mut self) -> &mut dyn NextToken {
-        &mut self.model
+    fn answer(&mut self, seq: &[usize]) -> Option<usize> {
+        greedy(&mut self.model, seq, 1, usize::MAX, None)
+            .first()
+            .copied()
     }
 }
 

@@ -56,7 +56,6 @@ fn outcome_label(o: &Outcome) -> &'static str {
 }
 
 fn main() {
-    fault::silence_injected_panics();
     let model = GptModel::new(serving_config(), 11);
 
     fault::configure(FAULT_SEED, FAULT_RATE);

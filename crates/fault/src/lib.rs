@@ -44,7 +44,6 @@ pub mod breaker;
 pub use breaker::{Breaker, BreakerState, Transition};
 
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
-use std::sync::Once;
 
 /// Arming state: 0 = unresolved (consult `LM4DB_FAULTS` on first use),
 /// 1 = disarmed, 2 = armed.
@@ -63,8 +62,8 @@ static TICKET: AtomicU64 = AtomicU64::new(0);
 /// What an armed instrumentation point has been told to do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
-    /// Panic with an `"injected fault at <site>"` message. Exercises the
-    /// catch-unwind / quarantine / retry paths.
+    /// Unwind with an `"injected fault at <site>"` message, past the panic
+    /// hook. Exercises the catch-unwind / quarantine / retry paths.
     Panic,
     /// Stall for a fixed busy-spin — a deterministic stand-in for a slow
     /// kernel or a descheduled worker. Exercises deadline and latency
@@ -207,7 +206,8 @@ pub fn delay() {
 
 /// An instrumentation point. Disarmed this is one relaxed load plus a
 /// branch; armed it rolls for `(site, salt)` and either proceeds, stalls,
-/// or panics with `"injected fault at <site> (salt <salt>)"`. Every fired
+/// or unwinds with `"injected fault at <site> (salt <salt>)"`, which the
+/// site catches; the panic hook does not see it. Every fired
 /// fault is counted (`fault/injected`, and per-kind `fault/panics` /
 /// `fault/delays`) and leaves a `fault_injected` instant in the flight
 /// recorder, so a chaos run's trace shows exactly where chaos struck.
@@ -221,7 +221,11 @@ pub fn point(site: &'static str, salt: u64) {
     match fault {
         Fault::Panic => {
             lm4db_obs::counter_add("fault/panics", 1);
-            panic!("injected fault at {site} (salt {salt})");
+            // Unwinds without running the panic hook: every site catches
+            // its fault and fails or retries the one unit of work, so this
+            // is no crash, and at `LM4DB_TRACE=2` it writes no post-mortem.
+            // The payload is the `String` `panic!` would have carried.
+            std::panic::resume_unwind(Box::new(format!("injected fault at {site} (salt {salt})")));
         }
         Fault::Delay => {
             lm4db_obs::counter_add("fault/delays", 1);
@@ -252,34 +256,6 @@ pub fn probe(site: &'static str, salt: u64) -> Option<Fault> {
 /// A fresh dispatch ticket for salting repeated call sites.
 pub fn ticket() -> u64 {
     TICKET.fetch_add(1, Ordering::Relaxed)
-}
-
-/// Whether a caught panic payload came from [`point`] — recovery code uses
-/// this only for reporting; injected and organic panics take the same path.
-pub fn is_injected(message: &str) -> bool {
-    message.contains("injected fault at ")
-}
-
-/// Installs a panic hook that swallows injected-fault panics (they are
-/// caught and handled by design; the default hook's per-panic backtrace
-/// spam would drown chaos-test output) and forwards everything else to the
-/// previously installed hook. Idempotent.
-pub fn silence_injected_panics() {
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let msg = info
-                .payload()
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| info.payload().downcast_ref::<&str>().copied())
-                .unwrap_or("");
-            if !is_injected(msg) {
-                prev(info);
-            }
-        }));
-    });
 }
 
 #[cfg(test)]
@@ -355,15 +331,13 @@ mod tests {
         let salt = (0..64)
             .find(|&s| roll("p/site", s) == Some(Fault::Panic))
             .expect("some salt panics at rate 1");
-        silence_injected_panics();
         let err = std::panic::catch_unwind(|| point("p/site", salt))
             .expect_err("point must panic for a Panic roll");
         let msg = err
             .downcast_ref::<String>()
             .cloned()
             .expect("panic payload is the formatted message");
-        assert!(is_injected(&msg), "unexpected message: {msg}");
-        assert!(msg.contains("p/site"));
+        assert_eq!(msg, format!("injected fault at p/site (salt {salt})"));
         disarm();
     }
 

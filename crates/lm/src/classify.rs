@@ -9,6 +9,7 @@
 
 use lm4db_serve::{Engine, Request};
 use lm4db_tokenize::Tokenizer;
+use lm4db_transformer::generate::log_softmax_at;
 use lm4db_transformer::{BertClassifier, BertModel, GptModel, ModelConfig, NextToken};
 
 use crate::prompt::Prompt;
@@ -51,15 +52,11 @@ pub fn score_continuation(
     total
 }
 
-fn log_softmax_at(logits: &[f32], idx: usize) -> f32 {
-    let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let logsum = logits.iter().map(|&x| (x - max).exp()).sum::<f32>().ln() + max;
-    logits[idx] - logsum
-}
-
 /// Zero-/few-shot classification by scoring label verbalizations as prompt
-/// completions.
-pub struct PromptClassifier<M: NextToken, T: Tokenizer> {
+/// completions. A GPT scores every pair through the serving engine
+/// ([`PromptClassifier::scores_batch`]); any other [`NextToken`] model
+/// scores them one after another ([`PromptClassifier::scores`]).
+pub struct PromptClassifier<M, T: Tokenizer> {
     model: M,
     tokenizer: T,
     prompt: Prompt,
@@ -68,7 +65,7 @@ pub struct PromptClassifier<M: NextToken, T: Tokenizer> {
     label_ids: Vec<Vec<usize>>,
 }
 
-impl<M: NextToken, T: Tokenizer> PromptClassifier<M, T> {
+impl<M, T: Tokenizer> PromptClassifier<M, T> {
     /// Builds a classifier. `labels` are both the class names and the
     /// verbalizations scored as completions.
     pub fn new(model: M, tokenizer: T, prompt: Prompt, labels: Vec<String>) -> Self {
@@ -82,18 +79,12 @@ impl<M: NextToken, T: Tokenizer> PromptClassifier<M, T> {
         }
     }
 
-    /// Log-probability scores per label for `text`.
-    pub fn scores(&mut self, text: &str) -> Vec<f32> {
+    /// `[BOS]` and the rendered prompt for `text`.
+    fn prefix(&self, text: &str) -> Vec<usize> {
         let rendered = self.prompt.render(text);
         let mut prefix = vec![lm4db_tokenize::BOS];
         prefix.extend(self.tokenizer.encode(&rendered));
-        self.label_ids
-            .iter()
-            .map(|cont| {
-                // Length-normalize so multi-token labels are not penalized.
-                score_continuation(&mut self.model, &prefix, cont) / cont.len().max(1) as f32
-            })
-            .collect()
+        prefix
     }
 
     /// Consumes the classifier, returning the model.
@@ -102,20 +93,32 @@ impl<M: NextToken, T: Tokenizer> PromptClassifier<M, T> {
     }
 }
 
+impl<M: NextToken, T: Tokenizer> PromptClassifier<M, T> {
+    /// Log-probability scores per label for `text`.
+    pub fn scores(&mut self, text: &str) -> Vec<f32> {
+        let prefix = self.prefix(text);
+        self.label_ids
+            .iter()
+            .map(|cont| {
+                // Length-normalize so multi-token labels are not penalized.
+                score_continuation(&mut self.model, &prefix, cont) / cont.len().max(1) as f32
+            })
+            .collect()
+    }
+}
+
 impl<T: Tokenizer> PromptClassifier<GptModel, T> {
     /// Scores every text × label pair in one pass through the batched
     /// inference engine: all continuations decode concurrently, and the
     /// rendered prompt (instruction + demonstrations + input) prefills
     /// once per text via the engine's prefix cache instead of once per
-    /// label. Scores match [`PromptClassifier::scores`] up to the ~1e-3
-    /// float divergence between the incremental and full-forward paths.
+    /// label. Each score is [`score_continuation`] over the model's
+    /// KV cache, length-normalized, bit for bit.
     pub fn scores_batch(&self, texts: &[&str]) -> Vec<Vec<f32>> {
         let mut engine = Engine::new(&self.model);
         let mut reqs = Vec::new();
         for text in texts {
-            let rendered = self.prompt.render(text);
-            let mut prefix = vec![lm4db_tokenize::BOS];
-            prefix.extend(self.tokenizer.encode(&rendered));
+            let prefix = self.prefix(text);
             for cont in &self.label_ids {
                 reqs.push(Request::score(&prefix, cont));
             }
@@ -127,14 +130,14 @@ impl<T: Tokenizer> PromptClassifier<GptModel, T> {
                 per_text
                     .iter()
                     .zip(&self.label_ids)
-                    // Length-normalize exactly like the sequential path.
+                    // Length-normalized like the sequential path.
                     .map(|(r, cont)| r.score / cont.len().max(1) as f32)
                     .collect()
             })
             .collect()
     }
 
-    /// Batched [`TextClassifier::classify`]: predicted label index per text.
+    /// Predicted label index per text, from [`PromptClassifier::scores_batch`].
     pub fn classify_batch(&self, texts: &[&str]) -> Vec<usize> {
         self.scores_batch(texts)
             .into_iter()
@@ -149,7 +152,8 @@ impl<T: Tokenizer> PromptClassifier<GptModel, T> {
             .collect()
     }
 
-    /// Batched [`TextClassifier::accuracy`] over a labeled evaluation set.
+    /// Accuracy of [`PromptClassifier::classify_batch`] over a labeled
+    /// evaluation set.
     pub fn accuracy_batch(&self, examples: &[(String, usize)]) -> f32 {
         if examples.is_empty() {
             return 0.0;
@@ -337,7 +341,7 @@ mod tests {
 
     #[test]
     fn batched_prompt_scoring_agrees_with_sequential() {
-        use lm4db_transformer::{pretrain_gpt, GptModel, ModelConfig, TrainOptions};
+        use lm4db_transformer::{pretrain_gpt, GptModel, IncrementalSession, TrainOptions};
         let corpus = sentiment_corpus();
         let refs: Vec<&str> = corpus.iter().map(String::as_str).collect();
         let bpe = Bpe::train(refs.iter().copied(), 300);
@@ -357,27 +361,36 @@ mod tests {
                 ..Default::default()
             },
         );
-        let mut clf = PromptClassifier::new(
+        let clf = PromptClassifier::new(
             gpt,
             bpe,
             sentiment_prompt(),
             vec!["positive".into(), "negative".into()],
         );
         let texts = ["great good nice", "bad awful poor"];
-        let batched = clf.scores_batch(&texts);
-        for (text, scores) in texts.iter().zip(&batched) {
-            let sequential = clf.scores(text);
-            for (b, s) in scores.iter().zip(&sequential) {
-                assert!(
-                    (b - s).abs() < 1e-2,
-                    "batched {b} vs sequential {s} for {text:?}"
-                );
-            }
-        }
-        assert_eq!(
-            clf.classify_batch(&texts),
-            texts.iter().map(|t| clf.classify(t)).collect::<Vec<_>>()
-        );
+        // Sequential reference: each label scored alone over a KV-cached
+        // session, the float path the engine runs.
+        let sequential: Vec<Vec<u32>> = texts
+            .iter()
+            .map(|text| {
+                let prefix = clf.prefix(text);
+                clf.label_ids
+                    .iter()
+                    .map(|cont| {
+                        let mut session = IncrementalSession::new(&clf.model);
+                        let s = score_continuation(&mut session, &prefix, cont);
+                        (s / cont.len().max(1) as f32).to_bits()
+                    })
+                    .collect()
+            })
+            .collect();
+        let batched: Vec<Vec<u32>> = clf
+            .scores_batch(&texts)
+            .iter()
+            .map(|row| row.iter().map(|s| s.to_bits()).collect())
+            .collect();
+        assert_eq!(batched, sequential);
+        assert_eq!(clf.classify_batch(&texts), vec![0, 1]);
     }
 
     #[test]

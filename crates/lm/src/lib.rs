@@ -7,9 +7,9 @@
 //! ([`PromptClassifier`]) and fine-tuning ([`FineTunedClassifier`]).
 //!
 //! Everything that scores tokens implements
-//! [`lm4db_transformer::NextToken`], so the decoding strategies (greedy,
-//! sampling, constrained beam search) work uniformly across the n-gram
-//! model and the transformer models.
+//! [`lm4db_transformer::NextToken`] — the n-gram model, the RNN, and a GPT
+//! through its KV-cached `IncrementalSession` — so the decoding strategies
+//! (greedy, sampling, constrained beam search) work uniformly across them.
 
 #![warn(missing_docs)]
 

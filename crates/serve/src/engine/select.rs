@@ -2,7 +2,7 @@
 //! logits the feed stage just produced, one request at a time in batch
 //! order.
 
-use lm4db_transformer::generate::{argmax, log_softmax, mask_logits, top_tokens};
+use lm4db_transformer::generate::{argmax, log_softmax, log_softmax_at, mask_logits, top_tokens};
 use lm4db_transformer::{GptModel, Hypothesis};
 
 use super::request::{Job, Seq};
@@ -25,14 +25,6 @@ pub(super) fn run(eng: &mut Engine<'_>) {
             i += 1;
         }
     }
-}
-
-/// `log p(idx)` under a softmax over `logits` — the same float operations
-/// as `lm4db_lm::classify::log_softmax_at`.
-pub(super) fn log_softmax_at(logits: &[f32], idx: usize) -> f32 {
-    let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let logsum = logits.iter().map(|&x| (x - max).exp()).sum::<f32>().ln() + max;
-    logits[idx] - logsum
 }
 
 /// One selection round for one request: consume the freshly computed

@@ -2,9 +2,9 @@
 //! decoders, scheduling, shedding, deadlines, tenants and telemetry.
 
 use super::feed::{backoff_steps, group_lens};
-use super::select::log_softmax_at;
 use super::*;
 use lm4db_tokenize::{BOS, EOS};
+use lm4db_transformer::generate::log_softmax_at;
 use lm4db_transformer::{
     beam as beam_single, greedy as greedy_single, greedy_cached, IncrementalSession, ModelConfig,
     TokenMask,

@@ -31,7 +31,6 @@ proptest! {
         cancel_late_mask in any::<u8>(),
         presteps in 0usize..3,
     ) {
-        lm4db_fault::silence_injected_panics();
         lm4db_fault::configure(seed, rate);
         let m = GptModel::new(ModelConfig::test(), 13);
         let mut engine = Engine::with_options(&m, EngineOptions {

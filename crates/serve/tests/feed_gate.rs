@@ -43,7 +43,6 @@ fn tokens(responses: &[Response]) -> Vec<Vec<usize>> {
 
 #[test]
 fn injected_feed_fault_poisons_one_sequence_and_its_group_advances() {
-    lm4db_fault::silence_injected_panics();
     lm4db_fault::disarm();
     let m = GptModel::new(ModelConfig::test(), 13);
     let options = EngineOptions {

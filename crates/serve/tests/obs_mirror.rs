@@ -130,7 +130,6 @@ fn registry_counters_match_engine_stats() {
 #[test]
 fn fault_counters_match_engine_stats() {
     let _l = lock();
-    lm4db_fault::silence_injected_panics();
     lm4db_obs::set_enabled(true);
     lm4db_obs::reset();
     // Saturating fault rate: every instrumented point fires (panic or

@@ -251,7 +251,6 @@ fn row(t: &TenantStats, latency: u64) -> Row {
 
 #[test]
 fn every_terminal_route_books_its_exact_row() {
-    lm4db_fault::silence_injected_panics();
     lm4db_fault::disarm();
     let m = GptModel::new(ModelConfig::test(), 7);
     for route in routes() {

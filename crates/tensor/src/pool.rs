@@ -467,7 +467,6 @@ mod tests {
 
     #[test]
     fn panicking_chunk_reports_and_pool_survives() {
-        lm4db_fault::silence_injected_panics();
         // A panic inside one chunk must surface on the dispatching thread
         // with the original message...
         let err = std::panic::catch_unwind(|| {
@@ -493,7 +492,6 @@ mod tests {
 
     #[test]
     fn try_parallel_tasks_confines_panics_to_their_task() {
-        lm4db_fault::silence_injected_panics();
         let mut tasks: Vec<usize> = vec![0; 257];
         let failures = try_parallel_tasks_mut(&mut tasks, |i, t| {
             if i == 3 || i == 200 {

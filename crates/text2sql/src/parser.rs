@@ -13,7 +13,9 @@ use std::collections::HashMap;
 use lm4db_serve::{Engine, Request};
 use lm4db_tensor::Rand;
 use lm4db_tokenize::{vocab::SPECIAL_TOKENS, Bpe, Tokenizer, BOS, EOS};
-use lm4db_transformer::{sample, GptModel, Hypothesis, ModelConfig, SampleOptions, TokenMask};
+use lm4db_transformer::{
+    sample, GptModel, Hypothesis, IncrementalSession, ModelConfig, SampleOptions, TokenMask,
+};
 
 use crate::trie::SqlTrie;
 use crate::workload::Example;
@@ -269,15 +271,17 @@ impl TrieLm {
     }
 
     /// Samples a continuation of `prompt` from the fine-tuned model with
-    /// the reference sampler, unmasked (read it back from offset 0).
+    /// the reference sampler over a KV-cached session, unmasked (read it
+    /// back from offset 0).
     pub fn sample(
-        &mut self,
+        &self,
         prompt: &[usize],
         max_new: usize,
         opts: &SampleOptions,
         rng: &mut Rand,
     ) -> Vec<usize> {
-        sample(&mut self.gpt, prompt, max_new, EOS, opts, None, rng)
+        let mut session = IncrementalSession::new(&self.gpt);
+        sample(&mut session, prompt, max_new, EOS, opts, None, rng)
     }
 }
 

@@ -131,7 +131,7 @@ impl BertModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generate::NextToken;
+    use crate::incremental::KvCache;
     use lm4db_tokenize::BOS;
 
     #[test]
@@ -143,9 +143,16 @@ mod tests {
             m.train_step(&batch, &mut opt);
         }
         let json = m.to_json();
-        let mut restored = GptModel::from_json(&json).unwrap();
+        let restored = GptModel::from_json(&json).unwrap();
         let prefix = vec![BOS, 10, 11];
-        assert_eq!(m.next_logits(&prefix), restored.next_logits(&prefix));
+        assert_eq!(
+            m.sequence_logits(&prefix).data(),
+            restored.sequence_logits(&prefix).data()
+        );
+        assert_eq!(
+            KvCache::new(&m).feed_all(&m, &prefix),
+            KvCache::new(&restored).feed_all(&restored, &prefix)
+        );
         assert_eq!(m.num_params(), restored.num_params());
     }
 

@@ -9,8 +9,8 @@
 use lm4db_tensor::Rand;
 
 /// Anything that can score the next token given a prefix. Implemented by
-/// [`crate::GptModel`], [`crate::RnnLm`], and the n-gram model in
-/// `lm4db-lm`.
+/// a GPT's [`crate::IncrementalSession`], [`crate::RnnLm`], and the n-gram
+/// model in `lm4db-lm`.
 pub trait NextToken {
     /// Size of the logit vector.
     fn vocab_size(&self) -> usize;
@@ -283,6 +283,16 @@ pub fn log_softmax(xs: &[f32]) -> Vec<f32> {
     let mut out = xs.to_vec();
     lm4db_tensor::kernels::log_softmax_in_place(&mut out);
     out
+}
+
+/// `log p(idx)` under a softmax over `logits`, without normalizing the
+/// other entries: the term both continuation scorers sum — the serving
+/// engine's score requests and `lm4db_lm::score_continuation` — so two
+/// scorers that read the same logits return the same bits.
+pub fn log_softmax_at(logits: &[f32], idx: usize) -> f32 {
+    let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let logsum = logits.iter().map(|&x| (x - max).exp()).sum::<f32>().ln() + max;
+    logits[idx] - logsum
 }
 
 fn keep_top_k(probs: &mut [f32], k: usize) {

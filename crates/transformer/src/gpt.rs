@@ -19,10 +19,7 @@ use lm4db_tensor::{
 };
 
 use crate::config::ModelConfig;
-use crate::generate::NextToken;
-use crate::layers::{
-    causal_mask, combine_masks, pad_batch, padding_mask, Block, LayerNorm, Linear,
-};
+use crate::layers::{causal_mask, Block, LayerNorm, Linear};
 
 /// A decoder-only transformer language model.
 pub struct GptModel {
@@ -84,41 +81,30 @@ impl GptModel {
         self.store.to_row_major()
     }
 
-    /// Forward pass over a padded batch, returning the logits node
-    /// `[b, t, vocab]`. `lengths` gives each row's true length.
-    #[allow(clippy::too_many_arguments)]
+    /// The tape's forward over one sequence, returning the logits node
+    /// `[1, t, vocab]`. Training passes the dropout stream as `rng`;
+    /// inference passes `None` and draws nothing.
     fn forward(
         &self,
         g: &mut Graph,
         bound: &Bound,
         ids: &[usize],
-        b: usize,
-        t: usize,
-        lengths: &[usize],
-        train: bool,
         mut rng: Option<&mut Rand>,
     ) -> Var {
+        let (t, d) = (ids.len(), self.cfg.d_model);
         assert!(
             t <= self.cfg.max_seq_len,
             "sequence length {t} exceeds max_seq_len {}",
             self.cfg.max_seq_len
         );
         let tok = g.embedding(bound.var(self.tok_emb), ids);
-        let tok = g.reshape(tok, &[b, t, self.cfg.d_model]);
-        let positions: Vec<usize> = (0..b).flat_map(|_| 0..t).collect();
+        let tok = g.reshape(tok, &[1, t, d]);
+        let positions: Vec<usize> = (0..t).collect();
         let pos = g.embedding(bound.var(self.pos_emb), &positions);
-        let pos = g.reshape(pos, &[b, t, self.cfg.d_model]);
+        let pos = g.reshape(pos, &[1, t, d]);
         let mut x = g.add(tok, pos);
-
-        let causal = causal_mask(b, self.cfg.n_heads, t);
-        let mask = if lengths.iter().any(|&l| l < t) {
-            combine_masks(&causal, &padding_mask(lengths, self.cfg.n_heads, t))
-        } else {
-            causal
-        };
-        let mask = g.input(mask);
-
-        let dropout = if train { self.cfg.dropout } else { 0.0 };
+        let mask = g.input(causal_mask(self.cfg.n_heads, t));
+        let dropout = if rng.is_some() { self.cfg.dropout } else { 0.0 };
         for block in &self.blocks {
             x = block.forward(g, bound, x, Some(mask), dropout, rng.as_deref_mut());
         }
@@ -126,31 +112,22 @@ impl GptModel {
         self.head.forward(g, bound, x)
     }
 
-    /// Shifted next-token targets: `target[i] = ids[i+1]`, with padding and
-    /// each row's final position ignored.
-    fn causal_targets(flat: &[usize], b: usize, t: usize, lengths: &[usize]) -> Vec<usize> {
-        let mut targets = vec![IGNORE_INDEX; b * t];
-        for bi in 0..b {
-            for i in 0..lengths[bi].saturating_sub(1) {
-                targets[bi * t + i] = flat[bi * t + i + 1];
-            }
-        }
-        targets
+    /// Shifted next-token targets: `target[i] = ids[i+1]`, the final
+    /// position ignored.
+    fn causal_targets(ids: &[usize]) -> Vec<usize> {
+        (1..=ids.len())
+            .map(|i| ids.get(i).copied().unwrap_or(IGNORE_INDEX))
+            .collect()
     }
 
-    /// Builds the scalar causal-LM loss over a batch.
-    fn loss_graph(
-        &self,
-        batch: &[Vec<usize>],
-        train: bool,
-        rng: Option<&mut Rand>,
-    ) -> (Graph, Bound, Var) {
-        let (flat, b, t, lengths) = pad_batch(batch);
-        let targets = Self::causal_targets(&flat, b, t, &lengths);
+    /// Builds the scalar causal-LM loss of one sequence, with dropout from
+    /// `rng` when training.
+    fn loss_graph(&self, ids: &[usize], rng: Option<&mut Rand>) -> (Graph, Bound, Var) {
+        let targets = Self::causal_targets(ids);
         let mut g = Graph::new();
         let bound = Bound::bind(&self.store, &mut g);
-        let logits = self.forward(&mut g, &bound, &flat, b, t, &lengths, train, rng);
-        let logits2 = g.reshape(logits, &[b * t, self.cfg.vocab_size]);
+        let logits = self.forward(&mut g, &bound, ids, rng);
+        let logits2 = g.reshape(logits, &[ids.len(), self.cfg.vocab_size]);
         let loss = g.cross_entropy(logits2, &targets);
         (g, bound, loss)
     }
@@ -180,13 +157,12 @@ impl GptModel {
         lm4db_tensor::parallel_rows_mut(&mut ran, n, 1, |first, block| {
             for (i, slot) in block.iter_mut().enumerate() {
                 let idx = order[first + i];
-                let shard = std::slice::from_ref(&batch[idx]);
                 let mut rng = Rand::seeded(seeds[idx]);
                 // Flat per-phase timers: shards run on arbitrary pool
                 // threads, so the fwd/bwd split must aggregate under one
                 // name regardless of which thread executed the shard.
                 let fwd = lm4db_obs::leaf("train/fwd");
-                let (mut g, bound, loss) = this.loss_graph(shard, true, Some(&mut rng));
+                let (mut g, bound, loss) = this.loss_graph(&batch[idx], Some(&mut rng));
                 let loss_val = g.value(loss).item();
                 drop(fwd);
                 let bwd = lm4db_obs::leaf("train/bwd");
@@ -234,15 +210,20 @@ impl GptModel {
         loss_val
     }
 
-    /// Mean causal-LM loss on a batch without updating parameters.
+    /// Mean causal-LM loss over a batch without updating parameters: each
+    /// sequence's own tape loss, weighted by its scored positions (tokens
+    /// with a next-token target), so the batch value is the mean over every
+    /// scored position. A one-sequence batch returns its graph's loss bit
+    /// for bit.
     pub fn eval_loss(&self, batch: &[Vec<usize>]) -> f32 {
-        let (g, _bound, loss) = self.loss_graph(batch, false, None);
-        g.value(loss).item()
-    }
-
-    /// Perplexity (`exp(loss)`) on a batch.
-    pub fn perplexity(&self, batch: &[Vec<usize>]) -> f32 {
-        self.eval_loss(batch).exp()
+        assert!(!batch.is_empty(), "empty batch");
+        let weight = |ids: &Vec<usize>| ids.len().saturating_sub(1) as f32;
+        let total: f32 = batch.iter().map(weight).sum();
+        let total = if total > 0.0 { total } else { 1.0 };
+        batch.iter().fold(0.0, |acc, ids| {
+            let (g, _bound, loss) = self.loss_graph(ids, None);
+            acc + g.value(loss).item() * (weight(ids) / total)
+        })
     }
 
     /// Creates a fresh Adam optimizer matching this model's parameters.
@@ -250,49 +231,16 @@ impl GptModel {
         Adam::new(&self.store, lr).with_weight_decay(0.01)
     }
 
-    /// Logits for every position of a single sequence: `[t, vocab]`.
+    /// Logits for every position of one sequence, `[t, vocab]`, from the
+    /// tape's forward: the reference every inference path is tested
+    /// against. Serving and decoding read logits from a
+    /// [`crate::KvCache`] instead, which computes each position once.
     pub fn sequence_logits(&self, ids: &[usize]) -> Tensor {
         assert!(!ids.is_empty(), "sequence_logits on empty sequence");
         let mut g = Graph::new();
         let bound = Bound::bind(&self.store, &mut g);
-        let t = ids.len();
-        let logits = self.forward(&mut g, &bound, ids, 1, t, &[t], false, None);
-        g.value(logits).reshape(&[t, self.cfg.vocab_size])
-    }
-
-    /// Total log-probability of `ids` under the model (sum over next-token
-    /// log-probs; the first token is conditioned on, not scored).
-    pub fn log_prob(&self, ids: &[usize]) -> f32 {
-        if ids.len() < 2 {
-            return 0.0;
-        }
-        let logits = self.sequence_logits(ids);
-        let log_probs = logits.log_softmax_last();
-        let v = self.cfg.vocab_size;
-        ids.windows(2)
-            .enumerate()
-            .map(|(i, w)| log_probs.data()[i * v + w[1]])
-            .sum()
-    }
-}
-
-impl NextToken for GptModel {
-    fn vocab_size(&self) -> usize {
-        self.cfg.vocab_size
-    }
-
-    fn next_logits(&mut self, prefix: &[usize]) -> Vec<f32> {
-        assert!(
-            !prefix.is_empty(),
-            "next_logits requires a non-empty prefix"
-        );
-        // Clamp the context window to the model's maximum.
-        let start = prefix.len().saturating_sub(self.cfg.max_seq_len);
-        let window = &prefix[start..];
-        let logits = self.sequence_logits(window);
-        let v = self.cfg.vocab_size;
-        let t = window.len();
-        logits.data()[(t - 1) * v..t * v].to_vec()
+        let logits = self.forward(&mut g, &bound, ids, None);
+        g.value(logits).reshape(&[ids.len(), self.cfg.vocab_size])
     }
 }
 
@@ -344,53 +292,17 @@ mod tests {
     }
 
     #[test]
-    fn padded_batches_match_unpadded_loss() {
-        // The loss of a short sequence must be unaffected by batching it
-        // with a longer one (padding must be fully masked).
+    fn batch_loss_is_the_weighted_fold_of_sequence_losses() {
+        // Each sequence runs through its own graph; the batch value folds
+        // them in batch order, weighted by scored positions (3 and 7).
         let m = tiny();
         let short = vec![BOS, 10, 11, 12];
         let long = vec![BOS, 20, 21, 22, 23, 24, 25, 26];
         let solo = m.eval_loss(std::slice::from_ref(&short));
         let long_solo = m.eval_loss(std::slice::from_ref(&long));
-        let both = m.eval_loss(&[short.clone(), long.clone()]);
-        // Mean of per-position losses: both has (3 + 7) scored positions.
-        let expected = (solo * 3.0 + long_solo * 7.0) / 10.0;
-        assert!(
-            (both - expected).abs() < 1e-3,
-            "batched {both} vs expected {expected}"
-        );
-    }
-
-    #[test]
-    fn next_logits_has_vocab_width() {
-        let mut m = tiny();
-        let l = m.next_logits(&[BOS, 5, 9]);
-        assert_eq!(l.len(), m.config().vocab_size);
-        assert!(l.iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn next_logits_clamps_long_context() {
-        let mut m = tiny();
-        let long: Vec<usize> = (0..50).map(|i| 8 + (i % 20)).collect();
-        let l = m.next_logits(&long);
-        assert_eq!(l.len(), m.config().vocab_size);
-    }
-
-    #[test]
-    fn log_prob_of_trained_sequence_increases() {
-        let mut m = tiny();
-        let mut opt = m.optimizer(3e-3);
-        let seq = vec![BOS, 10, 11, 12, 13, 14];
-        let before = m.log_prob(&seq);
-        for _ in 0..40 {
-            m.train_step(std::slice::from_ref(&seq), &mut opt);
-        }
-        let after = m.log_prob(&seq);
-        assert!(
-            after > before,
-            "log prob did not increase: {before} -> {after}"
-        );
+        let both = m.eval_loss(&[short, long]);
+        let expected = 0.0 + solo * (3.0 / 10.0) + long_solo * (7.0 / 10.0);
+        assert_eq!(both.to_bits(), expected.to_bits());
     }
 
     #[test]
@@ -418,7 +330,7 @@ mod tests {
         let mut shards = Vec::new();
         for (seq, &seed) in batch.iter().zip(&seeds) {
             let mut rng = Rand::seeded(seed);
-            let (mut g, bound, l) = r.loss_graph(std::slice::from_ref(seq), true, Some(&mut rng));
+            let (mut g, bound, l) = r.loss_graph(seq, Some(&mut rng));
             let l_val = g.value(l).item();
             g.backward(l);
             let w = seq.len().saturating_sub(1) as f32;
@@ -464,7 +376,7 @@ mod tests {
         for _ in 0..6 {
             // One sequence: `train_step`'s reduction scales its gradient by
             // exactly 1, so this is the norm the step clips by.
-            let (mut g, bound, loss) = m.loss_graph(batch, true, None);
+            let (mut g, bound, loss) = m.loss_graph(&seq, None);
             g.backward(loss);
             let mut grads = bound.grads(&m.store, &g);
             let norm = clip_grad_norm(&m.store, &mut grads, f32::INFINITY);

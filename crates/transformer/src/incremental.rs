@@ -1,6 +1,8 @@
-//! KV-cache incremental decoding: an inference-only fast path that reuses
-//! attention keys/values across generation steps, turning the O(t²)
-//! recompute-everything decode loop into O(t) per new token.
+//! KV-cache incremental decoding: the one GPT inference path. It reuses
+//! attention keys/values across generation steps, so a new token costs
+//! O(t) instead of a forward over the whole window. The tape's forward
+//! ([`GptModel::sequence_logits`]) is kept for training and as the
+//! reference these logits are tested against.
 //!
 //! The per-request decode state lives in an explicit, snapshottable
 //! [`KvCache`]: per-layer attention caches plus the consumed tokens and the
@@ -431,8 +433,8 @@ impl<'a> IncrementalSession<'a> {
         self.cache.clear();
     }
 
-    /// Number of cache resets a fresh prefix would cost; exposed so beam
-    /// search-style callers can reason about reuse.
+    /// Number of positions the cache holds (the next token's position);
+    /// a caller sees from it how much of a prefix was reused.
     pub fn position(&self) -> usize {
         self.cache.len()
     }
@@ -461,7 +463,7 @@ impl NextToken for IncrementalSession<'_> {
             !prefix.is_empty(),
             "next_logits requires a non-empty prefix"
         );
-        // Clamp long prefixes the same way GptModel does.
+        // Past `max_seq_len`, condition on the last window only.
         let start = prefix.len().saturating_sub(self.model.cfg.max_seq_len);
         let window = &prefix[start..];
         let consumed = self.cache.len();
@@ -507,48 +509,48 @@ pub fn greedy_cached(
 mod tests {
     use super::*;
     use crate::config::ModelConfig;
-    use crate::generate::greedy;
+    use crate::generate::argmax;
     use lm4db_tokenize::{BOS, EOS};
 
     fn model() -> GptModel {
         GptModel::new(ModelConfig::test(), 7)
     }
 
+    /// The tape's next-token logits after every prefix of `ids`.
+    fn tape_rows(m: &GptModel, ids: &[usize]) -> Vec<Vec<f32>> {
+        let v = m.config().vocab_size;
+        let logits = m.sequence_logits(ids);
+        logits.data().chunks(v).map(<[f32]>::to_vec).collect()
+    }
+
+    fn max_diff(a: &[f32], b: &[f32]) -> f32 {
+        assert_eq!(a.len(), b.len());
+        a.iter()
+            .zip(b)
+            .map(|(x, y)| (x - y).abs())
+            .fold(0.0, f32::max)
+    }
+
     #[test]
     fn incremental_logits_match_full_forward() {
-        let mut m = model();
+        let m = model();
         let prefix = vec![BOS, 10, 23, 41, 9, 30];
-        let full = m.next_logits(&prefix);
+        let full = tape_rows(&m, &prefix).pop().unwrap();
         let mut session = IncrementalSession::new(&m);
-        let inc = session.feed_all(&prefix).to_vec();
-        assert_eq!(full.len(), inc.len());
-        for (i, (a, b)) in full.iter().zip(inc.iter()).enumerate() {
-            assert!(
-                (a - b).abs() < 1e-3,
-                "logit {i} differs: full {a} vs incremental {b}"
-            );
-        }
+        let inc = session.feed_all(&prefix);
+        let diff = max_diff(&full, inc);
+        assert!(diff < 1e-5, "tape vs incremental: max diff {diff}");
     }
 
     #[test]
     fn parity_at_every_intermediate_position() {
-        let mut m = model();
+        let m = model();
         let prefix = [BOS, 5, 6, 7, 8];
-        // Compute all full-forward logits first (mutable borrow), then
-        // replay the same positions through one session (shared borrow).
-        let fulls: Vec<Vec<f32>> = (1..=prefix.len())
-            .map(|t| m.next_logits(&prefix[..t]))
-            .collect();
+        let fulls = tape_rows(&m, &prefix);
         let mut session = IncrementalSession::new(&m);
-        for t in 1..=prefix.len() {
-            let full = &fulls[t - 1];
-            let inc = session.feed(prefix[t - 1]).to_vec();
-            let max_diff = full
-                .iter()
-                .zip(inc.iter())
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0f32, f32::max);
-            assert!(max_diff < 1e-3, "t={t}: max diff {max_diff}");
+        for (t, full) in fulls.iter().enumerate() {
+            let diff = max_diff(full, session.feed(prefix[t]));
+            assert!(diff < 1e-5, "t={t}: max diff {diff}");
         }
     }
 
@@ -568,33 +570,44 @@ mod tests {
     }
 
     #[test]
+    fn session_next_logits_clamps_long_context() {
+        // Past `max_seq_len` the session conditions on the last window.
+        let m = model();
+        let long: Vec<usize> = (0..50).map(|i| 8 + (i % 20)).collect();
+        let l = IncrementalSession::new(&m).next_logits(&long);
+        assert_eq!(l.len(), m.config().vocab_size);
+        let window = &long[long.len() - m.config().max_seq_len..];
+        assert_eq!(l, KvCache::new(&m).feed_all(&m, window));
+    }
+
+    #[test]
     fn greedy_cached_matches_uncached_greedy() {
-        let mut m = model();
-        let prefix = vec![BOS, 10, 11];
-        let uncached = greedy(&mut m, &prefix, 6, EOS, None);
-        let cached = greedy_cached(&m, &prefix, 6, EOS);
-        assert_eq!(uncached, cached);
+        // One tape forward over prompt + output: at every generated
+        // position its argmax is the token the cached decoder chose next,
+        // or the EOS that ended the output early.
+        let m = trained_model();
+        for prefix in [vec![BOS, 10, 11], vec![BOS, 20], vec![BOS, 30, 31]] {
+            let out = greedy_cached(&m, &prefix, 6, EOS);
+            let want: Vec<usize> = out.iter().copied().chain([EOS]).take(6).collect();
+            let rows = tape_rows(&m, &[prefix.as_slice(), &out].concat());
+            let got: Vec<usize> = rows[prefix.len() - 1..]
+                .iter()
+                .take(want.len())
+                .map(|r| argmax(r))
+                .collect();
+            assert_eq!(got, want, "prefix {prefix:?}");
+        }
     }
 
     #[test]
     fn trained_model_parity_holds() {
         // Parity must survive training (non-symmetric weights).
-        let mut m = model();
-        let mut opt = m.optimizer(3e-3);
-        let batch = vec![vec![BOS, 10, 11, 12, 13, 14]];
-        for _ in 0..20 {
-            m.train_step(&batch, &mut opt);
-        }
+        let m = trained_model();
         let prefix = vec![BOS, 10, 11, 12];
-        let full = m.next_logits(&prefix);
+        let full = tape_rows(&m, &prefix).pop().unwrap();
         let mut session = IncrementalSession::new(&m);
-        let inc = session.feed_all(&prefix).to_vec();
-        let max_diff = full
-            .iter()
-            .zip(inc.iter())
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f32, f32::max);
-        assert!(max_diff < 1e-2, "max diff after training: {max_diff}");
+        let diff = max_diff(&full, session.feed_all(&prefix));
+        assert!(diff < 1e-5, "max diff after training: {diff}");
     }
 
     #[test]

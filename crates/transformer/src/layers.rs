@@ -375,10 +375,10 @@ pub(crate) fn pad_batch(batch: &[Vec<usize>]) -> (Vec<usize>, usize, usize, Vec<
     (flat, b, t, lengths)
 }
 
-/// Additive causal mask of shape `[b, h, t, t]`: position `i` may attend to
-/// positions `<= i`.
-pub fn causal_mask(b: usize, h: usize, t: usize) -> Tensor {
-    let mut data = vec![0.0f32; b * h * t * t];
+/// Additive causal mask of shape `[1, h, t, t]` for one sequence: position
+/// `i` may attend to positions `<= i`.
+pub fn causal_mask(h: usize, t: usize) -> Tensor {
+    let mut data = vec![0.0f32; h * t * t];
     for chunk in data.chunks_mut(t * t) {
         for i in 0..t {
             for j in (i + 1)..t {
@@ -386,7 +386,7 @@ pub fn causal_mask(b: usize, h: usize, t: usize) -> Tensor {
             }
         }
     }
-    Tensor::new(vec![b, h, t, t], data)
+    Tensor::new(vec![1, h, t, t], data)
 }
 
 /// Additive padding mask of shape `[b, h, t, t]` built from per-sequence
@@ -406,11 +406,6 @@ pub fn padding_mask(lengths: &[usize], h: usize, t: usize) -> Tensor {
         }
     }
     Tensor::new(vec![b, h, t, t], data)
-}
-
-/// Combines two additive masks (element-wise minimum keeps `-inf`s).
-pub fn combine_masks(a: &Tensor, b: &Tensor) -> Tensor {
-    a.zip(b, f32::min)
 }
 
 #[cfg(test)]
@@ -449,7 +444,7 @@ mod tests {
 
     #[test]
     fn causal_mask_blocks_future() {
-        let m = causal_mask(1, 1, 3);
+        let m = causal_mask(1, 3);
         let d = m.data();
         // Row 0 can see only position 0.
         assert_eq!(d[0], 0.0);
@@ -475,7 +470,7 @@ mod tests {
             let mut g = Graph::new();
             let bound = Bound::bind(&store, &mut g);
             let xv = g.input(x);
-            let m = g.input(causal_mask(1, cfg.n_heads, 4));
+            let m = g.input(causal_mask(cfg.n_heads, 4));
             let y = mha.forward(&mut g, &bound, xv, Some(m));
             g.value(y).clone()
         };
@@ -502,16 +497,6 @@ mod tests {
         assert_eq!(m.data()[0], 0.0);
         // Batch 1 (len 3): nothing masked.
         assert!(m.data()[9..18].iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn combine_masks_keeps_neg_inf() {
-        let a = causal_mask(1, 1, 2);
-        let b = padding_mask(&[1], 1, 2);
-        let c = combine_masks(&a, &b);
-        assert_eq!(c.data()[1], f32::NEG_INFINITY); // from causal
-        assert_eq!(c.data()[3], f32::NEG_INFINITY); // from padding
-        assert_eq!(c.data()[0], 0.0);
     }
 
     #[test]

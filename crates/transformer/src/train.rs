@@ -105,7 +105,7 @@ pub fn pretrain_gpt(model: &mut GptModel, stream: &[usize], opts: &TrainOptions)
 
 /// Evaluates perplexity on held-out windows of `stream`.
 pub fn evaluate_perplexity(
-    model: &mut GptModel,
+    model: &GptModel,
     stream: &[usize],
     seq_len: usize,
     n_windows: usize,
@@ -188,14 +188,14 @@ mod tests {
     fn perplexity_is_finite_and_bounded_below_by_one() {
         let bpe = Bpe::train(CORPUS, 150);
         let stream = pack_corpus(CORPUS.iter().cycle().take(10).copied(), &bpe);
-        let mut model = GptModel::new(
+        let model = GptModel::new(
             ModelConfig {
                 vocab_size: bpe.vocab().len(),
                 ..ModelConfig::test()
             },
             5,
         );
-        let ppl = evaluate_perplexity(&mut model, &stream, 12, 3, 9);
+        let ppl = evaluate_perplexity(&model, &stream, 12, 3, 9);
         assert!(ppl.is_finite() && ppl >= 1.0, "perplexity {ppl}");
     }
 }

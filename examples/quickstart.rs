@@ -13,7 +13,8 @@ use lm4db::corpus;
 use lm4db::sql::run_sql;
 use lm4db::tokenize::{Bpe, Tokenizer};
 use lm4db::transformer::{
-    evaluate_perplexity, greedy, pack_corpus, pretrain_gpt, GptModel, ModelConfig, TrainOptions,
+    evaluate_perplexity, greedy_cached, pack_corpus, pretrain_gpt, GptModel, ModelConfig,
+    TrainOptions,
 };
 use lm4db::zoo;
 
@@ -34,7 +35,7 @@ fn main() {
     let stream = pack_corpus(refs.iter().copied(), &bpe);
     let mut model = GptModel::new(ModelConfig::tiny(bpe.vocab().len()), 42);
     println!("model parameters: {}", model.num_params());
-    let before = evaluate_perplexity(&mut model, &stream, 24, 8, 1);
+    let before = evaluate_perplexity(&model, &stream, 24, 8, 1);
     let report = pretrain_gpt(
         &mut model,
         &stream,
@@ -45,7 +46,7 @@ fn main() {
             ..Default::default()
         },
     );
-    let after = evaluate_perplexity(&mut model, &stream, 24, 8, 1);
+    let after = evaluate_perplexity(&model, &stream, 24, 8, 1);
     println!(
         "perplexity: {before:.1} -> {after:.1} (final loss {:.3})",
         report.final_loss(10)
@@ -53,7 +54,7 @@ fn main() {
     let prompt = bpe.encode("the optimizer");
     let mut prefix = vec![lm4db::tokenize::BOS];
     prefix.extend(prompt);
-    let completion = greedy(&mut model, &prefix, 8, lm4db::tokenize::EOS, None);
+    let completion = greedy_cached(&model, &prefix, 8, lm4db::tokenize::EOS);
     println!("completion: the optimizer {}", bpe.decode(&completion));
 
     println!("\n== 3. The SQL substrate ==");

@@ -135,7 +135,6 @@ fn codegen_workload() -> String {
 /// any uncontained panic would abort the child instead.
 #[test]
 fn chaos_child() {
-    lm4db::fault::silence_injected_panics();
     let mut all = serve_workload();
     all.push_str(&codegen_workload());
     println!("CHAOS_FP={:016x}", fnv64(&all));

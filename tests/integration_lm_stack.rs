@@ -1,11 +1,12 @@
 //! Cross-crate integration: tokenizer -> transformer -> decoding, and the
-//! n-gram/transformer interchangeability through the `NextToken` trait.
+//! n-gram/transformer interchangeability through the `NextToken` trait
+//! (a GPT takes part through its KV-cached session).
 
 use lm4db::lm::NGramLm;
 use lm4db::tokenize::{Bpe, Tokenizer, WordPiece, BOS, EOS};
 use lm4db::transformer::{
-    beam, evaluate_perplexity, greedy, pack_corpus, pretrain_gpt, BertModel, GptModel, ModelConfig,
-    NextToken, TrainOptions,
+    beam, evaluate_perplexity, greedy, pack_corpus, pretrain_gpt, BertModel, GptModel,
+    IncrementalSession, ModelConfig, NextToken, TrainOptions,
 };
 
 fn corpus() -> Vec<String> {
@@ -25,7 +26,7 @@ fn pretraining_on_generated_corpus_improves_perplexity() {
         },
         1,
     );
-    let before = evaluate_perplexity(&mut model, &stream, 12, 6, 9);
+    let before = evaluate_perplexity(&model, &stream, 12, 6, 9);
     pretrain_gpt(
         &mut model,
         &stream,
@@ -36,7 +37,7 @@ fn pretraining_on_generated_corpus_improves_perplexity() {
             ..Default::default()
         },
     );
-    let after = evaluate_perplexity(&mut model, &stream, 12, 6, 9);
+    let after = evaluate_perplexity(&model, &stream, 12, 6, 9);
     assert!(
         after < before * 0.7,
         "perplexity did not improve: {before} -> {after}"
@@ -52,13 +53,14 @@ fn gpt_and_ngram_share_decoding_infrastructure() {
 
     let mut ngram = NGramLm::new(3, bpe.vocab().len());
     ngram.train(&stream);
-    let mut gpt = GptModel::new(
+    let gpt = GptModel::new(
         ModelConfig {
             vocab_size: bpe.vocab().len(),
             ..ModelConfig::test()
         },
         2,
     );
+    let mut session = IncrementalSession::new(&gpt);
 
     let prefix = {
         let mut p = vec![BOS];
@@ -66,7 +68,7 @@ fn gpt_and_ngram_share_decoding_infrastructure() {
         p
     };
     // Both models work through the same generation entry points.
-    let models: Vec<&mut dyn NextToken> = vec![&mut ngram, &mut gpt];
+    let models: Vec<&mut dyn NextToken> = vec![&mut ngram, &mut session];
     for m in models {
         let g = greedy(m, &prefix, 5, EOS, None);
         assert!(g.len() <= 5);
@@ -86,14 +88,14 @@ fn ngram_perplexity_beats_untrained_transformer_cheaply() {
     let mut ngram = NGramLm::new(3, bpe.vocab().len());
     ngram.train(&stream);
     let ngram_ppl = ngram.perplexity(&stream[..200.min(stream.len())]);
-    let mut untrained = GptModel::new(
+    let untrained = GptModel::new(
         ModelConfig {
             vocab_size: bpe.vocab().len(),
             ..ModelConfig::test()
         },
         3,
     );
-    let gpt_ppl = evaluate_perplexity(&mut untrained, &stream, 12, 4, 5);
+    let gpt_ppl = evaluate_perplexity(&untrained, &stream, 12, 4, 5);
     assert!(
         ngram_ppl < gpt_ppl,
         "trained n-gram ({ngram_ppl}) should beat untrained transformer ({gpt_ppl})"

@@ -6,7 +6,7 @@ use lm4db::corpus::{make_domain, DomainKind};
 use lm4db::factcheck::{synthetic_summary, verify_summary, KeywordMapper, Verdict};
 use lm4db::tokenize::{Bpe, Tokenizer, BOS, EOS};
 use lm4db::transformer::{
-    greedy, greedy_cached, pack_corpus, pretrain_gpt, GptModel, IncrementalSession, ModelConfig,
+    argmax, greedy_cached, pack_corpus, pretrain_gpt, GptModel, IncrementalSession, ModelConfig,
     NextToken, TrainOptions,
 };
 
@@ -34,12 +34,12 @@ fn checkpoint_survives_pretraining_and_matches_generation() {
         },
     );
     let json = model.to_json();
-    let mut restored = GptModel::from_json(&json).expect("restore");
+    let restored = GptModel::from_json(&json).expect("restore");
 
     let mut prefix = vec![BOS];
     prefix.extend(bpe.encode("the optimizer"));
-    let original = greedy(&mut model, &prefix, 6, EOS, None);
-    let after = greedy(&mut restored, &prefix, 6, EOS, None);
+    let original = greedy_cached(&model, &prefix, 6, EOS);
+    let after = greedy_cached(&restored, &prefix, 6, EOS);
     assert_eq!(original, after, "restored model generates differently");
 }
 
@@ -68,12 +68,20 @@ fn kv_cache_session_agrees_with_model_after_training() {
     );
     let mut prefix = vec![BOS];
     prefix.extend(bpe.encode("the database"));
-    // Cached greedy equals uncached greedy on a trained model.
-    let uncached = greedy(&mut model, &prefix, 8, EOS, None);
+    // Cached greedy agrees with the tape on a trained model: one tape
+    // forward over prompt + output, whose argmax at every generated
+    // position is the token the cached decoder chose next.
     let cached = greedy_cached(&model, &prefix, 8, EOS);
-    assert_eq!(uncached, cached);
-    // And the session's NextToken impl matches the model's logits.
-    let full = model.next_logits(&prefix);
+    let v = model.config().vocab_size;
+    let seq = [prefix.clone(), cached.clone()].concat();
+    let tape = model.sequence_logits(&seq);
+    // The chosen tokens, then the EOS that ended the output, if one did.
+    let want: Vec<usize> = cached.iter().copied().chain([EOS]).take(8).collect();
+    let rows = tape.data().chunks(v).skip(prefix.len() - 1);
+    let got: Vec<usize> = rows.take(want.len()).map(argmax).collect();
+    assert_eq!(got, want);
+    // And the session's NextToken impl matches the tape's last row.
+    let full = &tape.data()[(prefix.len() - 1) * v..prefix.len() * v];
     let mut session = IncrementalSession::new(&model);
     let inc = session.next_logits(&prefix);
     let max_diff = full
@@ -81,7 +89,7 @@ fn kv_cache_session_agrees_with_model_after_training() {
         .zip(inc.iter())
         .map(|(a, b)| (a - b).abs())
         .fold(0.0f32, f32::max);
-    assert!(max_diff < 1e-2, "session/model divergence {max_diff}");
+    assert!(max_diff < 1e-5, "session/tape divergence {max_diff}");
 }
 
 #[test]

@@ -214,7 +214,6 @@ fn router_chaos_child() {
     // Only meaningful when the parent armed the environment; a bare
     // `cargo test` run of this binary exercises it with faults disarmed,
     // which must also hold the ledger.
-    lm4db::fault::silence_injected_panics();
     let seed = std::env::var("LM4DB_ROUTER_SEED")
         .ok()
         .and_then(|v| v.parse().ok())

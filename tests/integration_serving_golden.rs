@@ -20,10 +20,10 @@ use std::process::Command;
 use lm4db::fault::fnv64;
 use lm4db::serve::{Engine, EngineOptions, Request};
 use lm4db::tokenize::{BOS, EOS};
-use lm4db::transformer::{beam, greedy, greedy_cached, GptModel, IncrementalSession, ModelConfig};
+use lm4db::transformer::{argmax, beam, greedy_cached, GptModel, IncrementalSession, ModelConfig};
 
 /// A fixed-seed model trained until its next-token distributions are sharp,
-/// so the full-forward and incremental paths agree token for token.
+/// so the tape's argmax agrees with the incremental path token for token.
 fn golden_model() -> GptModel {
     let mut m = GptModel::new(ModelConfig::test(), 7);
     let mut opt = m.optimizer(3e-3);
@@ -159,14 +159,17 @@ fn greedy_golden_single_request_paths() {
         .collect();
     check_or_bless("greedy.txt", &render_greedy(&cached));
 
-    // The full-forward path must agree token for token (the model is sharp
-    // enough that the ~1e-3 float divergence never flips an argmax).
-    let mut m = m;
-    let full: Vec<Vec<usize>> = prompts()
-        .iter()
-        .map(|p| greedy(&mut m, p, MAX_NEW, EOS, None))
-        .collect();
-    assert_eq!(render_greedy(&full), render_greedy(&cached));
+    // The full-forward path must agree token for token: one tape forward
+    // over prompt + cached output, whose argmax at every generated position
+    // is the next cached token, or the EOS that ended the output early.
+    let v = m.config().vocab_size;
+    for (p, out) in prompts().iter().zip(&cached) {
+        let tape = m.sequence_logits(&[p.as_slice(), out].concat());
+        let want: Vec<usize> = out.iter().copied().chain([EOS]).take(MAX_NEW).collect();
+        let rows = tape.data().chunks(v).skip(p.len() - 1);
+        let got: Vec<usize> = rows.take(want.len()).map(argmax).collect();
+        assert_eq!(got, want, "prompt {p:?}");
+    }
 }
 
 #[test]
@@ -216,7 +219,6 @@ fn golden_child_fingerprint() {
 /// Prints an `OUTCOME_FP=` fingerprint for cross-process comparison.
 #[test]
 fn golden_child_outcome_fingerprint() {
-    lm4db::fault::silence_injected_panics();
     let m = golden_model();
     let mut engine = Engine::with_options(
         &m,

@@ -8,12 +8,13 @@
 //! * a **panic post-mortem**: a subprocess with requests in flight is
 //!   crashed on purpose; the panic hook must leave a parseable crash dump
 //!   (`LM4DB_TRACE_DUMP`) containing the metrics registry and the in-flight
-//!   request's events.
+//!   request's events — while a subprocess whose injected faults are all
+//!   caught at their sites leaves none.
 
 use std::process::Command;
 
 use lm4db::obs;
-use lm4db::serve::{Engine, Request};
+use lm4db::serve::{Engine, EngineOptions, Outcome, Request};
 use lm4db::tokenize::BOS;
 use lm4db::transformer::{GptModel, ModelConfig};
 use serde_json::Value;
@@ -102,6 +103,65 @@ fn panic_produces_parseable_crash_dump() {
             "crash trace has no {want} event; names seen: {names:?}"
         );
     }
+}
+
+/// Child half of the no-dump test. Inert unless the parent sets
+/// `LM4DB_FAULT_CHILD=1`: with faults armed from the environment and no
+/// retries, the `serve/feed` gate and the pool catch injected panics and
+/// fail their requests, each with the injector's own message as its reason.
+#[test]
+fn caught_fault_child() {
+    if std::env::var("LM4DB_FAULT_CHILD").as_deref() != Ok("1") {
+        return;
+    }
+    let model = GptModel::new(ModelConfig::test(), 7);
+    let options = EngineOptions {
+        max_retries: 0,
+        ..Default::default()
+    };
+    let mut engine = Engine::with_options(&model, options);
+    for i in 0..12 {
+        engine.submit(Request::greedy(vec![BOS, 10 + i], 6, usize::MAX));
+    }
+    let mut failed = 0;
+    for r in engine.run() {
+        if let Outcome::Failed { reason } = r.outcome {
+            let site = ["serve/feed", "pool/task"]
+                .iter()
+                .any(|site| reason.starts_with(&format!("injected fault at {site} (salt ")));
+            assert!(site, "reason was {reason:?}");
+            failed += 1;
+        }
+    }
+    assert!(failed > 0, "no injected fault fired");
+    println!("FAULT_CHILD_OK failed={failed}");
+}
+
+/// Faults that their sites catch are not crashes: a traced child
+/// (`LM4DB_TRACE=2`, panic hook installed) with faults armed fails requests
+/// on injected panics, exits cleanly, and writes no crash dump.
+#[test]
+fn caught_injected_faults_write_no_crash_dump() {
+    let dump = std::env::temp_dir().join(format!("lm4db-no-crash-{}.json", std::process::id()));
+    let _ = std::fs::remove_file(&dump);
+    let exe = std::env::current_exe().expect("current test binary");
+    let out = Command::new(&exe)
+        .args(["caught_fault_child", "--exact", "--nocapture"])
+        .env("LM4DB_FAULT_CHILD", "1")
+        .env("LM4DB_FAULTS", "3:0.3")
+        .env("LM4DB_TRACE", "2")
+        .env("LM4DB_TRACE_DUMP", &dump)
+        .output()
+        .expect("spawn child test");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success() && stdout.contains("FAULT_CHILD_OK"),
+        "child failed:\n{stdout}\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let wrote = dump.exists();
+    let _ = std::fs::remove_file(&dump);
+    assert!(!wrote, "a caught injected fault wrote {}", dump.display());
 }
 
 /// An in-process serving run at level 2: the timeline and breakdown must
