@@ -130,7 +130,7 @@ impl<T: Tokenizer> PromptClassifier<GptModel, T> {
                 per_text
                     .iter()
                     .zip(&self.label_ids)
-                    // Length-normalized like the sequential path.
+                    // Length-normalize exactly like the sequential path.
                     .map(|(r, cont)| r.score / cont.len().max(1) as f32)
                     .collect()
             })

@@ -169,9 +169,7 @@ impl GptModel {
                 g.backward(loss);
                 let grads = bound.grads(&this.store, &g);
                 drop(bwd);
-                // Scored positions = tokens with a next-token target.
-                let weight = batch[idx].len().saturating_sub(1) as f32;
-                *slot = Some((loss_val, grads, weight));
+                *slot = Some((loss_val, grads, scored_positions(&batch[idx])));
             }
         });
         // Back to batch order: the reduction below folds shards by index.
@@ -217,12 +215,11 @@ impl GptModel {
     /// for bit.
     pub fn eval_loss(&self, batch: &[Vec<usize>]) -> f32 {
         assert!(!batch.is_empty(), "empty batch");
-        let weight = |ids: &Vec<usize>| ids.len().saturating_sub(1) as f32;
-        let total: f32 = batch.iter().map(weight).sum();
+        let total: f32 = batch.iter().map(|ids| scored_positions(ids)).sum();
         let total = if total > 0.0 { total } else { 1.0 };
         batch.iter().fold(0.0, |acc, ids| {
             let (g, _bound, loss) = self.loss_graph(ids, None);
-            acc + g.value(loss).item() * (weight(ids) / total)
+            acc + g.value(loss).item() * (scored_positions(ids) / total)
         })
     }
 
@@ -242,6 +239,12 @@ impl GptModel {
         let logits = self.forward(&mut g, &bound, ids, None);
         g.value(logits).reshape(&[ids.len(), self.cfg.vocab_size])
     }
+}
+
+/// The positions of `ids` that have a next-token target: a sequence's
+/// weight in a batch's mean loss and gradient.
+fn scored_positions(ids: &[usize]) -> f32 {
+    ids.len().saturating_sub(1) as f32
 }
 
 #[cfg(test)]
