@@ -18,14 +18,14 @@ use lm4db_fault::Breaker;
 use lm4db_sql::Catalog;
 use lm4db_tensor::Rand;
 use lm4db_text2sql::{SqlTrie, TrieLm};
-use lm4db_transformer::{ModelConfig, SampleOptions};
+use lm4db_transformer::{ContextError, ModelConfig, SampleOptions};
 
 use crate::dsl::{parse_pipeline, Pipeline};
 use crate::instructions::Task;
 use crate::interp::run_pipeline;
 
 /// Outcome of one synthesis attempt sequence.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Synthesis {
     /// The accepted program, if any attempt executed successfully.
     pub pipeline: Option<Pipeline>,
@@ -36,6 +36,20 @@ pub struct Synthesis {
     /// Whether the circuit breaker diverted this call to the constrained
     /// fallback path instead of the normal synthesize/validate loop.
     pub fallback: bool,
+    /// Why no attempt ran: the instruction's prompt does not fit the
+    /// model's window (`attempts` is 0).
+    pub refused: Option<ContextError>,
+}
+
+impl Synthesis {
+    /// The answer to an instruction whose prompt the window cannot hold.
+    fn refusal(e: ContextError) -> Self {
+        let refused = Some(e);
+        Synthesis {
+            refused,
+            ..Synthesis::default()
+        }
+    }
 }
 
 /// Circuit-breaker tuning for [`Synthesizer::synthesize_resilient`].
@@ -131,18 +145,21 @@ impl Synthesizer {
 
     /// Constrained synthesis: one beam-search pass over the program trie.
     /// The result always parses and executes (or is `None` when the beam
-    /// dies, which cannot happen on a consistent trie).
+    /// dies, which cannot happen on a consistent trie, or when the prompt
+    /// does not fit the window: see [`Synthesis::refused`]).
     pub fn synthesize_constrained(&mut self, instruction: &str, catalog: &Catalog) -> Synthesis {
         let _span = lm4db_obs::span("codegen_constrained");
-        lm4db_obs::counter_add("codegen/attempts", 1);
         let prompt = [self.lm.prompt_ids(instruction)];
-        let (hyps, _) = self.lm.beams(&prompt, 3, self.constrained_max_new, true);
-        let Some((raw, program)) = self.lm.best(&hyps[0], prompt[0].len()) else {
+        let (mut beams, _) = self.lm.beams(&prompt, 3, self.constrained_max_new, true);
+        let hyps = match beams.pop().expect("one prompt, one answer") {
+            Ok(hyps) => hyps,
+            Err(e) => return Synthesis::refusal(e),
+        };
+        lm4db_obs::counter_add("codegen/attempts", 1);
+        let Some((raw, program)) = self.lm.best(&hyps, prompt[0].len()) else {
             return Synthesis {
-                pipeline: None,
-                raw: String::new(),
                 attempts: 1,
-                fallback: false,
+                ..Synthesis::default()
             };
         };
         // Validation (parse + execute) timed separately from decoding: in
@@ -161,7 +178,7 @@ impl Synthesizer {
             pipeline,
             raw,
             attempts: 1,
-            fallback: false,
+            ..Synthesis::default()
         }
     }
 
@@ -191,7 +208,9 @@ impl Synthesizer {
 
     /// Unconstrained synthesis with CodexDB's retry loop: greedy beam first,
     /// then up to `max_retries - 1` stochastic re-samples; the first
-    /// candidate that parses AND executes is accepted.
+    /// candidate that parses AND executes is accepted. An instruction whose
+    /// prompt the window cannot hold returns at once, with the reason and
+    /// no attempt.
     pub fn synthesize_with_retries(
         &mut self,
         instruction: &str,
@@ -199,7 +218,7 @@ impl Synthesizer {
         max_retries: usize,
     ) -> Synthesis {
         let _span = lm4db_obs::span("codegen_retries");
-        let prompt = [self.lm.prompt_ids(instruction)];
+        let prompt = self.lm.prompt_ids(instruction);
         let mut last_raw = String::new();
         for attempt in 1..=max_retries.max(1) {
             // Each generate→validate round is its own span, and the instant
@@ -207,22 +226,13 @@ impl Synthesizer {
             // reads as repeated codegen_attempt intervals on the timeline.
             let _attempt_span = lm4db_obs::span("codegen_attempt");
             lm4db_obs::instant_arg("codegen/attempt", attempt as u64);
-            lm4db_obs::counter_add("codegen/attempts", 1);
-            let raw = if attempt == 1 {
-                let (hyps, _) = self.lm.beams(&prompt, 3, 48, false);
-                match self.lm.best(&hyps[0], prompt[0].len()) {
-                    Some((raw, _)) => raw,
-                    None => continue,
-                }
-            } else {
-                let opts = SampleOptions {
-                    temperature: 0.8,
-                    top_k: 8,
-                    top_p: 1.0,
-                };
-                let ids = self.lm.sample(&prompt[0], 48, &opts, &mut self.rng);
-                self.lm.read(&ids, 0).0
+            let raw = match self.candidate(&prompt, attempt) {
+                Ok(raw) => raw,
+                Err(e) => return Synthesis::refusal(e),
             };
+            lm4db_obs::counter_add("codegen/attempts", 1);
+            // No beam: the engine failed the request (an injected fault).
+            let Some(raw) = raw else { continue };
             last_raw = raw.clone();
             let validated = self.guarded_validate(&raw, catalog);
             if let Some(pipeline) = validated {
@@ -231,7 +241,7 @@ impl Synthesizer {
                     pipeline: Some(pipeline),
                     raw,
                     attempts: attempt,
-                    fallback: false,
+                    ..Synthesis::default()
                 };
             }
             // Candidate parsed-but-failed or failed to parse: both are
@@ -239,11 +249,31 @@ impl Synthesizer {
             lm4db_obs::counter_add("codegen/validation_failures", 1);
         }
         Synthesis {
-            pipeline: None,
             raw: last_raw,
             attempts: max_retries.max(1),
-            fallback: false,
+            ..Synthesis::default()
         }
+    }
+
+    /// Attempt `attempt`'s raw candidate: the best unconstrained beam
+    /// first, a temperature sample after that.
+    fn candidate(
+        &mut self,
+        prompt: &[usize],
+        attempt: usize,
+    ) -> Result<Option<String>, ContextError> {
+        if attempt == 1 {
+            let (mut beams, _) = self.lm.beams(&[prompt.to_vec()], 3, 48, false);
+            let hyps = beams.pop().expect("one prompt, one answer")?;
+            return Ok(self.lm.best(&hyps, prompt.len()).map(|(raw, _)| raw));
+        }
+        let opts = SampleOptions {
+            temperature: 0.8,
+            top_k: 8,
+            top_p: 1.0,
+        };
+        let ids = self.lm.sample(prompt, 48, &opts, &mut self.rng)?;
+        Ok(Some(self.lm.read(&ids, 0).0))
     }
 
     /// [`Synthesizer::synthesize_with_retries`] behind a circuit breaker.
@@ -372,6 +402,30 @@ mod tests {
                 s.raw
             );
         }
+    }
+
+    #[test]
+    fn an_instruction_past_the_window_is_refused_without_an_attempt() {
+        let (d, mut synth, _) = setup();
+        let cat = d.catalog();
+        let long = "show the name ".repeat(60);
+        let too_long = |s: &Synthesis| {
+            matches!(
+                s.refused,
+                Some(ContextError::TooLong {
+                    max_seq_len: 96,
+                    ..
+                })
+            ) && s.pipeline.is_none()
+                && s.attempts == 0
+        };
+        assert!(too_long(&synth.synthesize_with_retries(&long, &cat, 3)));
+        assert!(too_long(&synth.synthesize_constrained(&long, &cat)));
+        // A refusal is not a validation failure: the breaker stays closed.
+        for _ in 0..10 {
+            assert!(too_long(&synth.synthesize_resilient(&long, &cat, 3)));
+        }
+        assert!(!synth.breaker_open());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! * **Fine-tuning** ([`FineTunedClassifier`]): wrap a BERT encoder with a
 //!   classification head and train on labeled examples.
 
-use lm4db_serve::{Engine, Request};
+use lm4db_serve::{Engine, Outcome, Request};
 use lm4db_tokenize::Tokenizer;
 use lm4db_transformer::generate::log_softmax_at;
 use lm4db_transformer::{BertClassifier, BertModel, GptModel, ModelConfig, NextToken};
@@ -113,7 +113,9 @@ impl<T: Tokenizer> PromptClassifier<GptModel, T> {
     /// rendered prompt (instruction + demonstrations + input) prefills
     /// once per text via the engine's prefix cache instead of once per
     /// label. Each score is [`score_continuation`] over the model's
-    /// KV cache, length-normalized, bit for bit.
+    /// KV cache, length-normalized, bit for bit. A pair the engine did not
+    /// finish — its prompt and label do not fit the window — scores
+    /// `-inf`, so it can never win.
     pub fn scores_batch(&self, texts: &[&str]) -> Vec<Vec<f32>> {
         let mut engine = Engine::new(&self.model);
         let mut reqs = Vec::new();
@@ -131,7 +133,10 @@ impl<T: Tokenizer> PromptClassifier<GptModel, T> {
                     .iter()
                     .zip(&self.label_ids)
                     // Length-normalize exactly like the sequential path.
-                    .map(|(r, cont)| r.score / cont.len().max(1) as f32)
+                    .map(|(r, cont)| match r.outcome {
+                        Outcome::Finished => r.score / cont.len().max(1) as f32,
+                        _ => f32::NEG_INFINITY,
+                    })
                     .collect()
             })
             .collect()
@@ -337,6 +342,30 @@ mod tests {
         assert_eq!(clf.classify("bad awful poor"), 1);
         let acc = clf.accuracy(&[("great good nice".into(), 0), ("bad awful poor".into(), 1)]);
         assert_eq!(acc, 1.0);
+    }
+
+    #[test]
+    fn a_label_past_the_window_scores_neg_infinity() {
+        use lm4db_transformer::GptModel;
+        let corpus = sentiment_corpus();
+        let bpe = Bpe::train(corpus.iter().map(String::as_str), 300);
+        let cfg = ModelConfig {
+            vocab_size: bpe.vocab().len(),
+            ..ModelConfig::test()
+        };
+        let window = cfg.max_seq_len;
+        let long = "positive negative ".repeat(window);
+        let labels = vec!["positive".to_string(), long.trim().to_string()];
+        let clf = PromptClassifier::new(GptModel::new(cfg, 3), bpe, sentiment_prompt(), labels);
+        let prefix = clf.prefix("great good nice");
+        assert!(prefix.len() + clf.label_ids[0].len() <= window + 1);
+        assert!(prefix.len() + clf.label_ids[1].len() > window + 1);
+        // The engine fails the long pair at admission; its score must not
+        // read as log-probability 0, the best there is.
+        let scores = clf.scores_batch(&["great good nice"]).remove(0);
+        assert!(scores[0].is_finite(), "{scores:?}");
+        assert_eq!(scores[1], f32::NEG_INFINITY);
+        assert_eq!(clf.classify_batch(&["great good nice"]), vec![0]);
     }
 
     #[test]

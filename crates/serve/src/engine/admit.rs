@@ -44,14 +44,19 @@ pub(super) fn submit<'a>(eng: &mut Engine<'a>, req: Request<'a>) -> RequestId {
     lm4db_obs::instant_for("serve/submit", id);
     lm4db_obs::instant_for_arg("serve/tenant", id, u64::from(tenant));
     let mut job = Job::new(id, req, eng.ticks);
-    let max_seq_len = eng.model.config().max_seq_len;
-    if job.prompt_len > max_seq_len {
-        let reason = format!(
-            "prompt length {} exceeds max_seq_len {max_seq_len}",
-            job.prompt_len
-        );
-        finish(eng, job, Outcome::Failed { reason }, false);
-        return id;
+    // The one window check: budgets are capped here, so no later stage
+    // compares a length with the window. A score feeds all but its last.
+    let fed = job.prompt_len - usize::from(matches!(job.req.decode, Decode::Score { .. }));
+    let room = match eng.model.config().room(fed) {
+        Ok(room) => room,
+        Err(e) => {
+            let reason = e.to_string();
+            finish(eng, job, Outcome::Failed { reason }, false);
+            return id;
+        }
+    };
+    if let Decode::Greedy { max_new, .. } | Decode::Beam { max_new, .. } = &mut job.req.decode {
+        *max_new = (*max_new).min(room);
     }
     let over_queue = eng.opts.max_queue > 0 && eng.queue.len() >= eng.opts.max_queue;
     let slo_shed = !over_queue && eng.opts.slo_admission && predicts_slo_miss(eng, tenant);

@@ -170,9 +170,9 @@ impl<'a> Engine<'a> {
     /// [`crate::sched`] (FIFO within one tenant).
     ///
     /// Three conditions retire the request immediately instead of queueing
-    /// it: a prompt longer than the model's `max_seq_len` fails validation
-    /// ([`Outcome::Failed`] — the feed pass could only panic on it); a
-    /// queue already holding [`EngineOptions::max_queue`] requests sheds
+    /// it: a prompt the window rule ([`lm4db_transformer::ModelConfig::room`],
+    /// which also caps every greedy and beam budget) leaves no room for
+    /// fails validation ([`Outcome::Failed`]); a queue already holding [`EngineOptions::max_queue`] requests sheds
     /// the submission with [`Outcome::Rejected`]; and with
     /// [`EngineOptions::slo_admission`] on, a submission predicted to miss
     /// its tenant's `slo_steps` target sheds the same way (booked under

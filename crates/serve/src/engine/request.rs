@@ -59,7 +59,8 @@ pub enum Decode {
 /// a clone is cheap and shares it).
 #[derive(Clone)]
 pub struct Request<'a> {
-    /// Prompt token ids (non-empty, at most `max_seq_len`).
+    /// Prompt token ids (non-empty; [`crate::Engine::submit`] fails one
+    /// the model's window cannot hold).
     pub prompt: Vec<usize>,
     /// Decoding strategy.
     pub decode: Decode,
@@ -293,8 +294,9 @@ pub(super) struct Job<'a> {
     pub attempt: u32,
     /// Earliest scheduler tick at which a quarantined job may re-admit.
     pub wake: u64,
-    /// The request as submitted, except for two fields the scheduler owns
-    /// while the job is live. `deadline` holds the *remaining* budget: a
+    /// The request as submitted with its budget capped to the window, except
+    /// for two fields the scheduler owns while the job is live.
+    /// `deadline` holds the *remaining* budget: a
     /// `Steps` count ticks down once per step spent in the batch (not in
     /// quarantine — a backing-off request consumes no capacity). `prompt`
     /// is moved into `run.live[0].ids` at admission and moved back by
@@ -339,7 +341,7 @@ impl<'a> Job<'a> {
     pub fn horizon(&self) -> usize {
         match self.req.decode {
             Decode::Greedy { max_new, .. } | Decode::Beam { max_new, .. } => {
-                self.prompt_len.saturating_add(max_new)
+                self.prompt_len + max_new
             }
             Decode::Score { .. } => self.prompt_len,
         }

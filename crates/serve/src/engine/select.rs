@@ -3,7 +3,7 @@
 //! order.
 
 use lm4db_transformer::generate::{argmax, log_softmax, log_softmax_at, mask_logits, top_tokens};
-use lm4db_transformer::{GptModel, Hypothesis};
+use lm4db_transformer::Hypothesis;
 
 use super::request::{Job, Seq};
 use super::retire::finish;
@@ -17,7 +17,7 @@ pub(super) fn run(eng: &mut Engine<'_>) {
     let mut i = 0;
     while i < eng.active.len() {
         let _req = lm4db_obs::request_scope(eng.active[i].id);
-        let done = select(&mut eng.active[i], eng.model, &mut allow);
+        let done = select(&mut eng.active[i], &mut allow);
         if done {
             let job = eng.active.remove(i);
             finish(eng, job, Outcome::Finished, false);
@@ -34,9 +34,10 @@ pub(super) fn run(eng: &mut Engine<'_>) {
 ///
 /// Greedy selects one token per step exactly like `generate::greedy`:
 /// mask, argmax over the logits the feed stage left in the cache, then the
-/// stop and length checks in the same order.
-fn select(job: &mut Job<'_>, model: &GptModel, allow: &mut Vec<bool>) -> bool {
-    let max_seq_len = model.config().max_seq_len;
+/// stop check. No stage here compares a length with the window: admission
+/// capped `max_new` with `ModelConfig::room`, so a budget that runs out
+/// never leaves a token to feed past `max_seq_len`.
+fn select(job: &mut Job<'_>, allow: &mut Vec<bool>) -> bool {
     // Masks veto through the single-request decoders' own `mask_logits`,
     // so a masked request decodes byte-identically to them.
     let mask = job.req.mask;
@@ -62,7 +63,7 @@ fn select(job: &mut Job<'_>, model: &GptModel, allow: &mut Vec<bool>) -> bool {
                 raw
             };
             let tok = argmax(logits);
-            if tok == stop || seq.ids.len() >= max_seq_len {
+            if tok == stop {
                 return true;
             }
             seq.ids.push(tok);
@@ -123,16 +124,6 @@ fn select(job: &mut Job<'_>, model: &GptModel, allow: &mut Vec<bool>) -> bool {
                     .expect("a parent outlives its children");
                 let mut ids = parent.ids.clone();
                 ids.push(tok);
-                if parent.ids.len() >= max_seq_len {
-                    // The engine never slides the context window; a beam at
-                    // the length limit parks as an unfinished hypothesis.
-                    run.done.push(Hypothesis {
-                        ids,
-                        log_prob: lp,
-                        finished: false,
-                    });
-                    continue;
-                }
                 let cache = if children_left[si] > 0 {
                     parent.cache.clone()
                 } else {

@@ -14,7 +14,8 @@ use lm4db_serve::{Engine, Request};
 use lm4db_tensor::Rand;
 use lm4db_tokenize::{vocab::SPECIAL_TOKENS, Bpe, Tokenizer, BOS, EOS};
 use lm4db_transformer::{
-    sample, GptModel, Hypothesis, IncrementalSession, ModelConfig, SampleOptions, TokenMask,
+    sample, ContextError, GptModel, Hypothesis, IncrementalSession, ModelConfig, SampleOptions,
+    TokenMask,
 };
 
 use crate::trie::SqlTrie;
@@ -206,11 +207,16 @@ impl TrieLm {
     }
 
     /// Fine-tunes on `lines` for `epochs` passes of `batch_size`-line
-    /// steps; returns the mean loss of the final epoch.
+    /// steps; returns the mean loss of the final epoch. A line longer than
+    /// the window is skipped (a cut would drop its output) and counted
+    /// under `text2sql/fit_lines_skipped`.
     pub fn fit(&mut self, lines: &[String], epochs: usize, batch_size: usize, lr: f32) -> f32 {
-        let max_len = self.gpt.config().max_seq_len;
-        let mut encoded: Vec<_> = lines.iter().map(|l| self.bpe.encode_causal(l)).collect();
-        encoded.iter_mut().for_each(|ids| ids.truncate(max_len));
+        let cfg = self.gpt.config();
+        let (encoded, skipped): (Vec<_>, Vec<_>) = lines
+            .iter()
+            .map(|l| self.bpe.encode_causal(l))
+            .partition(|ids| cfg.room(ids.len()).is_ok());
+        lm4db_obs::counter_add("text2sql/fit_lines_skipped", skipped.len() as u64);
         let mut opt = self.gpt.optimizer(lr);
         let mut last = 0.0;
         for _ in 0..epochs {
@@ -231,15 +237,15 @@ impl TrieLm {
 
     /// Beam-decodes every prompt through one engine, `width` hypotheses of
     /// at most `max_new` tokens each, under the trie mask when
-    /// `constrained`. Returns each prompt's hypotheses, best first, and
-    /// the engine's scheduler steps.
+    /// `constrained`. Returns each prompt's hypotheses, best first (or why
+    /// the window cannot hold it), and the engine's scheduler steps.
     pub fn beams(
         &self,
         prompts: &[Vec<usize>],
         width: usize,
         max_new: usize,
         constrained: bool,
-    ) -> (Vec<Vec<Hypothesis>>, u64) {
+    ) -> (Vec<Result<Vec<Hypothesis>, ContextError>>, u64) {
         let masks: Vec<TrieConstraint> = prompts
             .iter()
             .map(|p| TrieConstraint::new(&self.bpe, &self.trie, &self.spellings, p.len()))
@@ -249,8 +255,14 @@ impl TrieLm {
             mask: constrained.then_some(mask as &dyn TokenMask),
             ..Request::beam(p.clone(), width, max_new, EOS)
         });
-        let hyps = engine.generate_batch(reqs.collect()).into_iter();
-        (hyps.map(|r| r.hyps).collect(), engine.stats().steps)
+        // The engine fails a prompt with no room at admission; the same
+        // rule names the reason here.
+        let cfg = self.gpt.config();
+        let served = engine.generate_batch(reqs.collect()).into_iter();
+        let hyps = served
+            .zip(prompts)
+            .map(|(r, p)| cfg.room(p.len()).map(|_| r.hyps));
+        (hyps.collect(), engine.stats().steps)
     }
 
     /// [`TrieLm::read`] of the best of `hyps`: the first finished one,
@@ -272,16 +284,17 @@ impl TrieLm {
 
     /// Samples a continuation of `prompt` from the fine-tuned model with
     /// the reference sampler over a KV-cached session, unmasked (read it
-    /// back from offset 0).
+    /// back from offset 0), its budget capped by [`ModelConfig::room`].
     pub fn sample(
         &self,
         prompt: &[usize],
         max_new: usize,
         opts: &SampleOptions,
         rng: &mut Rand,
-    ) -> Vec<usize> {
+    ) -> Result<Vec<usize>, ContextError> {
+        let max_new = max_new.min(self.gpt.config().room(prompt.len())?);
         let mut session = IncrementalSession::new(&self.gpt);
-        sample(&mut session, prompt, max_new, EOS, opts, None, rng)
+        Ok(sample(&mut session, prompt, max_new, EOS, opts, None, rng))
     }
 }
 
@@ -302,6 +315,9 @@ pub struct Prediction {
     pub sql: Option<String>,
     /// Raw decoded word units joined with spaces.
     pub raw: String,
+    /// Why nothing was decoded: the question's prompt does not fit the
+    /// model's window.
+    pub refused: Option<ContextError>,
 }
 
 /// GPT fine-tuned for text-to-SQL over one domain: a [`TrieLm`] with the
@@ -392,14 +408,23 @@ impl SemanticParser {
         predictions
     }
 
-    fn prediction_from_hyps(&self, hyps: &[Hypothesis], prompt_len: usize) -> Prediction {
-        let (raw, sql) = self.lm.best(hyps, prompt_len).unwrap_or_default();
+    fn prediction_from_hyps(
+        &self,
+        hyps: &Result<Vec<Hypothesis>, ContextError>,
+        prompt_len: usize,
+    ) -> Prediction {
+        let best = hyps.as_ref().ok().and_then(|h| self.lm.best(h, prompt_len));
+        let (raw, sql) = best.unwrap_or_default();
         Prediction {
             sql: sql.map(str::to_string),
             raw,
+            refused: hyps.as_ref().err().copied(),
         }
     }
 }
+
+#[cfg(test)]
+mod window;
 
 #[cfg(test)]
 mod tests {
@@ -683,7 +708,7 @@ mod tests {
                 assert_eq!(g.finished, w.finished, "{q}");
                 assert_eq!(g.log_prob.to_bits(), w.log_prob.to_bits(), "{q}");
             }
-            let best = parser.prediction_from_hyps(&got, prompt.len());
+            let best = parser.prediction_from_hyps(&Ok(got), prompt.len());
             assert!(
                 best.sql.is_some(),
                 "{q}: masked beam left the trie: {}",
@@ -733,5 +758,41 @@ mod tests {
         let first = parser.fit(&train, 1, 4, 3e-3);
         let later = parser.fit(&train, 10, 4, 3e-3);
         assert!(later < first, "loss did not drop: {first} -> {later}");
+    }
+
+    #[test]
+    fn fit_skips_a_line_past_the_window_instead_of_cutting_it() {
+        let (_, mut with_long, train) = setup(4);
+        let (_, mut without, _) = setup(4);
+        let short = SemanticParser::serialize(&train[0]);
+        let long = TrieLm::line(SemanticParser::TAGS, &"name ".repeat(120), "select 1");
+        assert!(with_long.bpe.encode_causal(&long).len() > 96);
+        let a = with_long.lm.fit(&[long.clone(), short.clone()], 1, 2, 1e-2);
+        let b = without.lm.fit(&[short], 1, 2, 1e-2);
+        assert_eq!(a.to_bits(), b.to_bits());
+        let probe = with_long.prompt_ids("show the name of all employees");
+        assert_eq!(
+            with_long.gpt.sequence_logits(&probe).data(),
+            without.gpt.sequence_logits(&probe).data()
+        );
+        assert_eq!(with_long.lm.fit(&[long], 1, 2, 1e-2), 0.0);
+    }
+
+    #[test]
+    fn a_question_past_the_window_is_refused_with_the_reason() {
+        let (_, parser, _) = setup(4);
+        let long = "show the name of all employees ".repeat(40);
+        for mode in [DecodeMode::Constrained, DecodeMode::Unconstrained] {
+            let preds = parser.predict_batch(&[&long, "show the name of all employees"], mode);
+            let len = parser.prompt_ids(&long).len();
+            let want = ContextError::TooLong {
+                len,
+                max_seq_len: 96,
+            };
+            assert_eq!(preds[0].refused, Some(want));
+            assert_eq!((preds[0].sql.as_deref(), preds[0].raw.as_str()), (None, ""));
+            assert_eq!(preds[1].refused, None);
+            assert!(!preds[1].raw.is_empty());
+        }
     }
 }

@@ -74,6 +74,21 @@ impl ModelConfig {
         Ok(())
     }
 
+    /// The context-window rule: how many tokens may follow a context of
+    /// `len`. Each is predicted from at most `max_seq_len` tokens and the
+    /// last is never fed, so `max_seq_len + 1 − len` fit when
+    /// `1 ≤ len ≤ max_seq_len`. Every GPT decoder caps its budget here.
+    pub fn room(&self, len: usize) -> Result<usize, ContextError> {
+        match len {
+            0 => Err(ContextError::Empty),
+            _ if len > self.max_seq_len => Err(ContextError::TooLong {
+                len,
+                max_seq_len: self.max_seq_len,
+            }),
+            _ => Ok(self.max_seq_len + 1 - len),
+        }
+    }
+
     /// Width of one attention head.
     pub fn head_dim(&self) -> usize {
         assert_eq!(
@@ -114,6 +129,33 @@ impl ModelConfig {
     }
 }
 
+/// Why a context leaves no room for a next token ([`ModelConfig::room`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ContextError {
+    /// No token to predict from.
+    Empty,
+    /// More tokens than the model's window.
+    TooLong {
+        /// The context's length.
+        len: usize,
+        /// The model's window.
+        max_seq_len: usize,
+    },
+}
+
+impl std::fmt::Display for ContextError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ContextError::Empty => write!(f, "prompt is empty"),
+            ContextError::TooLong { len, max_seq_len } => {
+                write!(f, "prompt length {len} exceeds max_seq_len {max_seq_len}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ContextError {}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,5 +188,26 @@ mod tests {
         let json = serde_json::to_string(&cfg).unwrap();
         let back: ModelConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(back, cfg);
+    }
+
+    #[test]
+    fn room_is_the_window_plus_one_minus_the_context() {
+        let cfg = ModelConfig::test();
+        let w = cfg.max_seq_len;
+        assert_eq!(cfg.room(1), Ok(w));
+        assert_eq!(cfg.room(w), Ok(1));
+        assert_eq!(cfg.room(0), Err(ContextError::Empty));
+        let err = cfg.room(w + 1).unwrap_err();
+        assert_eq!(
+            err,
+            ContextError::TooLong {
+                len: w + 1,
+                max_seq_len: w
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            format!("prompt length {} exceeds max_seq_len {w}", w + 1)
+        );
     }
 }

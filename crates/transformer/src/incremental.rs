@@ -16,9 +16,7 @@
 //! transparently: when a requested prefix extends the tokens already
 //! consumed, only the new suffix is processed; otherwise the cache resets.
 
-use lm4db_tokenize::PAD;
-
-use crate::generate::NextToken;
+use crate::generate::{argmax, NextToken};
 use crate::gpt::GptModel;
 use crate::layers::{attend_prefix, fork, AttnCache};
 use crate::quant::{projections, QuantizedGpt};
@@ -418,11 +416,6 @@ impl<'a> IncrementalSession<'a> {
         }
     }
 
-    /// Tokens consumed so far.
-    pub fn consumed(&self) -> &[usize] {
-        self.cache.tokens()
-    }
-
     /// The underlying decode state.
     pub fn cache(&self) -> &KvCache {
         &self.cache
@@ -431,12 +424,6 @@ impl<'a> IncrementalSession<'a> {
     /// Resets the session to the empty prefix.
     pub fn reset(&mut self) {
         self.cache.clear();
-    }
-
-    /// Number of positions the cache holds (the next token's position);
-    /// a caller sees from it how much of a prefix was reused.
-    pub fn position(&self) -> usize {
-        self.cache.len()
     }
 
     /// Feeds one token, returning the next-token logits.
@@ -458,49 +445,48 @@ impl NextToken for IncrementalSession<'_> {
         self.model.cfg.vocab_size
     }
 
+    /// Never cuts `prefix`: past `max_seq_len` the cache's assertion
+    /// panics, so a decoder caps its budget with [`crate::ModelConfig::room`].
     fn next_logits(&mut self, prefix: &[usize]) -> Vec<f32> {
         assert!(
             !prefix.is_empty(),
             "next_logits requires a non-empty prefix"
         );
-        // Past `max_seq_len`, condition on the last window only.
-        let start = prefix.len().saturating_sub(self.model.cfg.max_seq_len);
-        let window = &prefix[start..];
         let consumed = self.cache.len();
-        let reusable =
-            window.len() > consumed && window[..consumed] == self.cache.tokens()[..] && start == 0;
-        if reusable {
-            let new = window[consumed..].to_vec();
-            return self.feed_all(&new).to_vec();
+        if prefix.len() <= consumed || prefix[..consumed] != self.cache.tokens()[..] {
+            self.reset();
         }
-        self.reset();
-        self.feed_all(window).to_vec()
+        let fed = self.cache.len();
+        self.feed_all(&prefix[fed..]).to_vec()
     }
 }
 
-/// Greedy generation through a KV-cache session — same contract as
-/// [`crate::generate::greedy`] but O(t) per token.
+/// Unmasked [`crate::generate::greedy`] over an [`IncrementalSession`],
+/// its budget capped by [`crate::ModelConfig::room`]; a prompt the window
+/// cannot hold yields no tokens.
 pub fn greedy_cached(
     model: &GptModel,
     prefix: &[usize],
     max_new: usize,
     stop: usize,
 ) -> Vec<usize> {
+    let Ok(room) = model.config().room(prefix.len()) else {
+        return Vec::new();
+    };
+    let budget = max_new.min(room);
     let mut session = IncrementalSession::new(model);
-    let mut logits = session.feed_all(prefix).to_vec();
+    session.feed_all(prefix);
     let mut out = Vec::new();
-    for _ in 0..max_new {
-        let tok = logits
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i)
-            .unwrap_or(PAD);
-        if tok == stop || session.position() >= model.config().max_seq_len {
+    while out.len() < budget {
+        let tok = argmax(session.cache().last_logits());
+        if tok == stop {
             break;
         }
         out.push(tok);
-        logits = session.feed(tok).to_vec();
+        // The last token is never fed.
+        if out.len() < budget {
+            session.feed(tok);
+        }
     }
     out
 }
@@ -509,7 +495,6 @@ pub fn greedy_cached(
 mod tests {
     use super::*;
     use crate::config::ModelConfig;
-    use crate::generate::argmax;
     use lm4db_tokenize::{BOS, EOS};
 
     fn model() -> GptModel {
@@ -559,25 +544,24 @@ mod tests {
         let m = model();
         let mut session = IncrementalSession::new(&m);
         let a = session.next_logits(&[BOS, 10, 11]);
-        assert_eq!(session.position(), 3);
+        assert_eq!(session.cache().len(), 3);
         // Extension: only one new token should be consumed.
         let _ = session.next_logits(&[BOS, 10, 11, 12]);
-        assert_eq!(session.position(), 4);
+        assert_eq!(session.cache().len(), 4);
         // Divergent prefix: the session resets.
         let b = session.next_logits(&[BOS, 10, 13]);
-        assert_eq!(session.position(), 3);
+        assert_eq!(session.cache().len(), 3);
         assert_ne!(a, b);
     }
 
     #[test]
-    fn session_next_logits_clamps_long_context() {
-        // Past `max_seq_len` the session conditions on the last window.
+    #[should_panic(expected = "max_seq_len")]
+    fn session_next_logits_panics_past_the_window() {
+        // The session never slides: a prefix longer than the window trips
+        // the cache's assertion instead of conditioning on its tail.
         let m = model();
-        let long: Vec<usize> = (0..50).map(|i| 8 + (i % 20)).collect();
-        let l = IncrementalSession::new(&m).next_logits(&long);
-        assert_eq!(l.len(), m.config().vocab_size);
-        let window = &long[long.len() - m.config().max_seq_len..];
-        assert_eq!(l, KvCache::new(&m).feed_all(&m, window));
+        let long: Vec<usize> = (0..=m.config().max_seq_len).map(|i| 8 + (i % 20)).collect();
+        IncrementalSession::new(&m).next_logits(&long);
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub mod train;
 
 pub use bert::{BertClassifier, BertModel};
 pub use checkpoint::{restore_store, snapshot_store, Checkpoint, ParamSnapshot};
-pub use config::ModelConfig;
+pub use config::{ContextError, ModelConfig};
 pub use generate::{
     apply_token_mask, argmax, beam, greedy, log_softmax, sample, Hypothesis, NextToken,
     SampleOptions, TokenMask,
