@@ -172,10 +172,11 @@ impl<'a> Engine<'a> {
     /// Three conditions retire the request immediately instead of queueing
     /// it: a prompt the window rule ([`lm4db_transformer::ModelConfig::room`],
     /// which also caps every greedy and beam budget) leaves no room for
-    /// fails validation ([`Outcome::Failed`]); a queue already holding [`EngineOptions::max_queue`] requests sheds
-    /// the submission with [`Outcome::Rejected`]; and with
-    /// [`EngineOptions::slo_admission`] on, a submission predicted to miss
-    /// its tenant's `slo_steps` target sheds the same way (booked under
+    /// fails validation ([`Outcome::Failed`]); a queue already holding
+    /// [`EngineOptions::max_queue`] requests sheds the submission with
+    /// [`Outcome::Rejected`]; and with [`EngineOptions::slo_admission`]
+    /// on, a submission predicted to miss its tenant's `slo_steps` target
+    /// sheds the same way (booked under
     /// [`crate::TenantStats::slo_shed`]). Structurally invalid requests
     /// (empty prompt, zero-width beam, degenerate scoring split,
     /// out-of-range tenant id) are API misuse and still panic.

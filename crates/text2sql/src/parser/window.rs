@@ -196,14 +196,14 @@ proptest! {
 
 #[test]
 fn twelve_tokens_into_a_window_of_sixteen_leave_room_for_five() {
-    // Before one rule held, `greedy_cached` and the engine stopped at
-    // the window (4 tokens) and the session decoders slid past it (10).
+    // A 12-token prompt leaves room for 16 + 1 − 12 = 5 tokens, and
+    // this prompt's decode meets no EOS first: only the window ends it.
     let lm = lm();
     let m = &lm.gpt;
     let mut prompt = vec![BOS];
     prompt.extend(tokens(11, &mut Rand::seeded(0)));
     let want = greedy_cached(m, &prompt, 10, EOS);
-    assert_eq!(want.len(), 5, "only the window ends this decode");
+    assert_eq!(want.len(), 5);
     assert_eq!(Engine::new(m).greedy(&prompt, 10, EOS), want);
     let room = m.config().room(prompt.len()).unwrap();
     let mut session = IncrementalSession::new(m);

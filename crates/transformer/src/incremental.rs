@@ -557,8 +557,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "max_seq_len")]
     fn session_next_logits_panics_past_the_window() {
-        // The session never slides: a prefix longer than the window trips
-        // the cache's assertion instead of conditioning on its tail.
+        // A prefix longer than the window trips the cache's assertion:
+        // the session never cuts it.
         let m = model();
         let long: Vec<usize> = (0..=m.config().max_seq_len).map(|i| 8 + (i % 20)).collect();
         IncrementalSession::new(&m).next_logits(&long);
