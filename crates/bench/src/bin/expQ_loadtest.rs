@@ -8,10 +8,9 @@
 //!
 //! 1. **fifo** — one global FIFO queue with only the hard `max_queue`
 //!    bound, the engine as every earlier experiment ran it;
-//! 2. **slo** — tenant classes registered ([`TenantClass`]): strict
-//!    priority tiers + weighted-fair sharing, and SLO-aware admission
-//!    control shedding interactive arrivals predicted to miss their
-//!    step-deadline target.
+//! 2. **slo** — tenant classes registered (`TenantSpec::class`): strict
+//!    priority tiers + weighted-fair sharing, and SLO admission shedding
+//!    interactive arrivals predicted to miss their step target.
 //!
 //! Because the generator is open-loop (arrivals are a function of the
 //! virtual clock, not of server progress), overload actually happens, and
@@ -26,15 +25,14 @@
 //!
 //! Latencies here are *scheduler steps on the virtual clock* — the bench
 //! drives one engine step per tick — so every number in the table is
-//! deterministic: reruns produce byte-identical curves on any host.
-//!
-//! `LM4DB_SMOKE=1` shrinks the sweep for CI.
+//! deterministic: reruns produce byte-identical curves on any host, and CI
+//! diffs the committed `results/expQ_loadtest.{txt,json}`.
 
 use std::collections::HashMap;
 
 use lm4db::loadgen::{LoadGen, Phase, PromptShape, TenantSpec, Workload};
 use lm4db::obs;
-use lm4db::serve::{Engine, EngineOptions, Outcome, RequestId, TenantClass};
+use lm4db::serve::{Engine, EngineOptions, Outcome, RequestId};
 use lm4db::transformer::{GptModel, ModelConfig};
 use lm4db_bench::{json_obj, write_results_json};
 use serde_json::Value;
@@ -107,20 +105,6 @@ fn tenant_specs() -> Vec<TenantSpec> {
             mix: Workload::mix(&[(Workload::CodeGen, 2.0), (Workload::Lm, 1.0)]),
         },
     ]
-}
-
-/// The serve-side classes mirroring [`tenant_specs`].
-fn tenant_classes() -> Vec<TenantClass> {
-    tenant_specs()
-        .iter()
-        .map(|s| {
-            TenantClass::new(s.name)
-                .tier(s.tier)
-                .weight(s.weight)
-                .slo_steps(s.slo_steps)
-                .slo_wall_ms(s.slo_wall_ms)
-        })
-        .collect()
 }
 
 /// Everything measured for one (policy, load multiplier) cell.
@@ -223,12 +207,8 @@ fn drive(model: &GptModel, opts: EngineOptions, ticks: u64, rate_mul: f64) -> Ru
 }
 
 fn main() {
-    let smoke = std::env::var("LM4DB_SMOKE").is_ok_and(|v| v == "1");
-    let (ticks, mults): (u64, Vec<f64>) = if smoke {
-        (80, vec![0.5, 2.0, 8.0])
-    } else {
-        (400, vec![0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
-    };
+    let ticks: u64 = 400;
+    let mults = [0.25, 0.5, 1.0, 2.0, 4.0, 8.0];
     let model = GptModel::new(cfg(), 11);
     let fifo_opts = || EngineOptions {
         max_batch: MAX_BATCH,
@@ -238,8 +218,7 @@ fn main() {
     let slo_opts = || EngineOptions {
         max_batch: MAX_BATCH,
         max_queue: MAX_QUEUE,
-        tenants: tenant_classes(),
-        slo_admission: true,
+        tenants: tenant_specs().iter().map(TenantSpec::class).collect(),
         ..Default::default()
     };
 
@@ -271,7 +250,7 @@ fn main() {
         for (name, r) in [("fifo", &fifo), ("slo", &slo)] {
             // Per-phase telemetry series: one point per offered-load level
             // (step = level index), so the sweep's shape is available to
-            // the exporters/dashboard like any other sampled series.
+            // the exporters like any other sampled series.
             obs::series_record(&format!("expQ/{name}/completed"), level as u64, r.completed);
             obs::series_record(
                 &format!("expQ/{name}/shed"),
@@ -428,7 +407,9 @@ fn main() {
         &json_obj(vec![
             ("experiment", Value::Str("expQ_loadtest".into())),
             ("seed", Value::Int(SEED as i64)),
-            ("smoke", Value::Bool(smoke)),
+            // Every run is the full one; the field stays so the committed
+            // JSON keeps its shape.
+            ("smoke", Value::Bool(false)),
             ("ticks_per_level", Value::Int(ticks as i64)),
             ("max_batch", Value::Int(MAX_BATCH as i64)),
             ("max_queue", Value::Int(MAX_QUEUE as i64)),

@@ -1,7 +1,7 @@
 //! **Exp S** (telemetry): determinism of the time-series sampler, the
 //! burn-rate SLO monitor, and the scrape endpoint, all on the step clock.
 //!
-//! Three claims are hard-asserted:
+//! Four claims are hard-asserted:
 //!
 //! 1. **Sampling is purely observational.** The same open-loop schedule
 //!    is served with the sampler off and at cadence 1; the rendered
@@ -14,19 +14,25 @@
 //! 3. **`GET /metrics` is valid mid-soak.** A scrape landing in the
 //!    middle of the sampled run (and another after it) must return valid
 //!    Prometheus exposition text carrying the sampled series.
+//! 4. **A firing alert tightens SLO admission.** While the interactive
+//!    tenant's alert fires, admission halves its step target. The alert
+//!    run must never leave fewer interactive completions inside the target
+//!    than the alert-free run, and strictly more when the alert fires
+//!    before the last arrival (here at step 63 of 240).
 //!
 //! The disabled sampler (`sample_steps == 0`, one u64 compare per step) is
 //! the configuration every `benchmark/` workload runs in; its cost is part
 //! of `ops_per_s` there and is not measured here.
 //!
-//! `LM4DB_SMOKE=1` shrinks the schedules for CI.
+//! Everything is on the step clock; CI diffs the committed
+//! `results/expS_telemetry.json`.
 
 use std::fmt::Write as _;
 
 use lm4db::fault::fnv64;
 use lm4db::loadgen::{LoadGen, Phase, PromptShape, TenantSpec, Workload};
 use lm4db::obs;
-use lm4db::serve::{Engine, EngineOptions, TenantClass};
+use lm4db::serve::{Engine, EngineOptions, TenantStats};
 use lm4db::transformer::{GptModel, ModelConfig};
 use lm4db_bench::{json_obj, write_results_json};
 use serde_json::Value;
@@ -81,19 +87,6 @@ fn tenant_specs() -> Vec<TenantSpec> {
     ]
 }
 
-fn tenant_classes() -> Vec<TenantClass> {
-    tenant_specs()
-        .iter()
-        .map(|s| {
-            TenantClass::new(s.name)
-                .tier(s.tier)
-                .weight(s.weight)
-                .slo_steps(s.slo_steps)
-                .slo_wall_ms(s.slo_wall_ms)
-        })
-        .collect()
-}
-
 /// What one open-loop run produces: the rendered outcome stream (the
 /// reproducibility claim), the rendered alert-transition log, and the
 /// sampler/alert counters.
@@ -107,6 +100,11 @@ struct RunResult {
     first_firing_step: Option<u64>,
     first_resolved_step: Option<u64>,
     mid_scrape_ok: bool,
+    /// Generator tick of the last arrival.
+    last_arrival: u64,
+    /// The interactive and batch tenants' rows.
+    interactive: TenantStats,
+    batch: TenantStats,
 }
 
 /// Serves the fixed overload schedule open-loop (one engine step per
@@ -132,6 +130,7 @@ fn drive(
     let mut base = None;
     let mut steps = 0u64;
     let mut mid_scrape_ok = false;
+    let mut last_arrival = 0;
     let mut tick = 0u64;
     let mut more = true;
     while tick < gen.total_ticks() || more {
@@ -139,6 +138,7 @@ fn drive(
             for a in gen.arrivals_at(tick) {
                 let id = engine.submit(a.to_request());
                 base.get_or_insert(id);
+                last_arrival = tick;
             }
         }
         more = engine.step();
@@ -207,12 +207,26 @@ fn drive(
         first_firing_step,
         first_resolved_step,
         mid_scrape_ok,
+        last_arrival,
+        interactive: st.tenants[&0].clone(),
+        batch: st.tenants[&1].clone(),
     }
 }
 
+/// One JSON row of a tenant's SLO outcomes.
+fn slo_row(t: &TenantStats) -> Value {
+    json_obj(vec![
+        ("submitted", Value::Int(t.submitted as i64)),
+        ("completed", Value::Int(t.completed as i64)),
+        ("slo_met", Value::Int(t.slo_met as i64)),
+        ("slo_missed", Value::Int(t.slo_missed as i64)),
+        ("slo_shed", Value::Int(t.slo_shed as i64)),
+        ("rejected", Value::Int(t.rejected as i64)),
+    ])
+}
+
 fn main() {
-    let smoke = std::env::var("LM4DB_SMOKE").is_ok_and(|v| v == "1");
-    let (ticks, cooldown) = if smoke { (60, 30) } else { (240, 60) };
+    let (ticks, cooldown) = (240, 60);
     let rate_mul = 4.0; // sustained overload: the admission controller sheds
     let model = GptModel::new(cfg(), 11);
     // A deep queue keeps the hard bound out of the way so the SLO
@@ -221,8 +235,7 @@ fn main() {
     let base_opts = || EngineOptions {
         max_batch: 4,
         max_queue: 256,
-        tenants: tenant_classes(),
-        slo_admission: true,
+        tenants: tenant_specs().iter().map(TenantSpec::class).collect(),
         sample_steps: 0,
         slo_alerts: None,
         ..Default::default()
@@ -329,12 +342,58 @@ fn main() {
     obs::set_enabled(false);
     println!("GET /metrics valid mid-soak and after: PASS");
 
+    // --- 4. A firing alert tightens SLO admission ---------------------------
+    // `off` and `run1` serve the same schedule; only the alert differs.
+    let (without, with) = (&off.interactive, &run1.interactive);
+    assert!(
+        with.slo_met >= without.slo_met,
+        "alerts on left fewer completions inside the target: {} < {}",
+        with.slo_met,
+        without.slo_met
+    );
+    let fired_in_time = run1
+        .first_firing_step
+        .is_some_and(|s| s <= off.last_arrival);
+    if fired_in_time {
+        assert!(
+            with.slo_met > without.slo_met,
+            "an alert firing at step {:?}, before the last arrival at tick {}, \
+             must leave more completions inside the target: {} vs {}",
+            run1.first_firing_step,
+            off.last_arrival,
+            with.slo_met,
+            without.slo_met
+        );
+    }
+    println!(
+        "alert-coupled admission, interactive tenant (target {SLO_STEPS} steps, \
+         {} submitted):",
+        without.submitted
+    );
+    println!("| alerts | completed | met target | missed | slo shed | rejected (incl. shed) |");
+    println!("|---|---|---|---|---|---|");
+    for (name, t) in [("off", without), ("on", with)] {
+        println!(
+            "| {name} | {} | {} | {} | {} | {} |",
+            t.completed, t.slo_met, t.slo_missed, t.slo_shed, t.rejected
+        );
+    }
+    println!(
+        "batch tenant completed {} with alerts off, {} with alerts on; \
+         met target with alerts on >= off{}: PASS",
+        off.batch.completed,
+        run1.batch.completed,
+        if fired_in_time { ", strictly" } else { "" }
+    );
+
     let path = write_results_json(
         "expS_telemetry.json",
         &json_obj(vec![
             ("experiment", Value::Str("expS_telemetry".into())),
             ("seed", Value::Int(SEED as i64)),
-            ("smoke", Value::Bool(smoke)),
+            // Every run is the full one; the field stays so the committed
+            // JSON keeps its shape.
+            ("smoke", Value::Bool(false)),
             ("ticks", Value::Int(ticks as i64)),
             ("rate_mul", Value::Float(rate_mul)),
             ("outputs_bit_identical", Value::Bool(true)),
@@ -353,6 +412,17 @@ fn main() {
             ),
             ("transitions_replay_identical", Value::Bool(true)),
             ("mid_soak_scrape_valid", Value::Bool(true)),
+            (
+                "alert_coupling",
+                json_obj(vec![
+                    ("last_arrival_tick", Value::Int(off.last_arrival as i64)),
+                    ("interactive_alerts_off", slo_row(without)),
+                    ("interactive_alerts_on", slo_row(with)),
+                    ("batch_alerts_off", slo_row(&off.batch)),
+                    ("batch_alerts_on", slo_row(&run1.batch)),
+                    ("slo_met_strictly_more", Value::Bool(fired_in_time)),
+                ]),
+            ),
         ]),
     );
     println!("wrote {}", path.display());

@@ -27,8 +27,8 @@
 //! balanced) and the p99 latency in scheduler steps must stay within
 //! `max(4× baseline, baseline + 64)` of the kill-free run.
 //!
-//! Everything is on the virtual step clock, so reruns are byte-identical.
-//! `LM4DB_SMOKE=1` shrinks the run for CI.
+//! Everything is on the virtual step clock, so reruns are byte-identical,
+//! and CI diffs the committed `results/expT_router.{txt,json}`.
 
 use lm4db::fault::{self, mix};
 use lm4db::router::{RoutePolicy, Router, RouterOptions, RouterStats};
@@ -145,11 +145,10 @@ fn main() {
     // This is a controlled drill: the only kill is the explicit one below,
     // so an ambient chaos environment must not leak in.
     fault::disarm();
-    let smoke = std::env::var("LM4DB_SMOKE").is_ok_and(|v| v == "1");
-    // ~5 requests per family either way: enough repeats for warm headers
-    // under affinity, few enough that random routing keeps paying cold
-    // header prefills on replicas that have not seen the family yet.
-    let (total, families): (u64, u64) = if smoke { (160, 32) } else { (640, 128) };
+    // ~5 requests per family: enough repeats for warm headers under
+    // affinity, few enough that random routing keeps paying cold header
+    // prefills on replicas that have not seen the family yet.
+    let (total, families): (u64, u64) = (640, 128);
     let model = GptModel::new(cfg(), 11);
 
     let mut out = String::new();
@@ -284,7 +283,9 @@ fn main() {
         &json_obj(vec![
             ("experiment", Value::Str("expT_router".into())),
             ("seed", Value::Int(SEED as i64)),
-            ("smoke", Value::Bool(smoke)),
+            // Every run is the full one; the field stays so the committed
+            // JSON keeps its shape.
+            ("smoke", Value::Bool(false)),
             ("replicas", Value::Int(REPLICAS as i64)),
             ("families", Value::Int(families as i64)),
             ("requests", Value::Int(total as i64)),

@@ -13,7 +13,7 @@
 //! level, or replay order — the soak suite's reproducibility claim rests
 //! on this.
 
-use lm4db_serve::Request;
+use lm4db_serve::{Request, TenantClass};
 
 use crate::rng::Rng;
 use crate::workload::{build_request, sample_prompt, PromptShape, Workload};
@@ -33,15 +33,25 @@ pub struct TenantSpec {
     pub weight: u32,
     /// SLO deadline in scheduler steps (0 = best-effort, no SLO).
     pub slo_steps: u64,
-    /// Wall-clock SLO target in milliseconds (0 = none). Plumbed through
-    /// to [`lm4db_serve::TenantClass::slo_wall_ms`]: recorded in the
-    /// engine's per-tenant stats, not yet enforced — the step-based and
-    /// wall-clock SLO targets share one schema so wall-clock enforcement
-    /// can land without changing any spec.
+    /// Wall-clock SLO target in milliseconds. Nothing reads it: the serve
+    /// engine has one SLO target, [`TenantSpec::slo_steps`], on the step
+    /// clock. It stays only because the `benchmark` package names every
+    /// field of this struct, and goes with that package's next change.
     pub slo_wall_ms: u64,
     /// Relative weights over [`Workload::ALL`]; zero entries are never
     /// sampled.
     pub mix: [f64; 7],
+}
+
+impl TenantSpec {
+    /// The serve-side scheduling class of this tenant: name, tier, weight
+    /// and step target.
+    pub fn class(&self) -> TenantClass {
+        TenantClass::new(self.name)
+            .tier(self.tier)
+            .weight(self.weight)
+            .slo_steps(self.slo_steps)
+    }
 }
 
 /// A burst overlay on a phase: every `period` ticks, `width` consecutive
@@ -227,6 +237,22 @@ mod tests {
             slo_wall_ms: 0,
             mix: [1.0; 7],
         }
+    }
+
+    #[test]
+    fn class_carries_the_scheduling_fields() {
+        let s = TenantSpec {
+            name: "interactive",
+            tier: 1,
+            weight: 3,
+            slo_steps: 16,
+            ..spec(1.0)
+        };
+        let want = TenantClass::new("interactive")
+            .tier(1)
+            .weight(3)
+            .slo_steps(16);
+        assert_eq!(s.class(), want);
     }
 
     fn shape() -> PromptShape {

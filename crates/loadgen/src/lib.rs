@@ -13,6 +13,7 @@
 //! * [`TenantSpec`] — a traffic class: arrival rate, strict-priority
 //!   tier, weighted-fair share, SLO deadline (in scheduler steps), and a
 //!   mix over the seven application [`Workload`]s.
+//!   [`TenantSpec::class`] is the serve engine's class for it.
 //! * [`Phase`] / [`Burst`] — the schedule: stationary Poisson stretches
 //!   and flash-crowd bursts, all on a **virtual clock** (one tick per
 //!   engine scheduler step).

@@ -1,6 +1,5 @@
 //! Std-only metrics scrape endpoint: a background thread serving
-//! `/metrics` (Prometheus text exposition) and `/dashboard` (HTML with
-//! sparklines) over a plain `TcpListener`.
+//! `/metrics` (Prometheus text exposition) over a plain `TcpListener`.
 //!
 //! The server never touches live registry internals beyond taking the
 //! same snapshots any caller can take — each request renders from
@@ -180,15 +179,10 @@ fn handle_conn(mut stream: TcpStream) -> std::io::Result<()> {
                 "text/plain; version=0.0.4; charset=utf-8",
                 crate::prom::global_prometheus(),
             ),
-            "/dashboard" | "/" => (
-                "200 OK",
-                "text/html; charset=utf-8",
-                crate::dashboard::global_html(),
-            ),
             _ => (
                 "404 Not Found",
                 "text/plain; charset=utf-8",
-                "not found; try /metrics or /dashboard\n".to_string(),
+                "not found; try /metrics\n".to_string(),
             ),
         }
     };
@@ -226,17 +220,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn serves_metrics_dashboard_and_404() {
+    fn serves_metrics_and_404() {
         let server = serve_metrics("127.0.0.1:0").expect("bind ephemeral");
         let addr = server.addr();
 
         let (status, body) = http_get(addr, "/metrics").expect("GET /metrics");
         assert!(status.contains("200"), "{status}");
         crate::prom::validate_exposition(&body).expect("scrape must be valid exposition");
-
-        let (status, body) = http_get(addr, "/dashboard").expect("GET /dashboard");
-        assert!(status.contains("200"), "{status}");
-        assert!(body.starts_with("<!doctype html>"));
 
         let (status, _) = http_get(addr, "/nope").expect("GET /nope");
         assert!(status.contains("404"), "{status}");

@@ -49,10 +49,9 @@
 //! `LM4DB_SAMPLE_STEPS`) with windowed `rate()`/`delta()` views; [`slo`]
 //! runs multi-window burn-rate rules over those samples through a
 //! deterministic pending→firing→resolved alert state machine; and the
-//! [`prom`]/[`dashboard`]/[`endpoint`] exporters publish everything as
-//! Prometheus text exposition and a self-contained HTML dashboard from a
-//! background scrape thread (`LM4DB_METRICS_ADDR`) that only ever reads
-//! snapshots. Because samples and alerts live on the virtual step clock,
+//! [`prom`]/[`endpoint`] exporters publish everything as Prometheus text
+//! exposition from a background scrape thread (`LM4DB_METRICS_ADDR`) that
+//! only ever reads snapshots. Because samples and alerts live on the virtual step clock,
 //! they replay byte-identically under the golden/soak matrices.
 //!
 //! # Examples
@@ -92,7 +91,6 @@
 
 #![warn(missing_docs)]
 
-pub mod dashboard;
 pub mod endpoint;
 pub mod event;
 pub mod export;
@@ -104,7 +102,6 @@ pub mod slo;
 pub mod span;
 pub mod timeseries;
 
-pub use dashboard::to_html;
 pub use endpoint::{serve_metrics, serve_metrics_from_env, MetricsServer};
 pub use event::{
     complete_for, current_request, instant, instant_arg, instant_for, instant_for_arg,

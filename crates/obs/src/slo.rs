@@ -28,8 +28,8 @@
 //!
 //! Every transition is returned to the caller as an [`AlertTransition`];
 //! the serve engine books them as `slo/*` counters and flight-recorder
-//! instants, and consults [`SloMonitor::is_firing`] to tighten
-//! `slo_admission` shedding while a tenant burns.
+//! instants, and consults [`SloMonitor::is_firing`] to tighten SLO
+//! admission while a tenant burns.
 //!
 //! # Examples
 //!

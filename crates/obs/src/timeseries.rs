@@ -17,8 +17,8 @@
 //! part of any fingerprint.
 //!
 //! The global [`series_record`] store is keyed by name, sorted, and
-//! snapshotted with [`series_snapshot`]; the Prometheus and dashboard
-//! exporters render from that snapshot, never from live state.
+//! snapshotted with [`series_snapshot`]; the Prometheus exporter renders
+//! from that snapshot, never from live state.
 //!
 //! # Examples
 //!

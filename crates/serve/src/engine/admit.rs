@@ -1,10 +1,8 @@
 //! Stage 1 — admission: validating and queueing submissions, moving
 //! queued and quarantined jobs into free batch slots, and sweeping
-//! cancelled and deadline-expired jobs out.
+//! cancelled and step-expired jobs out.
 
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 use lm4db_transformer::KvCache;
 
@@ -59,7 +57,7 @@ pub(super) fn submit<'a>(eng: &mut Engine<'a>, req: Request<'a>) -> RequestId {
         *max_new = (*max_new).min(room);
     }
     let over_queue = eng.opts.max_queue > 0 && eng.queue.len() >= eng.opts.max_queue;
-    let slo_shed = !over_queue && eng.opts.slo_admission && predicts_slo_miss(eng, tenant);
+    let slo_shed = !over_queue && predicts_slo_miss(eng, tenant);
     if over_queue || slo_shed {
         finish(eng, job, Outcome::Rejected, slo_shed);
         return id;
@@ -72,7 +70,8 @@ pub(super) fn submit<'a>(eng: &mut Engine<'a>, req: Request<'a>) -> RequestId {
 }
 
 /// SLO admission predicate: would a request submitted now for `tenant`
-/// likely retire after the tenant's step target? The backlog the
+/// likely retire after the tenant's step target? Never for a best-effort
+/// tenant (`slo_steps == 0`). The backlog the
 /// request waits behind is everything running or quarantined plus
 /// every queued request in its own or a higher tier; each `max_batch`
 /// of backlog costs roughly one service generation of the current
@@ -150,49 +149,43 @@ pub(super) fn admit(eng: &mut Engine<'_>) {
     }
 }
 
-/// Why `job` must leave now, if it must. A pending cancel wins over an
-/// expired deadline. Step budgets only run out in the batch: a
-/// quarantined job is not consuming scheduler capacity, so only
-/// cancellation and wall deadlines reach it there.
-fn verdict(cancelled: &mut HashSet<RequestId>, job: &Job<'_>, in_batch: bool) -> Option<Outcome> {
-    if cancelled.remove(&job.id) {
-        return Some(Outcome::Cancelled);
-    }
-    let expired = match job.req.deadline {
-        Deadline::None => false,
-        Deadline::Steps(left) => in_batch && left == 0,
-        Deadline::Wall(t) => Instant::now() >= t,
-    };
-    expired.then_some(Outcome::DeadlineExpired)
-}
-
-/// Retires cancelled and deadline-expired jobs — quarantined and active —
-/// with whatever partial results they have, and ticks the step deadlines
-/// of the jobs that stay in the batch.
+/// Retires cancelled jobs — quarantined and active — and step-expired
+/// active ones with whatever partial results they have, and ticks the
+/// step deadlines of the jobs that stay in the batch. A pending cancel
+/// wins over an expired deadline. Step budgets only run out in the
+/// batch: a quarantined job is not consuming scheduler capacity, so only
+/// a cancel reaches it there.
 pub(super) fn sweep(eng: &mut Engine<'_>) {
     let mut i = 0;
     while i < eng.retrying.len() {
-        match verdict(&mut eng.cancelled, &eng.retrying[i], false) {
-            Some(outcome) => {
-                let job = eng.retrying.remove(i);
-                finish(eng, job, outcome, false);
-            }
-            None => i += 1,
+        if eng.cancelled.remove(&eng.retrying[i].id) {
+            let job = eng.retrying.remove(i);
+            finish(eng, job, Outcome::Cancelled, false);
+        } else {
+            i += 1;
         }
     }
     let mut i = 0;
     while i < eng.active.len() {
-        match verdict(&mut eng.cancelled, &eng.active[i], true) {
+        let job = &mut eng.active[i];
+        let outcome = if eng.cancelled.remove(&job.id) {
+            Some(Outcome::Cancelled)
+        } else {
+            match &mut job.req.deadline {
+                Deadline::Steps(0) => Some(Outcome::DeadlineExpired),
+                Deadline::Steps(left) => {
+                    *left -= 1;
+                    None
+                }
+                Deadline::None => None,
+            }
+        };
+        match outcome {
             Some(outcome) => {
                 let job = eng.active.remove(i);
                 finish(eng, job, outcome, false);
             }
-            None => {
-                if let Deadline::Steps(left) = &mut eng.active[i].req.deadline {
-                    *left -= 1;
-                }
-                i += 1;
-            }
+            None => i += 1,
         }
     }
 }

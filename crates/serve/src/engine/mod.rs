@@ -57,12 +57,11 @@
 //! [`EngineOptions::tenants`] configured, each request carries a
 //! [`Request::tenant`] id and waits in that tenant's own queue; admission
 //! picks across queues by strict priority tier and weighted-fair virtual
-//! time (see [`crate::sched`]), instead of global FIFO. Optionally,
-//! [`EngineOptions::slo_admission`] turns the queue bound into an
-//! SLO-aware controller: a tenant with an `slo_steps` target sheds its own
-//! arrivals (lowest tiers feel the backlog first — higher-tier work jumps
-//! their queue) whenever the backlog it must wait behind, times a running
-//! estimate of per-request service steps, predicts a deadline miss. Every
+//! time (see [`crate::sched`]), instead of global FIFO. A tenant with an
+//! `slo_steps` target is SLO-admitted: it sheds its own arrivals (lowest
+//! tiers feel the backlog first — higher-tier work jumps their queue)
+//! whenever the backlog it must wait behind, times a running estimate of
+//! per-request service steps, predicts a miss of that target. Every
 //! outcome, retry, and a step-based latency distribution is additionally
 //! booked per tenant in [`Stats::tenants`]; the conservation law above
 //! holds tenant by tenant.
@@ -137,13 +136,11 @@ impl<'a> Engine<'a> {
         assert!(opts.max_batch >= 1, "max_batch must be at least 1");
         let queue = FairQueues::new(opts.tenants.clone());
         let monitor = opts.slo_alerts.map(lm4db_obs::SloMonitor::new);
-        // Record each tenant's wall-clock SLO target up front so stats
-        // snapshots carry the full SLO schema. The target is accounting
-        // only for now: admission and alerting still run on `slo_steps`
-        // (see TenantStats::slo_wall_ms).
+        // One stats row per configured tenant from the start, so a tenant
+        // that never submits still has its (empty) row.
         let mut stats = Stats::default();
-        for (i, class) in opts.tenants.iter().enumerate() {
-            stats.tenants.entry(i as TenantId).or_default().slo_wall_ms = class.slo_wall_ms;
+        for i in 0..opts.tenants.len() {
+            stats.tenants.insert(i as TenantId, Default::default());
         }
         Engine {
             model,
@@ -174,9 +171,8 @@ impl<'a> Engine<'a> {
     /// which also caps every greedy and beam budget) leaves no room for
     /// fails validation ([`Outcome::Failed`]); a queue already holding
     /// [`EngineOptions::max_queue`] requests sheds the submission with
-    /// [`Outcome::Rejected`]; and with [`EngineOptions::slo_admission`]
-    /// on, a submission predicted to miss its tenant's `slo_steps` target
-    /// sheds the same way (booked under
+    /// [`Outcome::Rejected`]; and a submission predicted to miss its
+    /// tenant's non-zero `slo_steps` target sheds the same way (booked under
     /// [`crate::TenantStats::slo_shed`]). Structurally invalid requests
     /// (empty prompt, zero-width beam, degenerate scoring split,
     /// out-of-range tenant id) are API misuse and still panic.

@@ -17,12 +17,10 @@ pub enum Deadline {
     /// Run to completion.
     #[default]
     None,
-    /// Survive at most this many scheduler steps, then retire with partial
-    /// results. Deterministic (counts steps, not time).
+    /// Survive at most this many scheduler steps in the batch, then retire
+    /// with partial results. Counts steps, not time, so an expiry replays
+    /// exactly.
     Steps(u64),
-    /// Retire at this wall-clock instant — inherently non-deterministic;
-    /// use [`Deadline::Steps`] when reproducibility matters.
-    Wall(Instant),
 }
 
 /// What to do with a request's prompt.
@@ -149,8 +147,10 @@ pub enum Outcome {
         /// The last panic message, or the validation error.
         reason: String,
     },
-    /// Shed at admission: the queue was at [`EngineOptions::max_queue`].
-    /// The request was never decoded; resubmit when load drops.
+    /// Shed at admission: the queue was at [`EngineOptions::max_queue`], or
+    /// the tenant's step target predicted a miss (see
+    /// [`crate::TenantClass::slo_steps`]). The request was never decoded;
+    /// resubmit when load drops.
     Rejected,
 }
 
@@ -195,16 +195,17 @@ pub struct EngineOptions {
     /// per-tenant queues with strict-priority tiers and weighted-fair
     /// sharing within a tier (see [`crate::sched`]), and submits must carry
     /// a tenant id below `tenants.len()`.
-    pub tenants: Vec<TenantClass>,
-    /// SLO-aware admission control: a submit for a tenant with a non-zero
-    /// [`TenantClass::slo_steps`] is shed with [`Outcome::Rejected`] when
+    ///
+    /// A class with a non-zero [`TenantClass::slo_steps`] is SLO-admitted:
+    /// its submit is shed with [`Outcome::Rejected`] when
     /// `(backlog_ahead / max_batch + 1) * estimated_service_steps` exceeds
-    /// the tenant's target — the backlog a tenant waits behind is its own
-    /// tier's and higher tiers' queues plus the running batch, so
-    /// lower-tier tenants shed first under overload. The service estimate
-    /// is a deterministic integer EWMA over completed requests, starting
-    /// at 4 steps before any request has completed.
-    pub slo_admission: bool,
+    /// the target — the backlog a tenant waits behind is its own tier's
+    /// and higher tiers' queues plus the running batch, so lower-tier
+    /// tenants shed first under overload. The service estimate is a
+    /// deterministic integer EWMA over completed requests, starting at 4
+    /// steps before any request has completed. A best-effort class
+    /// (`slo_steps == 0`) is never SLO-shed.
+    pub tenants: Vec<TenantClass>,
     /// Telemetry sampling cadence in scheduler ticks: every
     /// `sample_steps`-th tick, the engine snapshots its step-based
     /// counters, queue depths, and per-tenant step-latency quantiles into
@@ -241,7 +242,6 @@ impl Default for EngineOptions {
             max_retries: 2,
             retry_backoff_steps: 2,
             tenants: Vec::new(),
-            slo_admission: false,
             sample_steps: lm4db_obs::env_sample_steps(),
             slo_alerts: None,
         }

@@ -20,13 +20,15 @@
 //!   request sharing an instruction/schema header skips re-prefilling the
 //!   common prefix. KV rows are pure functions of the token prefix, so the
 //!   restore is bitwise identical to recomputation.
-//! * **Deadlines & cancellation**: per-request step- or wall-clock
-//!   deadlines with graceful partial results, plus [`Engine::cancel`].
+//! * **Deadlines & cancellation**: per-request step deadlines with
+//!   graceful partial results, plus [`Engine::cancel`]. The engine reads
+//!   the wall clock only to measure (queue wait, latency), never to
+//!   decide.
 //! * **Multi-tenant scheduling** ([`sched`] module, DESIGN.md §5h):
 //!   per-tenant queues with strict-priority tiers and weighted-fair
-//!   sharing within a tier ([`EngineOptions::tenants`]), SLO-aware
-//!   admission control that sheds predicted deadline misses
-//!   ([`EngineOptions::slo_admission`]), and per-tenant outcome/latency
+//!   sharing within a tier ([`EngineOptions::tenants`]), SLO admission
+//!   that sheds predicted misses of a tenant's step target
+//!   ([`TenantClass::slo_steps`]), and per-tenant outcome/latency
 //!   accounting in [`Stats::tenants`] — deterministic step-based
 //!   histograms, mirrored into `lm4db-obs` as `serve/tenant/*` counters.
 //! * **Observability**: a [`Stats`] snapshot with queued/prefilled/decoded

@@ -42,17 +42,11 @@ pub struct TenantClass {
     pub tier: u8,
     /// Weighted-fair share within the tier (≥ 1; 0 is clamped to 1).
     pub weight: u32,
-    /// SLO deadline in scheduler steps for the engine's admission
-    /// controller ([`crate::EngineOptions::slo_admission`]); 0 means
+    /// SLO target in scheduler steps. Non-zero makes the tenant
+    /// SLO-admitted (the engine sheds a submit predicted to miss it, see
+    /// [`crate::EngineOptions::tenants`]) and burn-rate watched; 0 means
     /// best-effort (never SLO-shed).
     pub slo_steps: u64,
-    /// Wall-clock SLO target in milliseconds; 0 means none. **Accepted
-    /// and recorded, not yet enforced**: the engine carries it into
-    /// [`crate::TenantStats::slo_wall_ms`] so step-based and wall-clock
-    /// targets share one schema, but admission control and burn-rate
-    /// alerting still run exclusively on the deterministic `slo_steps`
-    /// (wall-clock enforcement is the ROADMAP item 1 follow-on).
-    pub slo_wall_ms: u64,
 }
 
 impl TenantClass {
@@ -63,7 +57,6 @@ impl TenantClass {
             tier: 0,
             weight: 1,
             slo_steps: 0,
-            slo_wall_ms: 0,
         }
     }
 
@@ -79,16 +72,9 @@ impl TenantClass {
         self
     }
 
-    /// Sets the SLO deadline in scheduler steps.
+    /// Sets the SLO target in scheduler steps.
     pub fn slo_steps(mut self, slo: u64) -> Self {
         self.slo_steps = slo;
-        self
-    }
-
-    /// Sets the wall-clock SLO target in milliseconds (recorded in stats,
-    /// not yet enforced — see [`TenantClass::slo_wall_ms`]).
-    pub fn slo_wall_ms(mut self, ms: u64) -> Self {
-        self.slo_wall_ms = ms;
         self
     }
 }

@@ -118,8 +118,8 @@ pub struct TenantStats {
     /// Requests shed at admission ([`crate::Outcome::Rejected`]): queue
     /// bound plus SLO sheds.
     pub rejected: u64,
-    /// The subset of `rejected` shed by SLO-aware admission control
-    /// ([`crate::EngineOptions::slo_admission`]) rather than the hard
+    /// The subset of `rejected` shed by SLO admission (the tenant's
+    /// [`crate::TenantClass::slo_steps`] target) rather than the hard
     /// queue bound.
     pub slo_shed: u64,
     /// Retry attempts scheduled after a poisoned feed pass.
@@ -129,14 +129,6 @@ pub struct TenantStats {
     pub slo_met: u64,
     /// Completed requests that overran the tenant's `slo_steps` target.
     pub slo_missed: u64,
-    /// The tenant's wall-clock SLO target in milliseconds, copied from
-    /// [`crate::TenantClass::slo_wall_ms`] at engine construction; 0 when
-    /// none is configured. **Recorded, not enforced**: admission and
-    /// alerting run on the step-based target, and nothing yet compares
-    /// wall-clock latencies against this value — it rides along so the
-    /// step and wall SLO schemas stay unified until wall-clock
-    /// enforcement lands.
-    pub slo_wall_ms: u64,
     /// Requests currently waiting in this tenant's queue.
     pub queued: usize,
     /// Scheduler steps each admitted request waited before first

@@ -8,7 +8,7 @@
 //! Run with `cargo run --release --example serve_demo`. It is also the
 //! traffic source for the observability workflows in the README:
 //! `LM4DB_TRACE=1` appends the trace snapshot, and `LM4DB_METRICS_ADDR`
-//! serves `/metrics` and `/dashboard` until Enter is pressed.
+//! serves `/metrics` until Enter is pressed.
 
 use lm4db::serve::{Deadline, Engine, EngineOptions, Request};
 use lm4db::tokenize::{Bpe, Tokenizer, BOS, EOS};

@@ -29,7 +29,7 @@ use std::process::Command;
 
 use lm4db::fault::fnv64;
 use lm4db::loadgen::{Burst, LoadGen, Phase, PromptShape, TenantSpec, Workload};
-use lm4db::serve::{Engine, EngineOptions, TenantClass};
+use lm4db::serve::{Engine, EngineOptions};
 use lm4db::transformer::{GptModel, ModelConfig};
 
 /// Three tenants spanning the tier range, base rates summing to 2.0
@@ -100,17 +100,7 @@ fn soak_workload(seed: u64) -> String {
         max_new: 3,
     };
     let gen = LoadGen::new(seed, shape, tenant_specs(), phases());
-    let classes: Vec<TenantClass> = gen
-        .tenants()
-        .iter()
-        .map(|s| {
-            TenantClass::new(s.name)
-                .tier(s.tier)
-                .weight(s.weight)
-                .slo_steps(s.slo_steps)
-                .slo_wall_ms(s.slo_wall_ms)
-        })
-        .collect();
+    let classes = gen.tenants().iter().map(TenantSpec::class).collect();
     let model = GptModel::new(ModelConfig::test(), 7);
     let mut engine = Engine::with_options(
         &model,
@@ -118,7 +108,6 @@ fn soak_workload(seed: u64) -> String {
             max_batch: 4,
             max_queue: 12,
             tenants: classes,
-            slo_admission: true,
             ..Default::default()
         },
     );

@@ -30,7 +30,7 @@ use std::process::Command;
 use lm4db::fault::fnv64;
 use lm4db::loadgen::{Burst, LoadGen, Phase, PromptShape, TenantSpec, Workload};
 use lm4db::router::{Router, RouterOptions, RouterStats};
-use lm4db::serve::{EngineOptions, TenantClass};
+use lm4db::serve::EngineOptions;
 use lm4db::transformer::{GptModel, ModelConfig};
 
 /// The fault spec a loadgen seed runs under: seed-derived so the two
@@ -99,17 +99,7 @@ fn routed_soak(seed: u64) -> (String, RouterStats) {
         max_new: 3,
     };
     let gen = LoadGen::new(seed, shape, tenant_specs(), phases());
-    let classes: Vec<TenantClass> = gen
-        .tenants()
-        .iter()
-        .map(|s| {
-            TenantClass::new(s.name)
-                .tier(s.tier)
-                .weight(s.weight)
-                .slo_steps(s.slo_steps)
-                .slo_wall_ms(s.slo_wall_ms)
-        })
-        .collect();
+    let classes = gen.tenants().iter().map(TenantSpec::class).collect();
     let model = GptModel::new(ModelConfig::test(), 7);
     let mut router = Router::new(
         &model,
@@ -122,7 +112,6 @@ fn routed_soak(seed: u64) -> (String, RouterStats) {
                 max_batch: 3,
                 max_queue: 10,
                 tenants: classes,
-                slo_admission: true,
                 ..Default::default()
             },
             ..Default::default()
